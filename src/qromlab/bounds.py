@@ -51,9 +51,9 @@ def chain_bound(q: int, k: int, m: int, t: int, clamp: bool = True) -> float:
 
 
 def posw_sqrt_step(q: int, k: int, w: int, n: int) -> tuple:
-    """The three per-round capacity terms of the sequential-work analysis, at
-    range size 2^w and tree depth n, for t challenges (t enters only the third
-    term, returned as a callable piece via posw_bound)."""
+    """The two per-round capacity terms of the sequential-work analysis that do
+    not depend on the challenge count, (term_col, term_chain), at range size
+    2^w and tree depth n.  posw_bound adds the third, challenge term itself."""
     mw = 2.0 ** w
     term_col = 4.0 * E * k * math.sqrt(10.0 * (q + 1) / mw)
     term_chain = 3.0 * E * k * math.sqrt(10.0 * k * q * n / mw)

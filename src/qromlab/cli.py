@@ -63,22 +63,37 @@ def _parse_domain(text: str, kind: str) -> oracle_mod.OracleDomain:
 
 def _recognizability_bound(name: str, p, pprime, k: int, domain) -> float:
     """Evaluate a recognizability bound over all (window, exterior) pairs,
-    choosing the canonical family for the target property's pattern."""
+    choosing the canonical family for the target property's pattern.
+
+    A family depends on the exterior only through a few of its features (none
+    for PRMG, the exterior's value set for CL, its support for CHN), and a
+    bound is a maximum over families, so each distinct family is built and
+    evaluated once.
+    """
     target = pprime.name
-    families = []
-    for xs in itertools.permutations(domain.inputs, k):
-        for db in capacity_mod.window_exteriors(domain, xs):
-            if "PRMG" in target:
-                families.append(prmg_local_family(xs, domain.spec))
-            elif "CHN" in target:
-                rel_kind = "equality"
-                if "rel=" in target:
-                    rel_kind = target.split("rel=", 1)[1].rstrip("]").split(",")[0]
-                families.append(chain_local_family(db, xs, ChainRelation(rel_kind)))
-            elif "CL" in target:
-                families.append(collision_local_family(db, xs))
-            else:
-                raise ValueError(f"no canonical family for target {target!r}")
+    windows = list(itertools.permutations(domain.inputs, k))
+    if "PRMG" in target:
+        families = [prmg_local_family(xs, domain.spec) for xs in windows]
+    else:
+        if "CHN" in target:
+            rel_kind = "equality"
+            if "rel=" in target:
+                rel_kind = target.split("rel=", 1)[1].rstrip("]").split(",")[0]
+            rel = ChainRelation(rel_kind)
+            feature = lambda db: db.support()
+            build = lambda db, xs: chain_local_family(db, xs, rel)
+        elif "CL" in target:
+            feature = lambda db: frozenset(db.values) - {domain.spec.bot}
+            build = collision_local_family
+        else:
+            raise ValueError(f"no canonical family for target {target!r}")
+        distinct = {}
+        for xs in windows:
+            for db in capacity_mod.window_exteriors(domain, xs):
+                key = (xs, feature(db))
+                if key not in distinct:
+                    distinct[key] = build(db, xs)
+        families = list(distinct.values())
     if name == "thm5.7":
         return capacity_mod.bound_thm_simple(families)
     if name == "thm5.9":

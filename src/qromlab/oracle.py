@@ -70,8 +70,10 @@ class Database:
     def __post_init__(self):
         if len(self.values) != self.domain.size:
             raise ValueError("database values must cover the whole domain")
-        for v in self.values:
-            self.domain.spec.check_extended(v)
+        spec = self.domain.spec
+        if min(self.values) < 0 or max(self.values) > spec.bot:
+            for v in self.values:
+                spec.check_extended(v)
 
     @classmethod
     def empty(cls, domain: OracleDomain) -> "Database":

@@ -19,11 +19,17 @@ from .oracle import Database, OracleDomain
 
 
 class DatabaseProperty:
-    """Named decidable subset of the databases over some oracle domain."""
+    """Named decidable subset of the databases over some oracle domain.
 
-    def __init__(self, name: str, pred):
+    batch, when given, decides many databases at once: it maps an int array of
+    value rows, shape (N, |X|), and the domain to N booleans.  Without it
+    holds_batch falls back to holds, one row at a time.
+    """
+
+    def __init__(self, name: str, pred, batch=None):
         self.name = name
         self._pred = pred
+        self._batch = batch
 
     def holds(self, db: Database) -> bool:
         return bool(self._pred(db))
@@ -33,38 +39,52 @@ class DatabaseProperty:
     def __contains__(self, db: Database) -> bool:
         return self.holds(db)
 
+    def holds_batch(self, values, domain: OracleDomain) -> np.ndarray:
+        """holds for every row of an int array of database values, shape (N, |X|)."""
+        values = np.asarray(values)
+        if self._batch is not None:
+            return np.asarray(self._batch(values, domain), dtype=bool)
+        return np.fromiter((self.holds(Database(domain, tuple(row))) for row in values.tolist()),
+                           dtype=bool, count=len(values))
+
     def __and__(self, other: "DatabaseProperty") -> "DatabaseProperty":
-        return DatabaseProperty(f"({self.name}&{other.name})", lambda db: self.holds(db) and other.holds(db))
+        return DatabaseProperty(f"({self.name}&{other.name})", lambda db: self.holds(db) and other.holds(db),
+                                lambda v, d: self.holds_batch(v, d) & other.holds_batch(v, d))
 
     def __or__(self, other: "DatabaseProperty") -> "DatabaseProperty":
-        return DatabaseProperty(f"({self.name}|{other.name})", lambda db: self.holds(db) or other.holds(db))
+        return DatabaseProperty(f"({self.name}|{other.name})", lambda db: self.holds(db) or other.holds(db),
+                                lambda v, d: self.holds_batch(v, d) | other.holds_batch(v, d))
 
     def __invert__(self) -> "DatabaseProperty":
-        return DatabaseProperty(f"!{self.name}", lambda db: not self.holds(db))
+        return DatabaseProperty(f"!{self.name}", lambda db: not self.holds(db),
+                                lambda v, d: ~self.holds_batch(v, d))
 
     def __sub__(self, other: "DatabaseProperty") -> "DatabaseProperty":
-        return DatabaseProperty(f"({self.name}\\{other.name})", lambda db: self.holds(db) and not other.holds(db))
+        return DatabaseProperty(f"({self.name}\\{other.name})", lambda db: self.holds(db) and not other.holds(db),
+                                lambda v, d: self.holds_batch(v, d) & ~other.holds_batch(v, d))
 
     def __repr__(self):
         return f"DatabaseProperty({self.name})"
 
 
 def true_prop() -> DatabaseProperty:
-    return DatabaseProperty("TRUE", lambda db: True)
+    return DatabaseProperty("TRUE", lambda db: True, lambda v, d: np.ones(len(v), dtype=bool))
 
 
 def false_prop() -> DatabaseProperty:
-    return DatabaseProperty("FALSE", lambda db: False)
+    return DatabaseProperty("FALSE", lambda db: False, lambda v, d: np.zeros(len(v), dtype=bool))
 
 
 def empty_db_prop() -> DatabaseProperty:
     """The property holding exactly for the all-undefined database."""
-    return DatabaseProperty("BOT", lambda db: db.support_size() == 0)
+    return DatabaseProperty("BOT", lambda db: db.support_size() == 0,
+                            lambda v, d: (v == d.spec.bot).all(axis=1))
 
 
 def prmg(target: int = 0) -> DatabaseProperty:
     name = "PRMG" if target == 0 else f"PRMG[{target}]"
-    return DatabaseProperty(name, lambda db: any(v == target for v in db.values))
+    return DatabaseProperty(name, lambda db: any(v == target for v in db.values),
+                            lambda v, d: (v == target).any(axis=1))
 
 
 def cl() -> DatabaseProperty:
@@ -79,13 +99,19 @@ def cl() -> DatabaseProperty:
             seen.add(v)
         return False
 
-    return DatabaseProperty("CL", has_collision)
+    def has_collision_batch(values: np.ndarray, domain: OracleDomain) -> np.ndarray:
+        ordered = np.sort(values, axis=1)
+        repeat = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != domain.spec.bot)
+        return repeat.any(axis=1)
+
+    return DatabaseProperty("CL", has_collision, has_collision_batch)
 
 
 def size_at_most(s: int) -> DatabaseProperty:
     if s < 0:
         raise ValueError("size bound must be nonnegative")
-    return DatabaseProperty(f"SIZE<={s}", lambda db: db.support_size() <= s)
+    return DatabaseProperty(f"SIZE<={s}", lambda db: db.support_size() <= s,
+                            lambda v, d: (v != d.spec.bot).sum(axis=1) <= s)
 
 
 def iter_databases(domain: OracleDomain):
@@ -187,14 +213,52 @@ def chn(s: int, rel: ChainRelation) -> DatabaseProperty:
 # Restrictions and projectors
 
 
-def restrict(p: DatabaseProperty, db: Database, xs) -> frozenset:
-    """The restriction of p to the query window xs at exterior db, as the set of
-    response tuples r with db[xs -> r] in p."""
+def value_dtype(spec: GroupSpec) -> np.dtype:
+    """Smallest integer dtype holding every extended value, the undefined index included."""
+    return np.min_scalar_type(spec.bot)
+
+
+def _distinct_window(xs) -> tuple:
     xs = tuple(xs)
     if len(set(xs)) != len(xs):
         raise ValueError("query window inputs must be distinct")
-    ext = range(db.domain.spec.order + 1)
-    return frozenset(r for r in itertools.product(ext, repeat=len(xs)) if p.holds(db.update(xs, r)))
+    return xs
+
+
+def window_tuples(spec: GroupSpec, k: int) -> np.ndarray:
+    """Every response tuple of a k-input window, one per row, in the canonical
+    mixed-radix order of the window basis (undefined index last)."""
+    ext = spec.order + 1
+    grid = list(itertools.product(range(ext), repeat=k))
+    return np.array(grid, dtype=value_dtype(spec)).reshape(ext ** k, k)
+
+
+def window_masks(p: DatabaseProperty, domain: OracleDomain, exteriors: np.ndarray, xs) -> np.ndarray:
+    """Diagonals of p|_{D|xs} for many databases D at once.
+
+    exteriors holds database values, one row per D; row i of the result marks
+    the window tuples r (in window_tuples order) with D[xs -> r] in p.
+    """
+    xs = _distinct_window(xs)
+    grid = window_tuples(domain.spec, len(xs))
+    rows = np.repeat(np.asarray(exteriors, dtype=value_dtype(domain.spec)), len(grid), axis=0)
+    rows[:, [domain.index(x) for x in xs]] = np.tile(grid, (len(exteriors), 1))
+    return p.holds_batch(rows, domain).reshape(len(exteriors), len(grid))
+
+
+def _window_sides(db: Database, xs, *props) -> tuple:
+    """The window xs, its response tuples, and per property the mask of tuples
+    r with db[xs -> r] inside it."""
+    xs = _distinct_window(xs)
+    window = [tuple(r) for r in window_tuples(db.domain.spec, len(xs)).tolist()]
+    return xs, window, [window_masks(p, db.domain, [db.values], xs)[0] for p in props]
+
+
+def restrict(p: DatabaseProperty, db: Database, xs) -> frozenset:
+    """The restriction of p to the query window xs at exterior db, as the set of
+    response tuples r with db[xs -> r] in p."""
+    _, window, (mask,) = _window_sides(db, xs, p)
+    return frozenset(itertools.compress(window, mask))
 
 
 def projector(restricted: frozenset, k: int, spec: GroupSpec) -> np.ndarray:
@@ -329,20 +393,20 @@ class LocalFamily:
         return max((p.locality for p in self.properties), default=0)
 
 
-def check_strong_recognizes(fam: LocalFamily, p: DatabaseProperty, pprime: DatabaseProperty,
-                            xs, db: Database) -> bool:
-    """Exhaustively verify pprime|_{D|xs} <= union of the family <= p|_{D|xs}."""
-    xs = tuple(xs)
+def _check_supports(fam: LocalFamily, xs: tuple) -> None:
     for lp in fam:
         if any(x not in xs for x in lp.support):
             raise ValueError("family supports must lie inside the query window")
-    ext = range(db.domain.spec.order + 1)
-    for r in itertools.product(ext, repeat=len(xs)):
+
+
+def check_strong_recognizes(fam: LocalFamily, p: DatabaseProperty, pprime: DatabaseProperty,
+                            xs, db: Database) -> bool:
+    """Exhaustively verify pprime|_{D|xs} <= union of the family <= p|_{D|xs}."""
+    xs, window, (p_mask, pprime_mask) = _window_sides(db, xs, p, pprime)
+    _check_supports(fam, xs)
+    for r, in_p, in_pprime in zip(window, p_mask, pprime_mask):
         in_union = any(lp.contains_window_tuple(xs, r) for lp in fam)
-        updated = db.update(xs, r)
-        if pprime.holds(updated) and not in_union:
-            return False
-        if in_union and not p.holds(updated):
+        if (in_pprime and not in_union) or (in_union and not in_p):
             return False
     return True
 
@@ -352,25 +416,12 @@ def check_weak_recognizes(fam: LocalFamily, p: DatabaseProperty, pprime: Databas
     """Exhaustively verify the weak-recognizability implication: every pair of a
     p-side tuple r and a pprime-side tuple u admits a family member containing u
     and differing from r somewhere on its support."""
-    xs = tuple(xs)
-    for lp in fam:
-        if any(x not in xs for x in lp.support):
-            raise ValueError("family supports must lie inside the query window")
-    ext = range(db.domain.spec.order + 1)
-    window = list(itertools.product(ext, repeat=len(xs)))
-    p_side = [r for r in window if p.holds(db.update(xs, r))]
-    pprime_side = [u for u in window if pprime.holds(db.update(xs, u))]
-    for r in p_side:
-        for u in pprime_side:
-            ok = False
-            for lp in fam:
-                if not lp.contains_window_tuple(xs, u):
-                    continue
-                pos = [xs.index(x) for x in lp.support]
-                if any(r[i] != u[i] for i in pos):
-                    ok = True
-                    break
-            if not ok:
+    xs, window, (p_mask, pprime_mask) = _window_sides(db, xs, p, pprime)
+    _check_supports(fam, xs)
+    for r in itertools.compress(window, p_mask):
+        for u in itertools.compress(window, pprime_mask):
+            if not any(lp.contains_window_tuple(xs, u)
+                       and any(r[xs.index(x)] != u[xs.index(x)] for x in lp.support) for lp in fam):
                 return False
     return True
 
@@ -378,9 +429,7 @@ def check_weak_recognizes(fam: LocalFamily, p: DatabaseProperty, pprime: Databas
 def chain_local_family(db: Database, xs, rel: ChainRelation) -> LocalFamily:
     """The 1-local family certifying chain extension: position i accepts any
     range value relating to some defined or queried input."""
-    xs = tuple(xs)
-    if len(set(xs)) != len(xs):
-        raise ValueError("query window inputs must be distinct")
+    xs = _distinct_window(xs)
     domain = db.domain
     anchors = set(db.support()) | set(xs)
     values = frozenset(
@@ -395,9 +444,7 @@ def chain_local_family(db: Database, xs, rel: ChainRelation) -> LocalFamily:
 def collision_local_family(db: Database, xs) -> LocalFamily:
     """The 2-local diagonal pairs plus 1-local old-image hits certifying a fresh
     collision inside or across the query window."""
-    xs = tuple(xs)
-    if len(set(xs)) != len(xs):
-        raise ValueError("query window inputs must be distinct")
+    xs = _distinct_window(xs)
     spec = db.domain.spec
     outside = frozenset(
         v for x, v in db.entries().items() if x not in xs
