@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .groups import transition_matrix
-from .oracle import Database, OracleDomain
+from .oracle import Database, OracleDomain, sparse_encode
 from .properties import DatabaseProperty, window_masks
 
 E = math.e
@@ -125,15 +125,15 @@ def _check_window_budget(domain: OracleDomain, k: int, n_restrict: int) -> None:
 
 
 def window_exteriors(domain: OracleDomain, xs: tuple):
-    """All databases canonicalized to undefined on the window, enumerated in
-    canonical value order on the remaining inputs."""
+    """The values of all databases canonicalized to undefined on the window,
+    enumerated in canonical value order on the remaining inputs."""
     window = {domain.index(x) for x in xs}
     others = [i for i in range(domain.size) if i not in window]
     values = [domain.spec.bot] * domain.size
     for assignment in itertools.product(range(domain.spec.order + 1), repeat=len(others)):
         for i, v in zip(others, assignment):
             values[i] = v
-        yield Database(domain, tuple(values))
+        yield tuple(values)
 
 
 def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int,
@@ -176,12 +176,10 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
 
     best = 0.0
     best_key = None
-    best_at = None
     chunk = max(1, MASK_ROWS // dim)
     for xi, xs in enumerate(itertools.permutations(pool, k)):
         exteriors = window_exteriors(domain, xs)
-        while dbs := list(itertools.islice(exteriors, chunk)):
-            values = [db.values for db in dbs]
+        while values := list(itertools.islice(exteriors, chunk)):
             masks = np.concatenate([window_masks(p, domain, values, xs),
                                     window_masks(pprime, domain, values, xs)], axis=1)
             live = np.flatnonzero(masks[:, :dim].any(axis=1) & masks[:, dim:].any(axis=1))
@@ -200,20 +198,18 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
             for e in np.flatnonzero(events > seen - 2e-12).tolist():
                 i, y = divmod(e, len(all_yhats))
                 value = float(events[e])
-                db = dbs[live[i]]
-                key = (xi, all_yhats[y], db.values)
+                key = (xi, all_yhats[y], values[live[i]])
                 if value > best + 1e-12 or (value > best - 1e-12 and (best_key is None or key < best_key)):
                     if value > best:
                         best = value
                     best_key = key
-                    best_at = (xs, db)
+                    best_xs = xs
     best_witness = None
-    if best_at is not None:
-        xs, db = best_at
+    if best_key is not None:
         best_witness = {
-            "xs": list(xs),
+            "xs": list(best_xs),
             "yhats": list(best_key[1]),
-            "database": sorted(db.entries().items(), key=lambda kv: domain.index(kv[0])),
+            "database": sparse_encode(Database(domain, best_key[2])),
         }
     return CapacityReport(value=best, witness=best_witness, kind="quantum")
 
@@ -253,7 +249,7 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
                 best = prob
                 best_witness = {
                     "xs": list(xs),
-                    "database": sorted(db.entries().items(), key=lambda kv: domain.index(kv[0])),
+                    "database": sparse_encode(db),
                 }
     return CapacityReport(value=best, witness=best_witness, kind="classical")
 

@@ -75,24 +75,25 @@ def _recognizability_bound(name: str, p, pprime, k: int, domain) -> float:
     if "PRMG" in target:
         families = [prmg_local_family(xs, domain.spec) for xs in windows]
     else:
+        bot = domain.spec.bot
         if "CHN" in target:
             rel_kind = "equality"
             if "rel=" in target:
                 rel_kind = target.split("rel=", 1)[1].rstrip("]").split(",")[0]
             rel = ChainRelation(rel_kind)
-            feature = lambda db: db.support()
+            feature = lambda values: tuple(x for x, v in zip(domain.inputs, values) if v != bot)
             build = lambda db, xs: chain_local_family(db, xs, rel)
         elif "CL" in target:
-            feature = lambda db: frozenset(db.values) - {domain.spec.bot}
+            feature = lambda values: frozenset(values) - {bot}
             build = collision_local_family
         else:
             raise ValueError(f"no canonical family for target {target!r}")
         distinct = {}
         for xs in windows:
-            for db in capacity_mod.window_exteriors(domain, xs):
-                key = (xs, feature(db))
+            for values in capacity_mod.window_exteriors(domain, xs):
+                key = (xs, feature(values))
                 if key not in distinct:
-                    distinct[key] = build(db, xs)
+                    distinct[key] = build(oracle_mod.Database(domain, values), xs)
         families = list(distinct.values())
     if name == "thm5.7":
         return capacity_mod.bound_thm_simple(families)
@@ -287,6 +288,8 @@ def _random_db(rng, n: int, w: int, chi: int, entries: int) -> dict:
 def _cmd_lemmas(args) -> int:
     import random
 
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     rng = random.Random(args.seed)
     n, w, chi = args.n, args.w, 0x5A
     failures = 0
@@ -308,7 +311,7 @@ def _cmd_lemmas(args) -> int:
                 continue
             ok = posw_mod.check_extract_lemma(db, n, w, chi, rng.getrandbits(w))
         failures += 0 if ok else 1
-    lo, hi = wilson_interval(failures, max(args.trials, 1))
+    lo, hi = wilson_interval(failures, args.trials)
     record = {"suite": args.suite, "trials": args.trials, "failures": failures,
               "wilson_low": lo, "wilson_high": hi}
     records.append(record)
@@ -377,26 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--chi", required=True)
     pv.add_argument("--backend", choices=("table", "crypto"), default="crypto")
     pv.set_defaults(func=_cmd_posw_verify)
-    pl = posw_sub.add_parser("lemmas")
-    _add_lemma_args(pl)
 
     lem = sub.add_parser("lemmas", help="extraction lemma suites")
-    _add_lemma_args(lem)
+    lem.add_argument("--suite", choices=("extract", "leaves", "newpath"), required=True)
+    lem.add_argument("--trials", type=int, default=1000)
+    lem.add_argument("--n", type=int, default=2)
+    lem.add_argument("--w", type=int, default=8)
+    lem.add_argument("--out")
+    lem.set_defaults(func=_cmd_lemmas)
 
     rep = sub.add_parser("report", help="render a JSON report as CSV")
     rep.add_argument("--in", dest="infile", required=True)
     rep.add_argument("--out", required=True)
     rep.set_defaults(func=_cmd_report)
     return parser
-
-
-def _add_lemma_args(p) -> None:
-    p.add_argument("--suite", choices=("extract", "leaves", "newpath"), required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--w", type=int, default=8)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_lemmas)
 
 
 def main(argv=None) -> int:

@@ -199,22 +199,6 @@ class _JointState:
         probs = np.abs(self.vec) ** 2
         return probs.sum(axis=tuple(range(self.n_oracle))).ravel()
 
-    def register_distribution(self, regs) -> dict:
-        """Probability over the basis values of selected adversary registers."""
-        probs = np.abs(self.vec) ** 2
-        keep = [self.reg_axis(r) for r in regs]
-        drop = tuple(a for a in range(self.vec.ndim) if a not in keep)
-        marg = probs.sum(axis=drop)
-        remaining = sorted(keep)
-        order = [remaining.index(a) for a in keep]
-        marg = np.transpose(marg, order) if marg.ndim > 1 else marg
-        out = {}
-        for values in np.ndindex(marg.shape):
-            p = float(marg[values])
-            if p > 0.0:
-                out[values] = p
-        return out
-
 
 class PurifiedState(_JointState):
     """Joint state over full function tables H: X -> Y plus adversary registers."""
@@ -233,14 +217,8 @@ class CompressedState(_JointState):
                 out[Database(self.domain, values)] = p
         return out
 
-    def nonzero_databases(self):
-        marg = (np.abs(self.vec) ** 2).reshape(self.vec.shape[: self.n_oracle] + (-1,)).sum(axis=-1)
-        for values in np.ndindex(marg.shape):
-            if marg[values] > 0.0:
-                yield Database(self.domain, values)
-
     def max_support_size(self) -> int:
-        return max((db.support_size() for db in self.nonzero_databases()), default=0)
+        return max((db.support_size() for db in self.database_distribution()), default=0)
 
 
 def initial_compressed_state(domain: OracleDomain, reg_dims=(1,)) -> CompressedState:
@@ -291,58 +269,49 @@ def comp_dagger(state: CompressedState) -> PurifiedState:
     return PurifiedState(state.domain, state.reg_dims, np.ascontiguousarray(vec))
 
 
+def _query_targets(state: _JointState, out_reg: int, x_label, in_reg):
+    """Shape checks and axes shared by both query kernels.
+
+    Returns the response axis and one (oracle axis, pinned) pair per queried
+    input, where pinned fixes the input register to that input's level (empty
+    for a classical input)."""
+    if state.reg_dims[out_reg] != state.domain.spec.order:
+        raise ValueError("response register must be group-valued")
+    out_axis = state.reg_axis(out_reg)
+    if in_reg is None:
+        return out_axis, [(state.domain.index(x_label), {})]
+    if state.reg_dims[in_reg] != state.domain.size:
+        raise ValueError("query input register must have one level per domain input")
+    in_axis = state.reg_axis(in_reg)
+    return out_axis, [(xv, {in_axis: xv}) for xv in range(state.domain.size)]
+
+
 def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, in_reg=None) -> None:
     """One coordinate of a parallel query against the compressed oracle."""
     spec = state.domain.spec
-    m = spec.order
-    if state.reg_dims[out_reg] != m:
-        raise ValueError("response register must be group-valued")
+    out_axis, targets = _query_targets(state, out_reg, x_label, in_reg)
     w = dual_transform(spec)
-    out_axis = state.reg_axis(out_reg)
     state.vec = _apply_axis(state.vec, w, out_axis)
-    if in_reg is None:
-        targets = [(None, state.domain.index(x_label))]
-    else:
-        if state.reg_dims[in_reg] != state.domain.size:
-            raise ValueError("query input register must have one level per domain input")
-        targets = [(xv, xv) for xv in range(state.domain.size)]
-    in_axis = None if in_reg is None else state.reg_axis(in_reg)
-    for xv, oracle_axis in targets:
-        for yhat in range(1, m):
-            fixed = {out_axis: yhat}
-            if in_axis is not None:
-                fixed[in_axis] = xv
+    for oracle_axis, pinned in targets:
+        for yhat in range(1, spec.order):
+            fixed = {out_axis: yhat, **pinned}
             idx = _fixed_index(state.vec.ndim, fixed)
-            sub = state.vec[idx]
             local = _local_axis(oracle_axis, fixed)
-            state.vec[idx] = _apply_axis(sub, np.asarray(transition_matrix(spec, yhat)), local)
+            state.vec[idx] = _apply_axis(state.vec[idx], np.asarray(transition_matrix(spec, yhat)), local)
     state.vec = _apply_axis(state.vec, np.conj(w.T), out_axis)
 
 
 def _standard_query_coord(state: PurifiedState, out_reg: int, x_label=None, in_reg=None) -> None:
     """One coordinate of a parallel query against the purified standard oracle."""
     spec = state.domain.spec
-    m = spec.order
-    if state.reg_dims[out_reg] != m:
-        raise ValueError("response register must be group-valued")
-    out_axis = state.reg_axis(out_reg)
-    if in_reg is None:
-        targets = [(None, state.domain.index(x_label))]
-    else:
-        if state.reg_dims[in_reg] != state.domain.size:
-            raise ValueError("query input register must have one level per domain input")
-        targets = [(xv, xv) for xv in range(state.domain.size)]
-    in_axis = None if in_reg is None else state.reg_axis(in_reg)
-    for xv, oracle_axis in targets:
-        for h in range(m):
-            fixed = {oracle_axis: h}
-            if in_axis is not None:
-                fixed[in_axis] = xv
+    out_axis, targets = _query_targets(state, out_reg, x_label, in_reg)
+    for oracle_axis, pinned in targets:
+        for h in range(spec.order):
+            fixed = {oracle_axis: h, **pinned}
             idx = _fixed_index(state.vec.ndim, fixed)
-            sub = state.vec[idx]
             local = _local_axis(out_axis, fixed)
-            src = [spec.add(y, spec.neg(h)) for y in range(m)]
-            state.vec[idx] = np.take(sub, src, axis=local)
+            src = [spec.add(y, spec.neg(h)) for y in range(spec.order)]
+            state.vec[idx] = np.take(state.vec[idx], src, axis=local)
 
 
 def _check_distinct(xs) -> None:
@@ -512,20 +481,6 @@ def run_adversary(circuit: AdversaryCircuit, oracle: str = "compressed"):
     return _run_steps(state, circuit, compressed=(oracle == "compressed"))
 
 
-def measure_database(state: CompressedState) -> dict:
-    """Born distribution over databases of the compressed-oracle register."""
-    return state.database_distribution()
-
-
-def adversary_output_distribution(state: _JointState, regs) -> dict:
-    return state.register_distribution(regs)
-
-
-def total_variation(p: dict, q: dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
 def zhandry_gap_check(p: float, p_prime: float, ell: int, m: int) -> bool:
     """sqrt(p) <= sqrt(p') + sqrt(ell/M), with a 1e-12 slack."""
     if not (0.0 <= p <= 1.0 and 0.0 <= p_prime <= 1.0):
@@ -541,42 +496,51 @@ def relation_probabilities(circuit: AdversaryCircuit, relation, claimed=None):
     vector computed from x.  p is the probability, against the purified
     standard oracle, that the true hashes match the output responses and the
     relation holds; p' is the same against the compressed oracle with the
-    responses compared to the measured database.
+    responses compared to the measured database.  A response outside the
+    range group raises ValueError.
     """
     if not circuit.output_regs:
         raise ValueError("circuit must designate x output registers")
     if claimed is None and circuit.y_output_regs is None:
         raise ValueError("either claimed responses or y output registers are required")
-
-    def outputs(values, state):
-        xs = tuple(values[state.reg_axis(r) - state.n_oracle] for r in circuit.output_regs)
-        labels = tuple(circuit.domain.inputs[x] for x in xs)
-        if circuit.y_output_regs is not None:
-            ys = tuple(values[state.reg_axis(r) - state.n_oracle] for r in circuit.y_output_regs)
-        else:
-            ys = tuple(claimed(labels))
-        return xs, labels, ys
-
-    std = run_adversary(circuit, "standard")
-    p = 0.0
-    for index in np.ndindex(std.vec.shape):
-        amp = std.vec[index]
-        if amp == 0.0:
-            continue
-        xs, labels, ys = outputs(index[std.n_oracle:], std)
-        if all(index[x] == y for x, y in zip(xs, ys)) and relation(labels, ys):
-            p += abs(amp) ** 2
-
-    cmp_state = run_adversary(circuit, "compressed")
-    p_prime = 0.0
-    for index in np.ndindex(cmp_state.vec.shape):
-        amp = cmp_state.vec[index]
-        if amp == 0.0:
-            continue
-        xs, labels, ys = outputs(index[cmp_state.n_oracle:], cmp_state)
-        if all(index[x] == y for x, y in zip(xs, ys)) and relation(labels, ys):
-            p_prime += abs(amp) ** 2
+    p = _success_probability(run_adversary(circuit, "standard"), circuit, relation, claimed)
+    p_prime = _success_probability(run_adversary(circuit, "compressed"), circuit, relation, claimed)
     return p, p_prime
+
+
+def _adversary_outputs(circuit: AdversaryCircuit, values, claimed):
+    """The adversary's output (xs, labels, ys) in the register basis state
+    values: x indices, their domain labels, and the responses, read from
+    y_output_regs or computed by claimed(labels) and checked against the group."""
+    xs = tuple(int(values[r]) for r in circuit.output_regs)
+    labels = tuple(circuit.domain.inputs[x] for x in xs)
+    if circuit.y_output_regs is not None:
+        ys = tuple(int(values[r]) for r in circuit.y_output_regs)
+    else:
+        ys = tuple(claimed(labels))
+    for y in ys:
+        circuit.domain.spec.check_element(y)
+    return xs, labels, ys
+
+
+def _success_probability(state: _JointState, circuit: AdversaryCircuit, relation, claimed) -> float:
+    """Probability that the oracle maps each output input to its output
+    response and the relation holds.
+
+    One slice sum per reachable adversary basis state: the oracle axes of the
+    output inputs are pinned to the output responses.  A basis state naming
+    one input with two different responses contributes 0."""
+    probs = np.abs(state.vec) ** 2
+    reached = probs.sum(axis=tuple(range(state.n_oracle)))
+    total = 0.0
+    for values in np.ndindex(state.reg_dims):
+        if reached[values] == 0.0:
+            continue
+        xs, labels, ys = _adversary_outputs(circuit, values, claimed)
+        pinned = {}
+        if all(pinned.setdefault(x, y) == y for x, y in zip(xs, ys)) and relation(labels, ys):
+            total += float(probs[_fixed_index(state.n_oracle, pinned) + values].sum())
+    return total
 
 
 def run_adversary_fixed_function(circuit: AdversaryCircuit, table) -> PurifiedState:
@@ -610,13 +574,7 @@ def sampled_relation_probability(circuit: AdversaryCircuit, relation, claimed,
         state = run_adversary_fixed_function(circuit, table)
         marginal = state.adversary_marginal()
         drawn = int(rng.choice(len(marginal), p=marginal / marginal.sum()))
-        values = np.unravel_index(drawn, state.reg_dims)
-        xs = tuple(values[r] for r in circuit.output_regs)
-        labels = tuple(circuit.domain.inputs[x] for x in xs)
-        if circuit.y_output_regs is not None:
-            ys = tuple(values[r] for r in circuit.y_output_regs)
-        else:
-            ys = tuple(claimed(labels))
+        _, labels, ys = _adversary_outputs(circuit, np.unravel_index(drawn, state.reg_dims), claimed)
         if all(table[x] == y for x, y in zip(labels, ys)) and relation(labels, ys):
             successes += 1
     return {"shots": shots, "successes": successes, "estimate": successes / shots}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..properties import longest_path
 from . import dag
 from .backend import challenge_payload, label_payload, parse_label_payload
 
@@ -110,27 +111,8 @@ def longest_posw_chain(db: dict, n: int, w: int) -> float:
     successors = {
         p: [p2 for p2 in payloads if db[p] in slots[p2]] for p in payloads
     }
-    best: dict = {}
-    on_stack: set = set()
-
-    def longest_from(p) -> float:
-        if p in best:
-            return best[p]
-        if p in on_stack:
-            return math.inf
-        on_stack.add(p)
-        value = 1.0  # the free final hop
-        for p2 in successors[p]:
-            tail = longest_from(p2)
-            if math.isinf(tail):
-                value = math.inf
-                break
-            value = max(value, 1.0 + tail)
-        on_stack.discard(p)
-        best[p] = value
-        return value
-
-    return max((longest_from(p) for p in payloads), default=0.0)
+    # the free final hop gives every entry a chain of length 1
+    return longest_path(payloads, successors, dict.fromkeys(payloads, 1.0))
 
 
 def challenge_leaves_in_db(db: dict, n: int, w: int, chi: int, phi: int, t: int) -> list | None:

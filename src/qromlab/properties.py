@@ -163,22 +163,12 @@ class ChainRelation:
         return max(best, 1)
 
 
-def longest_chain_length(db: Database, rel: ChainRelation) -> float:
-    """Length of the longest chain x_0,...,x_s with D(x_{i-1}) relating to x_i.
+def longest_path(nodes, successors, base) -> float:
+    """Longest path length in a successor graph, inf when a cycle is reachable.
 
-    Every x_i except the last must be in the support (its value feeds the next
-    link); the final element may be any domain input.  A cycle in the support
-    graph yields chains of every length, reported as inf.
+    A node's value is the larger of base[node] and 1 plus a successor's
+    value; the result is the maximum over nodes, 0 when there are none.
     """
-    domain = db.domain
-    support = db.support()
-    succ_in_support = {}
-    free_hop = {}
-    for x in support:
-        y = db.value(x)
-        succ_in_support[x] = [x2 for x2 in support if rel.relates(y, x2, domain)]
-        free_hop[x] = any(rel.relates(y, x2, domain) for x2 in domain.inputs)
-
     best: dict = {}
     on_stack: set = set()
 
@@ -188,8 +178,8 @@ def longest_chain_length(db: Database, rel: ChainRelation) -> float:
         if x in on_stack:
             return math.inf
         on_stack.add(x)
-        value = 1.0 if free_hop[x] else 0.0
-        for x2 in succ_in_support[x]:
+        value = base[x]
+        for x2 in successors[x]:
             tail = longest_from(x2)
             if math.isinf(tail):
                 value = math.inf
@@ -199,7 +189,25 @@ def longest_chain_length(db: Database, rel: ChainRelation) -> float:
         best[x] = value
         return value
 
-    return max((longest_from(x) for x in support), default=0.0)
+    return max((longest_from(x) for x in nodes), default=0.0)
+
+
+def longest_chain_length(db: Database, rel: ChainRelation) -> float:
+    """Length of the longest chain x_0,...,x_s with D(x_{i-1}) relating to x_i.
+
+    Every x_i except the last must be in the support (its value feeds the next
+    link); the final element may be any domain input.  A cycle in the support
+    graph yields chains of every length, reported as inf.
+    """
+    domain = db.domain
+    support = db.support()
+    successors = {}
+    free_hop = {}
+    for x in support:
+        y = db.value(x)
+        successors[x] = [x2 for x2 in support if rel.relates(y, x2, domain)]
+        free_hop[x] = 1.0 if any(rel.relates(y, x2, domain) for x2 in domain.inputs) else 0.0
+    return longest_path(support, successors, free_hop)
 
 
 def chn(s: int, rel: ChainRelation) -> DatabaseProperty:

@@ -151,7 +151,7 @@ class TestHoldsBatch:
         domain = bit_domain(GroupSpec.cyclic(3))
         p = ~cl() | chn(2, EQ)
         xs = ("10", "00")
-        exteriors = [db.values for db in capacity_mod.window_exteriors(domain, xs)]
+        exteriors = list(capacity_mod.window_exteriors(domain, xs))
         masks = window_masks(p, domain, exteriors, xs)
         window = [tuple(r) for r in window_tuples(domain.spec, 2).tolist()]
         for values, mask in zip(exteriors, masks):
@@ -207,7 +207,8 @@ def per_pair_bound(name, pprime, k, domain):
     """One canonical family per (window, exterior) pair."""
     families = []
     for xs in itertools.permutations(domain.inputs, k):
-        for db in capacity_mod.window_exteriors(domain, xs):
+        for values in capacity_mod.window_exteriors(domain, xs):
+            db = Database(domain, values)
             if "PRMG" in pprime.name:
                 families.append(prmg_local_family(xs, domain.spec))
             elif "CHN" in pprime.name:

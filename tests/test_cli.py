@@ -164,7 +164,17 @@ class TestPoswCommands:
     def test_lemma_suites(self, tmp_path):
         for suite in ("extract", "leaves", "newpath"):
             assert main(["lemmas", "--suite", suite, "--trials", "40"]) == 0
-        assert main(["posw", "lemmas", "--suite", "leaves", "--trials", "10"]) == 0
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_lemma_trials_below_one_exit_2(self, tmp_path, trials):
+        out = tmp_path / "lemmas.json"
+        assert main(["lemmas", "--suite", "leaves", "--trials", trials, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_posw_lemmas_alias_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["posw", "lemmas", "--suite", "leaves", "--trials", "10"])
+        assert exc.value.code == 2
 
 
 class TestReportCommand:

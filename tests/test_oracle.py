@@ -26,7 +26,6 @@ from qromlab.oracle import (
     grover_preimage_circuit,
     initial_compressed_state,
     initial_purified_state,
-    measure_database,
     named_gate_matrix,
     relation_probabilities,
     run_adversary,
@@ -83,7 +82,7 @@ class TestInitialStates:
     def test_initial_compressed_is_point_mass(self):
         dom = bit_domain(1)
         st0 = initial_compressed_state(dom, (2,))
-        dist = measure_database(st0)
+        dist = st0.database_distribution()
         assert dist == {Database.empty(dom): pytest.approx(1.0)}
         assert st0.norm() == pytest.approx(1.0)
         assert st0.max_support_size() == 0
@@ -178,7 +177,7 @@ class TestParallelQuery:
         state = initial_compressed_state(dom, (2,))
         state.apply_register_unitary(named_gate_matrix("prepare_dual", (2,), dom.spec, 1), (0,))
         out = apply_parallel_query(state, ("0",), (0,))
-        dist = measure_database(out)
+        dist = out.database_distribution()
         expected = {
             Database.from_entries(dom, {"0": 0}): 0.5,
             Database.from_entries(dom, {"0": 1}): 0.5,

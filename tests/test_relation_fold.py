@@ -1,0 +1,148 @@
+"""Differential test for the readout fold behind relation_probabilities.
+
+The reference below is the original readout: a Python loop over every
+amplitude of the final joint state, scoring each basis branch on its own.  The
+fold under test sums one slice of |vec|^2 per adversary basis state instead;
+both must give the same p and p' on every circuit shape, including explicit
+response registers and outputs that name one input twice.
+"""
+
+import numpy as np
+import pytest
+
+from qromlab.groups import GroupSpec
+from qromlab.oracle import (
+    AdversaryCircuit,
+    GateStep,
+    OracleDomain,
+    QueryStep,
+    grover_preimage_circuit,
+    relation_probabilities,
+    run_adversary,
+)
+
+TOL = 1e-12
+
+
+def reference_success(state, circuit, relation, claimed) -> float:
+    """Per-amplitude loop: add |amp|^2 for every branch whose oracle values at
+    the output inputs equal the output responses and whose outputs satisfy
+    the relation."""
+    total = 0.0
+    for index in np.ndindex(state.vec.shape):
+        amp = state.vec[index]
+        if amp == 0.0:
+            continue
+        values = index[state.n_oracle:]
+        xs = tuple(values[r] for r in circuit.output_regs)
+        labels = tuple(circuit.domain.inputs[x] for x in xs)
+        if circuit.y_output_regs is not None:
+            ys = tuple(values[r] for r in circuit.y_output_regs)
+        else:
+            ys = tuple(claimed(labels))
+        if all(index[x] == y for x, y in zip(xs, ys)) and relation(labels, ys):
+            total += abs(amp) ** 2
+    return total
+
+
+def reference_probabilities(circuit, relation, claimed=None):
+    return (reference_success(run_adversary(circuit, "standard"), circuit, relation, claimed),
+            reference_success(run_adversary(circuit, "compressed"), circuit, relation, claimed))
+
+
+def assert_fold_matches(circuit, relation, claimed=None):
+    p, p_prime = relation_probabilities(circuit, relation, claimed)
+    ref_p, ref_p_prime = reference_probabilities(circuit, relation, claimed)
+    assert abs(p - ref_p) <= TOL and abs(p_prime - ref_p_prime) <= TOL
+    return p, p_prime
+
+
+def domain(size, spec):
+    return OracleDomain(tuple(format(i, "03b") for i in range(size)), spec)
+
+
+def random_unitary(dim, rng):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_circuit(seed, dom, k, rounds=2, y_outputs=False):
+    """k superposed query inputs with group-valued responses and a dense random
+    gate between rounds, so every register basis state is reached."""
+    rng = np.random.default_rng(seed)
+    reg_dims = (dom.size,) * k + (dom.spec.order,) * k
+    inputs, responses = tuple(range(k)), tuple(range(k, 2 * k))
+    everything = tuple(range(2 * k))
+    dim = int(np.prod(reg_dims))
+    steps = [GateStep(random_unitary(dim, rng), everything)]
+    for _ in range(rounds):
+        steps.append(QueryStep(out_regs=responses, in_regs=inputs))
+        steps.append(GateStep(random_unitary(dim, rng), everything))
+    return AdversaryCircuit(domain=dom, reg_dims=reg_dims, steps=tuple(steps),
+                            output_regs=inputs,
+                            y_output_regs=responses if y_outputs else None)
+
+
+def preimage(labels, ys):
+    return all(y == 0 for y in ys)
+
+
+def claimed_zero(labels):
+    return (0,) * len(labels)
+
+
+def first_label_matters(labels, ys):
+    return labels[0] != "000" or ys[0] == 0
+
+
+SPECS = [GroupSpec.bits(1), GroupSpec.cyclic(3), GroupSpec.bits(2)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_circuits_with_claimed_responses(spec, k, seed):
+    dom = domain(3 if k == 1 else 2, spec)
+    circuit = random_circuit(seed, dom, k)
+    assert_fold_matches(circuit, preimage, claimed_zero)
+    assert_fold_matches(circuit, first_label_matters,
+                        lambda labels: tuple(len(x) % spec.order for x in labels))
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("size", [2, 4])
+def test_grover(rounds, size):
+    circuit = grover_preimage_circuit(domain(size, GroupSpec.bits(1)), rounds)
+    p, _ = assert_fold_matches(circuit, preimage, claimed_zero)
+    assert p > 0.0
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_explicit_response_registers(spec, k, seed):
+    # with k = 2 the two input registers also name the same input with two
+    # different responses; the reference scores those branches 0
+    dom = domain(3 if k == 1 else 2, spec)
+    circuit = random_circuit(seed, dom, k, y_outputs=True)
+    p, p_prime = assert_fold_matches(circuit, lambda labels, ys: True)
+    assert p > 0.0 and p_prime > 0.0
+    assert_fold_matches(circuit, first_label_matters)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_repeated_input_with_conflicting_claims(spec):
+    # both output registers range over the domain, so half the mass names one
+    # input twice; the claim gives the two copies different responses
+    dom = domain(2, spec)
+    circuit = random_circuit(4, dom, k=2)
+    p, p_prime = assert_fold_matches(circuit, lambda labels, ys: True, lambda labels: (0, 1))
+    assert 0.0 < p < 1.0 and 0.0 < p_prime < 1.0
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_claimed_response_outside_group_raises(bad):
+    circuit = grover_preimage_circuit(domain(2, GroupSpec.bits(1)), 1)
+    with pytest.raises(ValueError):
+        relation_probabilities(circuit, preimage, lambda labels: (bad,) * len(labels))
