@@ -2,8 +2,10 @@
 
 Vertices are bit strings of length 0..n, the root being the empty string.
 Tree edges point from children to parents; skip edges point from the left
-sibling of every right-child ancestor of a vertex into that vertex.  The fixed
-vertex ordering is (length, lexicographic).
+sibling of every right-child ancestor of a vertex into that vertex.  Skip
+edges enter internal vertices as well as leaves (Cohen-Pietrzak's graph may
+add them into leaves only); the golden proof digests depend on this choice.
+The fixed vertex ordering is (length, lexicographic).
 """
 
 from __future__ import annotations
@@ -12,25 +14,13 @@ ROOT = ""
 
 
 def check_vertex(v: str, n: int) -> str:
-    if len(v) > n or any(c not in "01" for c in v):
+    if len(v) > n or v.strip("01"):
         raise ValueError(f"invalid vertex {v!r} for depth {n}")
     return v
 
 
 def vertex_key(v: str) -> tuple:
     return (len(v), v)
-
-
-def parent(v: str) -> str:
-    if v == ROOT:
-        raise ValueError("the root has no parent")
-    return v[:-1]
-
-
-def sibling(v: str) -> str:
-    if v == ROOT:
-        raise ValueError("the root has no sibling")
-    return v[:-1] + ("1" if v[-1] == "0" else "0")
 
 
 def left(v: str) -> str:
@@ -47,11 +37,7 @@ def is_leaf(v: str, n: int) -> bool:
 
 def ancestors(v: str) -> list:
     """v itself, then its proper ancestors up to and including the root."""
-    out = [v]
-    while v != ROOT:
-        v = parent(v)
-        out.append(v)
-    return out
+    return [v[:i] for i in range(len(v), -1, -1)]
 
 
 def all_vertices(n: int) -> list:
@@ -67,14 +53,11 @@ def leaves(n: int) -> list:
 
 def in_neighbors(v: str, n: int) -> list:
     """Tree children (for internal vertices) followed by the skip-edge sources:
-    the left siblings of every right-child ancestor, each group in vertex order."""
+    the left siblings of every right-child ancestor, each group in vertex order
+    (a skip source's prefix length gives its order)."""
     check_vertex(v, n)
-    children = [] if is_leaf(v, n) else [left(v), right(v)]
-    skips = sorted(
-        (sibling(u) for u in ancestors(v) if u != ROOT and u[-1] == "1"),
-        key=vertex_key,
-    )
-    return children + skips
+    skips = [v[:i] + "0" for i, c in enumerate(v) if c == "1"]
+    return skips if len(v) == n else [v + "0", v + "1"] + skips
 
 
 def authentication_path(v: str, n: int) -> list:
@@ -82,9 +65,7 @@ def authentication_path(v: str, n: int) -> list:
     check_vertex(v, n)
     if not is_leaf(v, n):
         raise ValueError("authentication paths are defined for leaves only")
-    anc = [u for u in ancestors(v) if u != ROOT]
-    path = set(anc) | {sibling(u) for u in anc}
-    return sorted(path, key=vertex_key)
+    return [v[:i] + b for i in range(n) for b in "01"]
 
 
 def prover_order(n: int) -> list:

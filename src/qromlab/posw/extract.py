@@ -9,11 +9,12 @@ values, as exposed by the table backend.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from ..properties import longest_path
 from . import dag
-from .backend import challenge_payload, label_payload, parse_label_payload
+from .backend import challenge_payload, label_bytes, label_payload, parse_label_payload
 
 
 @dataclass
@@ -49,16 +50,19 @@ def extract(db: dict, n: int, phi: int, chi: int, w: int) -> ExtractResult:
     With collisions in the database the decomposition may be ambiguous; the
     first candidate in canonical payload order is taken and a flag raised.
     """
-    entries = _label_entries_by_vertex(db, n, w, chi)
+    return _extract(_label_entries_by_vertex(db, n, w, chi), db, n, phi, chi, w)
+
+
+def _extract(entries: dict, db: dict, n: int, phi: int, chi: int, w: int) -> ExtractResult:
+    """extract() on a query log already indexed by _label_entries_by_vertex."""
     labels: dict = {dag.ROOT: phi}
     collision = False
-    queue = [dag.ROOT]
+    queue = deque([dag.ROOT])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if dag.is_leaf(v, n):
             continue
-        neighbors = dag.in_neighbors(v, n)
-        skip_neighbors = neighbors[2:]
+        skip_neighbors = dag.in_neighbors(v, n)[2:]
         candidates = []
         for payload, slot_labels, value in entries.get(v, ()):
             if value != labels[v]:
@@ -142,8 +146,9 @@ def check_leaves_lemma(db: dict, n: int, w: int, chi: int, extra_phis=()) -> boo
         return True
     phis = sorted(set(db.values()) | set(extra_phis))
     limit = (q + 2) / 2.0
+    entries = _label_entries_by_vertex(db, n, w, chi)
     for phi in phis:
-        result = extract(db, n, phi, chi, w)
+        result = _extract(entries, db, n, phi, chi, w)
         if len([v for v in result.tree if dag.is_leaf(v, n)]) > limit:
             return False
     return True
@@ -157,62 +162,59 @@ def check_extract_lemma(db: dict, n: int, w: int, chi: int, phi: int,
     vertex whose in-neighborhood lies in the tree satisfies its label
     equation), that leaves in the tree have all ancestor equations satisfied,
     and, when completeness is set, that leaves outside the tree admit no
-    consistent ancestor labeling with the claimed root label (exhaustive over
-    label assignments; only feasible at tiny n and w).
+    consistent ancestor labeling with the claimed root label (an exact
+    depth-first search over matching log entries; its cost is the entries
+    tried per ancestor).
     """
-    result = extract(db, n, phi, chi, w)
+    entries = _label_entries_by_vertex(db, n, w, chi)
+    result = _extract(entries, db, n, phi, chi, w)
     tree, labels = result.tree, result.labels
+    # extraction labels an upward-closed subtree, so this covers every ancestor
+    ins = {v: dag.in_neighbors(v, n) for v in tree}
 
-    def equation_holds(lab: dict, v: str) -> bool:
-        ins = dag.in_neighbors(v, n)
-        if any(u not in lab for u in ins) or v not in lab:
+    def equation_holds(v: str) -> bool:
+        if any(u not in labels for u in ins[v]):
             return False
-        return db.get(label_payload(chi, v, [lab[u] for u in ins], w)) == lab[v]
+        return db.get(label_payload(chi, v, [labels[u] for u in ins[v]], w)) == labels[v]
 
     for v in tree:
-        if all(u in tree for u in dag.in_neighbors(v, n)) and dag.in_neighbors(v, n):
-            if not equation_holds(labels, v):
+        if ins[v] and all(u in tree for u in ins[v]):
+            if not equation_holds(v):
                 return False
     for v in (u for u in tree if dag.is_leaf(u, n)):
-        if not all(equation_holds(labels, z) for z in dag.ancestors(v)):
+        if not all(equation_holds(z) for z in dag.ancestors(v)):
             return False
     if completeness:
-        for v in (u for u in dag.leaves(n) if u not in tree):
-            if _consistent_ancestor_labeling_exists(db, n, w, chi, phi, v):
+        label_bytes(chi, w)  # a statement wider than w bits raises, as a framed query would
+        for v in dag.leaves(n):
+            if v not in tree and _consistent_path_exists(entries, n, phi, v):
                 return False
     return True
 
 
-def _consistent_ancestor_labeling_exists(db: dict, n: int, w: int, chi: int,
-                                         phi: int, v: str) -> bool:
-    """Exhaustively search for a labeling of the ancestor closure of leaf v
-    satisfying every ancestor equation with root label phi."""
-    closure: list = []
-    for z in dag.ancestors(v):
-        for u in [z] + dag.in_neighbors(z, n):
-            if u not in closure:
-                closure.append(u)
-    free = [u for u in closure if u != dag.ROOT]
-    for assignment in _assignments(free, w):
-        lab = dict(assignment)
-        lab[dag.ROOT] = phi
-        ok = True
-        for z in dag.ancestors(v):
-            ins = dag.in_neighbors(z, n)
-            payload = label_payload(chi, z, [lab[u] for u in ins], w)
-            if db.get(payload) != lab[z]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+def _consistent_path_exists(entries: dict, n: int, phi: int, v: str) -> bool:
+    """Whether some labeling of the ancestor closure of leaf v with root label
+    phi satisfies every ancestor equation of v.
 
+    Depth-first from the root down to v: at each ancestor z only the indexed
+    entries of z whose value is z's label are tried, and one is kept when its
+    slots agree with the labels already assigned; its slots then label the
+    in-neighbors of z.  Every label of the closure is a slot of some
+    ancestor's entry, so a consistent labeling exists iff such a chain of
+    entries does.
+    """
 
-def _assignments(vertices: list, w: int):
-    import itertools
+    def descend(depth: int, lab: dict) -> bool:
+        z = v[:depth]
+        ins = dag.in_neighbors(z, n)
+        for _, slots, value in entries.get(z, ()):
+            if value != lab[z] or any(lab.get(u, s) != s for u, s in zip(ins, slots)):
+                continue
+            if depth == n or descend(depth + 1, {**lab, **dict(zip(ins, slots))}):
+                return True
+        return False
 
-    for values in itertools.product(range(1 << w), repeat=len(vertices)):
-        yield dict(zip(vertices, values))
+    return descend(0, {dag.ROOT: phi})
 
 
 def check_newpath_lemma(db: dict, xs, us, phi: int, chi: int, n: int, w: int) -> bool:

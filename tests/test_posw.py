@@ -49,6 +49,15 @@ class TestDag:
         assert dag.in_neighbors("1", 2) == ["10", "11", "0"]
         assert dag.in_neighbors("", 2) == ["0", "1"]
 
+    def test_skip_edges_enter_internal_vertices(self):
+        """Skip edges enter internal vertices as well as leaves: "1" at depth 2
+        gets the skip source "0" after its two children.  Cohen-Pietrzak's
+        graph may add skip edges into leaves only; this graph keeps them on
+        every vertex, and the golden proof digests depend on that choice."""
+        assert dag.in_neighbors("1", 2) == ["10", "11", "0"]
+        assert dag.in_neighbors("1", 3) == ["10", "11", "0"]
+        assert dag.in_neighbors("11", 3) == ["110", "111", "0", "10"]
+
     def test_authentication_path_examples(self):
         assert dag.authentication_path("0", 1) == ["0", "1"]
         assert set(dag.authentication_path("11", 2)) == {"11", "1", "10", "0"}
