@@ -7,6 +7,13 @@ challenge query is tagged 0x01 and carries the statement, the commitment, and
 a 32-bit block counter.  The table backend samples lazily and exposes its
 database for the security-analysis lemmas; the crypto backend derives labels
 from SHA-256 in counter mode and exposes nothing.
+
+`RoBackend.label_query` takes a label query already framed as
+`label_payload` frames it and only evaluates and records it.  The prover and
+verifier build those frames from label bytes encoded once per label (the
+prover carries the skip-edge bodies down its root path), so no label is
+re-encoded for every query it feeds; callers holding int labels frame them
+with `label_payload`.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ def parse_challenge_payload(payload: bytes, w: int):
     return chi, phi, counter
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     kind: str  # "label" | "challenge"
     vertex: str | None
@@ -119,8 +126,9 @@ class RoBackend:
     def _evaluate(self, payload: bytes) -> tuple:
         raise NotImplementedError
 
-    def label_query(self, chi: int, v: str, in_labels) -> int:
-        payload = label_payload(chi, v, in_labels, self.w)
+    def label_query(self, v: str, payload: bytes) -> int:
+        """Evaluate the label query for vertex v, framed as label_payload
+        frames it, and record it in the trace."""
         value, fresh = self._evaluate(payload)
         self.trace.append(TraceEntry("label", v, payload, fresh))
         return value

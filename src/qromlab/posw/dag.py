@@ -48,7 +48,7 @@ def all_vertices(n: int) -> list:
 
 
 def leaves(n: int) -> list:
-    return [format(i, f"0{n}b") for i in range(1 << n)]
+    return [format(i, f"0{n}b") for i in range(1 << n)] if n else [ROOT]
 
 
 def in_neighbors(v: str, n: int) -> list:

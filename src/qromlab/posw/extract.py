@@ -108,13 +108,13 @@ def longest_posw_chain(db: dict, n: int, w: int) -> float:
     give chains of every length, reported as inf.
     """
     payloads = sorted(db)
-    slots = {}
+    # slot value -> payloads holding it in some label slot, in payload order
+    holders: dict = {}
     for payload in payloads:
         parsed = parse_label_payload(payload, w)
-        slots[payload] = set(parsed[2]) if parsed else set()
-    successors = {
-        p: [p2 for p2 in payloads if db[p] in slots[p2]] for p in payloads
-    }
+        for value in set(parsed[2]) if parsed else ():
+            holders.setdefault(value, []).append(payload)
+    successors = {p: holders.get(db[p], []) for p in payloads}
     # the free final hop gives every entry a chain of length 1
     return longest_path(payloads, successors, dict.fromkeys(payloads, 1.0))
 

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from . import dag
-from .backend import RoBackend, label_bytes, label_from_bytes
+from .backend import LABEL_TAG, RoBackend, encode_vertex, label_bytes, label_from_bytes
 
 MAGIC = b"QPSW"
 VERSION = 1
@@ -57,13 +57,39 @@ class VerifyResult:
 
 def compute_labeling(chi: int, params: PoswParams, backend: RoBackend) -> dict:
     """Honest labeling in the sequential leftmost-leaf-first order; exactly one
-    oracle query per vertex."""
+    oracle query per vertex.
+
+    Every label is encoded once.  A vertex's skip-edge body (the labels of the
+    left siblings of its right-child ancestors) follows skip(p0) = skip(p) and
+    skip(p1) = skip(p) + label(p0); bodies are kept only for the current root
+    path, and a child's bytes are dropped once its parent is labelled, so at
+    most O(n) encoded labels are alive."""
     if backend.w != params.w:
         raise ValueError("backend width does not match parameters")
+    n, w = params.n, params.w
+    head = LABEL_TAG + label_bytes(chi, w)
     labels: dict = {}
-    for v in dag.prover_order(params.n):
-        in_labels = [labels[u] for u in dag.in_neighbors(v, params.n)]
-        labels[v] = backend.label_query(chi, v, in_labels)
+    enc: dict = {}  # label bytes not yet consumed by the parent
+    skip: dict = {dag.ROOT: b""}  # skip bodies of internal vertices on the root path
+
+    def skip_body(u: str) -> bytes:
+        if u in skip:
+            return skip[u]
+        p = u[:-1]
+        body = skip_body(p) + enc[p + "0"] if u[-1] == "1" else skip_body(p)
+        if len(u) < n:
+            skip[u] = body
+        return body
+
+    for v in dag.prover_order(n):
+        if len(v) < n:
+            # the leftmost leaf below v has already memoised skip[v]
+            body = enc.pop(v + "0") + enc.pop(v + "1") + skip.pop(v)
+        else:
+            body = skip_body(v)
+        label = backend.label_query(v, head + encode_vertex(v) + body)
+        labels[v] = label
+        enc[v] = label_bytes(label, w)
     return labels
 
 
@@ -96,6 +122,7 @@ def verify(chi: int, params: PoswParams, t: int, proof: PoswProof, backend: RoBa
     if len(proof.tau) != t:
         return VerifyResult(False, "malformed: wrong number of openings")
     challenge = derive_challenge(chi, proof.phi, t, params.n, backend)
+    head = LABEL_TAG + label_bytes(chi, params.w)
     for i, v in enumerate(challenge):
         path = dag.authentication_path(v, params.n)
         opening = proof.tau[i]
@@ -105,12 +132,14 @@ def verify(chi: int, params: PoswParams, t: int, proof: PoswProof, backend: RoBa
             return VerifyResult(False, f"malformed: opening {i} label out of range")
         labels = dict(zip(path, opening))
         labels[dag.ROOT] = proof.phi
+        # the root is no vertex's in-neighbour, so phi is compared, never framed
+        enc = {u: label_bytes(l, params.w) for u, l in zip(path, opening)}
         for u in dag.ancestors(v):
             needed = dag.in_neighbors(u, params.n)
             if any(x not in labels for x in needed):
                 return VerifyResult(False, f"malformed: opening {i} misses labels at {u or 'root'}")
-            expected = backend.label_query(chi, u, [labels[x] for x in needed])
-            if labels[u] != expected:
+            payload = head + encode_vertex(u) + b"".join(enc[x] for x in needed)
+            if labels[u] != backend.label_query(u, payload):
                 return VerifyResult(False, f"inconsistent at {u or 'root'}")
     return VerifyResult(True)
 

@@ -111,20 +111,20 @@ class TestBackend:
 
     def test_table_backend_caches(self):
         be = TableBackend(16, seed=1)
-        a = be.label_query(1, "0", [])
-        b = be.label_query(1, "0", [])
+        a = be.label_query("0", label_payload(1, "0", [], 16))
+        b = be.label_query("0", label_payload(1, "0", [], 16))
         assert a == b
         assert [e.fresh for e in be.trace] == [True, False]
 
     def test_crypto_backend_is_reproducible(self):
-        one = CryptoBackend(16, key=b"k").label_query(1, "0", [])
-        two = CryptoBackend(16, key=b"k").label_query(1, "0", [])
+        one = CryptoBackend(16, key=b"k").label_query("0", label_payload(1, "0", [], 16))
+        two = CryptoBackend(16, key=b"k").label_query("0", label_payload(1, "0", [], 16))
         assert one == two
-        other = CryptoBackend(16, key=b"other").label_query(1, "0", [])
+        other = CryptoBackend(16, key=b"other").label_query("0", label_payload(1, "0", [], 16))
         assert other != one or True  # different keys may rarely collide at w=16
 
     def test_crypto_wide_labels_expand(self):
-        value = CryptoBackend(512).label_query(0, "0", [])
+        value = CryptoBackend(512).label_query("0", label_payload(0, "0", [], 512))
         assert 0 <= value < 1 << 512
 
 

@@ -1,0 +1,200 @@
+"""Differential tests for byte-framed PoSW label queries.
+
+The prover and verifier frame every label query from label bytes encoded once
+(the prover carries skip-edge bodies down its root path).  The int-framed
+prover and verifier loop they replaced, which framed each query with
+`label_payload` from int labels, are kept here as the reference: every query
+must keep the same vertex, payload bytes, freshness and order, and every proof
+and verdict must be equal.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from qromlab.posw import (
+    CryptoBackend,
+    PoswParams,
+    PoswProof,
+    TableBackend,
+    VerifyResult,
+    compute_labeling,
+    dag,
+    derive_challenge,
+    label_payload,
+    prove,
+    verify,
+)
+
+WIDTHS = (8, 13, 16, 255, 256, 512)
+
+
+# --- reference: int labels framed per query by label_payload ----------------
+
+def ref_compute_labeling(chi, params, backend):
+    if backend.w != params.w:
+        raise ValueError("backend width does not match parameters")
+    labels = {}
+    for v in dag.prover_order(params.n):
+        in_labels = [labels[u] for u in dag.in_neighbors(v, params.n)]
+        labels[v] = backend.label_query(v, label_payload(chi, v, in_labels, params.w))
+    return labels
+
+
+def ref_prove(chi, params, t, backend):
+    labels = ref_compute_labeling(chi, params, backend)
+    phi = labels[dag.ROOT]
+    challenge = derive_challenge(chi, phi, t, params.n, backend)
+    tau = tuple(
+        tuple(labels[u] for u in dag.authentication_path(v, params.n)) for v in challenge
+    )
+    return PoswProof(n=params.n, t=t, w=params.w, phi=phi, tau=tau)
+
+
+def ref_verify(chi, params, t, proof, backend):
+    if (proof.n, proof.t, proof.w) != (params.n, t, params.w):
+        return VerifyResult(False, "malformed: parameter mismatch")
+    if not 0 <= proof.phi < (1 << params.w):
+        return VerifyResult(False, "malformed: commitment out of range")
+    if len(proof.tau) != t:
+        return VerifyResult(False, "malformed: wrong number of openings")
+    challenge = derive_challenge(chi, proof.phi, t, params.n, backend)
+    for i, v in enumerate(challenge):
+        path = dag.authentication_path(v, params.n)
+        opening = proof.tau[i]
+        if len(opening) != 2 * params.n:
+            return VerifyResult(False, f"malformed: opening {i} has wrong length")
+        if any(not 0 <= l < (1 << params.w) for l in opening):
+            return VerifyResult(False, f"malformed: opening {i} label out of range")
+        labels = dict(zip(path, opening))
+        labels[dag.ROOT] = proof.phi
+        for u in dag.ancestors(v):
+            needed = dag.in_neighbors(u, params.n)
+            if any(x not in labels for x in needed):
+                return VerifyResult(False, f"malformed: opening {i} misses labels at {u or 'root'}")
+            payload = label_payload(chi, u, [labels[x] for x in needed], params.w)
+            if labels[u] != backend.label_query(u, payload):
+                return VerifyResult(False, f"inconsistent at {u or 'root'}")
+    return VerifyResult(True)
+
+
+# --- helpers -----------------------------------------------------------------
+
+def make_backend(kind, w, seed):
+    return TableBackend(w, seed=seed) if kind == "table" else CryptoBackend(w, key=b"k%d" % seed)
+
+
+def trace_tuples(backend):
+    return [(e.kind, e.vertex, e.payload, e.fresh, e.invocations) for e in backend.trace]
+
+
+def statements(w, rng):
+    return [0, 1, (1 << w) - 1, rng.getrandbits(w)]
+
+
+def assert_verify_matches(chi, params, t, proof, kind, seed):
+    """Verify `proof` with both verifiers, each on a backend that first ran the
+    honest prover (so the table oracle agrees with it), and compare."""
+    sides = []
+    for prover, verifier in ((ref_prove, ref_verify), (prove, verify)):
+        be = make_backend(kind, params.w, seed)
+        prover(chi, params, t, be)
+        be.reset_trace()
+        sides.append((verifier(chi, params, t, proof, be), trace_tuples(be)))
+    assert sides[0] == sides[1]
+    return sides[1][0]
+
+
+# --- honest runs --------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["table", "crypto"])
+@pytest.mark.parametrize("w", WIDTHS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_prove_and_verify_match_reference(kind, w, n):
+    rng = random.Random(f"{kind}-{w}-{n}")
+    params = PoswParams(n=n, w=w)
+    for chi in statements(w, rng):
+        t = rng.randrange(1, 6)
+        seed = rng.randrange(1 << 16)
+        ref_be, be = make_backend(kind, w, seed), make_backend(kind, w, seed)
+        assert compute_labeling(chi, params, be) == ref_compute_labeling(chi, params, ref_be)
+        assert trace_tuples(be) == trace_tuples(ref_be)
+        ref_proof = ref_prove(chi, params, t, ref_be)
+        proof = prove(chi, params, t, be)
+        assert proof == ref_proof
+        assert trace_tuples(be) == trace_tuples(ref_be)
+        ref_result = ref_verify(chi, params, t, ref_proof, ref_be)
+        result = verify(chi, params, t, proof, be)
+        assert result == ref_result and result.accepted
+        assert trace_tuples(be) == trace_tuples(ref_be)
+
+
+def test_width_mismatch_raises():
+    with pytest.raises(ValueError):
+        compute_labeling(1, PoswParams(n=2, w=16), TableBackend(8))
+
+
+def test_statement_wider_than_labels_raises():
+    with pytest.raises(ValueError):
+        compute_labeling(256, PoswParams(n=2, w=8), TableBackend(8))
+
+
+# --- tampered proofs ------------------------------------------------------------
+
+def tamperings(proof, rng):
+    """(name, tampered proof) pairs; every label stays a w-bit int unless the
+    tampering is about range."""
+    w, tau = proof.w, proof.tau
+    i = rng.randrange(len(tau))
+    j = rng.randrange(len(tau[i]))
+    bit = 1 << rng.randrange(w)
+    flipped = tau[:i] + (tau[i][:j] + (tau[i][j] ^ bit,) + tau[i][j + 1:],) + tau[i + 1:]
+    yield "flipped label bit", dataclasses.replace(proof, tau=flipped)
+    if len(tau) > 1:
+        yield "swapped openings", dataclasses.replace(proof, tau=(tau[1], tau[0]) + tau[2:])
+    yield "phi changed", dataclasses.replace(proof, phi=proof.phi ^ bit)
+    yield "phi out of range", dataclasses.replace(proof, phi=1 << w)
+    for bad in (1 << w, -1):
+        wide = tau[:i] + (tau[i][:j] + (bad,) + tau[i][j + 1:],) + tau[i + 1:]
+        yield "label out of range", dataclasses.replace(proof, tau=wide)
+    yield "short opening", dataclasses.replace(proof, tau=(tau[0][:-1],) + tau[1:])
+    yield "missing opening", dataclasses.replace(proof, tau=tau[:-1])
+
+
+MALFORMED = {
+    "phi out of range": "commitment out of range",
+    "label out of range": "label out of range",
+    "short opening": "has wrong length",
+    "missing opening": "wrong number of openings",
+}
+
+
+@pytest.mark.parametrize("kind", ["table", "crypto"])
+@pytest.mark.parametrize("w", WIDTHS)
+def test_tampered_proofs_match_reference(kind, w):
+    rng = random.Random(f"tamper-{kind}-{w}")
+    reasons = set()
+    for n in range(1, 7):
+        params = PoswParams(n=n, w=w)
+        for chi in statements(w, rng)[:2]:
+            t = rng.randrange(2, 5)
+            seed = rng.randrange(1 << 16)
+            proof = prove(chi, params, t, make_backend(kind, w, seed))
+            for name, bad in tamperings(proof, rng):
+                result = assert_verify_matches(chi, params, t, bad, kind, seed)
+                if name in MALFORMED:
+                    assert result.reason.endswith(MALFORMED[name])
+                reasons.add(result.reason.split(" ")[0] if result.reason else None)
+    assert {"inconsistent", "malformed:"} <= reasons
+
+
+def test_out_of_range_opening_label_is_reported_before_any_query():
+    params = PoswParams(n=3, w=16)
+    be = TableBackend(16, seed=4)
+    proof = prove(5, params, 2, be)
+    bad = dataclasses.replace(proof, tau=((1 << 16,) + proof.tau[0][1:],) + proof.tau[1:])
+    be.reset_trace()
+    result = verify(5, params, 2, bad, be)
+    assert result == VerifyResult(False, "malformed: opening 0 label out of range")
+    assert [e.kind for e in be.trace] == ["challenge"]

@@ -1,8 +1,9 @@
 """Differential tests for the indexed PoSW analysis path.
 
 The direct DAG topology is checked against the ancestor-walk construction it
-replaced, and the top-down completeness search against the exhaustive search
-over every labeling of a leaf's ancestor closure, both kept here as reference
+replaced, the top-down completeness search against the exhaustive search over
+every labeling of a leaf's ancestor closure, and the slot-indexed longest
+chain against the all-pairs link comparison, all kept here as reference
 oracles.
 """
 
@@ -11,7 +12,8 @@ import random
 
 import pytest
 
-from qromlab.posw import dag, label_payload
+from qromlab.posw import dag, label_payload, parse_label_payload
+from qromlab.properties import longest_path
 from qromlab.posw.extract import (
     _consistent_path_exists,
     _extract,
@@ -226,6 +228,13 @@ def test_topology_matches_reference(n):
         assert dag.authentication_path(v, n) == ref_authentication_path(v, n)
 
 
+@pytest.mark.parametrize("n", range(0, 7))
+def test_leaves_are_the_depth_n_vertices(n):
+    assert dag.leaves(n) == [v for v in dag.all_vertices(n) if dag.is_leaf(v, n)]
+    for v in dag.leaves(n):
+        dag.check_vertex(v, n)
+
+
 @pytest.mark.parametrize("v", ["012", "0000", " 0", "a", "0 ", "1\n"])
 def test_invalid_vertices_raise(v):
     with pytest.raises(ValueError):
@@ -258,3 +267,33 @@ def test_shared_index_matches_one_extract_per_root_label():
         for phi in sorted(set(db.values()) | set(extra)):
             assert _extract(entries, db, n, phi, chi, w) == extract(db, n, phi, chi, w)
         assert check_leaves_lemma(db, n, w, chi, extra) == ref_leaves_lemma(db, n, w, chi, extra)
+
+
+# --- reference longest chain: every pair of entries compared -----------------
+
+def ref_longest_posw_chain(db, n, w):
+    payloads = sorted(db)
+    slots = {}
+    for payload in payloads:
+        parsed = parse_label_payload(payload, w)
+        slots[payload] = set(parsed[2]) if parsed else set()
+    successors = {
+        p: [p2 for p2 in payloads if db[p] in slots[p2]] for p in payloads
+    }
+    return longest_path(payloads, successors, dict.fromkeys(payloads, 1.0))
+
+
+def test_longest_chain_matches_all_pairs_reference():
+    rng = random.Random(46)
+    lengths = []
+    for trial in range(360):
+        n = 1 + trial % 2
+        w = (2, 3, 8)[trial % 3]
+        db = mutated_honest_log(rng, n, w, 1) if trial % 4 < 2 else random_log(rng, n, w, 1, 16)
+        if trial % 5 == 0:
+            db[b"\x01not a label frame"] = rng.getrandbits(w)
+        q = longest_posw_chain(db, n, w)
+        assert q == ref_longest_posw_chain(db, n, w), db
+        lengths.append(q)
+    assert float("inf") in lengths
+    assert len({q for q in lengths if q != float("inf")}) > 2
