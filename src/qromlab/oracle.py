@@ -143,8 +143,26 @@ def _local_axis(axis: int, fixed: dict) -> int:
     return axis - sum(1 for a in fixed if a < axis)
 
 
+def _inverse(perm: list) -> list:
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
+def _apply_gate(flat: np.ndarray, rows, mat: np.ndarray, regs) -> None:
+    """Apply mat to the joint space of the registers regs on the given oracle
+    rows of flat, a (oracle rows, *reg_dims) view of a joint state, in place."""
+    block = flat[rows]
+    axes = [1 + r for r in regs]
+    perm = [a for a in range(block.ndim) if a not in axes] + axes
+    moved = block.transpose(perm)
+    out = moved.reshape(-1, mat.shape[0]) @ mat.T
+    flat[rows] = out.reshape(moved.shape).transpose(_inverse(perm))
+
+
 class _JointState:
-    """Shared tensor plumbing for the two oracle pictures."""
+    """Shared tensor plumbing for the two oracle pictures.
+
+    The kernels view .vec as (oracle rows, *reg_dims) and touch only the rows
+    _live_rows names; pruned_mass accumulates the squared norm prune drops."""
 
     oracle_dim: int
 
@@ -152,6 +170,7 @@ class _JointState:
         self.domain = domain
         self.reg_dims = tuple(reg_dims)
         self.vec = vec
+        self.pruned_mass = 0.0
 
     @property
     def n_oracle(self) -> int:
@@ -164,10 +183,36 @@ class _JointState:
         return float(np.linalg.norm(self.vec.ravel()))
 
     def copy(self):
-        return type(self)(self.domain, self.reg_dims, self.vec.copy())
+        new = type(self)(self.domain, self.reg_dims, self.vec.copy())
+        new.pruned_mass = self.pruned_mass
+        return new
+
+    def _flat(self) -> np.ndarray:
+        """.vec, made C-contiguous complex if a caller assigned otherwise, as a
+        (oracle rows, *reg_dims) view."""
+        self.vec = np.ascontiguousarray(self.vec, dtype=complex)
+        return self.vec.reshape((-1,) + self.reg_dims)
+
+    def _live_rows(self, flat: np.ndarray):
+        """The oracle rows a kernel must touch: all of them."""
+        return slice(None)
+
+    def _row_digits(self, rows) -> np.ndarray:
+        """The oracle value of each of the given rows, shape (rows, |X|)."""
+        shape = self.vec.shape[: self.n_oracle]
+        return np.stack(np.unravel_index(np.arange(math.prod(shape))[rows], shape), axis=1)
 
     def prune(self) -> None:
-        self.vec[np.abs(self.vec) < PRUNE_TOL] = 0.0
+        """Zero every amplitude below PRUNE_TOL, adding its squared norm to
+        pruned_mass."""
+        flat = self._flat()
+        rows = self._live_rows(flat)
+        block = flat[rows]
+        small = (np.abs(block) < PRUNE_TOL) & (block != 0.0)
+        if small.any():
+            self.pruned_mass += float(np.sum(np.abs(block[small]) ** 2))
+            block[small] = 0.0
+            flat[rows] = block
 
     def apply_register_unitary(self, mat: np.ndarray, regs) -> None:
         """Apply a unitary to the joint space of the given adversary registers."""
@@ -177,13 +222,8 @@ class _JointState:
             dim *= self.reg_dims[r]
         if mat.shape != (dim, dim):
             raise ValueError(f"gate of shape {mat.shape} does not fit registers {regs}")
-        axes = [self.reg_axis(r) for r in regs]
-        moved = np.moveaxis(self.vec, axes, range(self.vec.ndim - len(axes), self.vec.ndim))
-        shape = moved.shape
-        flat = moved.reshape(shape[: self.vec.ndim - len(axes)] + (dim,))
-        flat = np.tensordot(flat, mat.T, axes=([flat.ndim - 1], [0]))
-        moved = flat.reshape(shape)
-        self.vec = np.moveaxis(moved, range(self.vec.ndim - len(axes), self.vec.ndim), axes)
+        flat = self._flat()
+        _apply_gate(flat, self._live_rows(flat), mat, regs)
 
     def apply_phase_flip(self, regs, predicate) -> None:
         """Multiply by -1 every basis branch whose register values satisfy predicate."""
@@ -196,8 +236,8 @@ class _JointState:
 
     def adversary_marginal(self) -> np.ndarray:
         """Probability over joint adversary basis states (oracle traced out)."""
-        probs = np.abs(self.vec) ** 2
-        return probs.sum(axis=tuple(range(self.n_oracle))).ravel()
+        flat = self._flat()
+        return (np.abs(flat[self._live_rows(flat)]) ** 2).sum(axis=0).ravel()
 
 
 class PurifiedState(_JointState):
@@ -205,20 +245,32 @@ class PurifiedState(_JointState):
 
 
 class CompressedState(_JointState):
-    """Joint state over databases X -> Y u {bot} plus adversary registers."""
+    """Joint state over databases X -> Y u {bot} plus adversary registers.
+
+    After q rounds of k parallel queries only databases with at most qk
+    defined entries carry amplitude, so every kernel works on the support:
+    the oracle rows holding any nonzero amplitude."""
+
+    def _live_rows(self, flat: np.ndarray) -> np.ndarray:
+        """The support, derived from the tensor itself (callers may assign .vec)."""
+        return np.flatnonzero(flat.reshape(len(flat), -1).view(np.float64).any(axis=1))
+
+    def _database_marginal(self):
+        """(oracle values, probability) of each support row."""
+        flat = self._flat()
+        rows = self._live_rows(flat)
+        probs = (np.abs(flat[rows]) ** 2).reshape(len(rows), -1).sum(axis=1)
+        return self._row_digits(rows), probs
 
     def database_distribution(self) -> dict:
-        probs = np.abs(self.vec) ** 2
-        marg = probs.reshape(probs.shape[: self.n_oracle] + (-1,)).sum(axis=-1)
-        out = {}
-        for values in np.ndindex(marg.shape):
-            p = float(marg[values])
-            if p > 0.0:
-                out[Database(self.domain, values)] = p
-        return out
+        digits, probs = self._database_marginal()
+        return {Database(self.domain, tuple(values)): float(p)
+                for values, p in zip(digits.tolist(), probs) if p > 0.0}
 
     def max_support_size(self) -> int:
-        return max((db.support_size() for db in self.database_distribution()), default=0)
+        digits, probs = self._database_marginal()
+        defined = (digits != self.domain.spec.bot).sum(axis=1)
+        return int(defined[probs > 0.0].max(initial=0))
 
 
 def initial_compressed_state(domain: OracleDomain, reg_dims=(1,)) -> CompressedState:
@@ -287,18 +339,43 @@ def _query_targets(state: _JointState, out_reg: int, x_label, in_reg):
 
 
 def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, in_reg=None) -> None:
-    """One coordinate of a parallel query against the compressed oracle."""
+    """One coordinate of a parallel query against the compressed oracle.
+
+    W and W-dagger act on the response register of the support rows only.
+    For each queried input x (and pinned input level), the support rows are
+    grouped by their row with x blanked; each group's M+1 rows are gathered,
+    the transition for every non-neutral yhat is applied on the pinned slice
+    and scattered back, and the group rows that came out nonzero join the
+    support."""
     spec = state.domain.spec
-    out_axis, targets = _query_targets(state, out_reg, x_label, in_reg)
+    m = spec.order
+    _, targets = _query_targets(state, out_reg, x_label, in_reg)
+    flat = state._flat()
+    rows = state._live_rows(flat)
     w = dual_transform(spec)
-    state.vec = _apply_axis(state.vec, w, out_axis)
+    _apply_gate(flat, rows, w, (out_reg,))
+    ts = np.stack([transition_matrix(spec, yhat) for yhat in range(1, m)])
+    levels = np.arange(m + 1)
+    # A gathered block is (group, level, registers left once the input
+    # register is pinned); perm brings it to (response, level, group, rest).
+    out_pos = 2 + out_reg - (in_reg is not None and in_reg < out_reg)
+    ndim = 2 + len(state.reg_dims) - (in_reg is not None)
+    perm = [out_pos, 1] + [a for a in range(ndim) if a not in (out_pos, 1)]
+    inverse = _inverse(perm)
     for oracle_axis, pinned in targets:
-        for yhat in range(1, spec.order):
-            fixed = {out_axis: yhat, **pinned}
-            idx = _fixed_index(state.vec.ndim, fixed)
-            local = _local_axis(oracle_axis, fixed)
-            state.vec[idx] = _apply_axis(state.vec[idx], np.asarray(transition_matrix(spec, yhat)), local)
-    state.vec = _apply_axis(state.vec, np.conj(w.T), out_axis)
+        stride = (m + 1) ** (state.n_oracle - 1 - oracle_axis)
+        bases = np.unique(rows - rows // stride % (m + 1) * stride)
+        group = bases[:, None] + stride * levels
+        index = (group,) + tuple(pinned.get(state.reg_axis(r), slice(None))
+                                 for r in range(len(state.reg_dims)))
+        block = np.ascontiguousarray(flat[index].transpose(perm))
+        shape = block.shape
+        block = block.reshape(m, m + 1, -1)
+        block[1:] = ts @ block[1:]
+        live = block.view(np.float64).reshape(m, m + 1, len(bases), -1).any(axis=(0, 3))
+        flat[index] = block.reshape(shape).transpose(inverse)
+        rows = np.union1d(rows, group.T[live])
+    _apply_gate(flat, rows, np.conj(w.T), (out_reg,))
 
 
 def _standard_query_coord(state: PurifiedState, out_reg: int, x_label=None, in_reg=None) -> None:
@@ -527,19 +604,29 @@ def _success_probability(state: _JointState, circuit: AdversaryCircuit, relation
     """Probability that the oracle maps each output input to its output
     response and the relation holds.
 
-    One slice sum per reachable adversary basis state: the oracle axes of the
-    output inputs are pinned to the output responses.  A basis state naming
-    one input with two different responses contributes 0."""
-    probs = np.abs(state.vec) ** 2
-    reached = probs.sum(axis=tuple(range(state.n_oracle)))
-    total = 0.0
-    for values in np.ndindex(state.reg_dims):
-        if reached[values] == 0.0:
+    Over the live oracle rows only: for each reachable adversary basis state,
+    sum the probability of the rows whose values at the output inputs equal
+    the output responses.  A basis state naming one input with two different
+    responses contributes 0."""
+    flat = state._flat()
+    rows = state._live_rows(flat)
+    digits = state._row_digits(rows)
+    probs = (np.abs(flat[rows]) ** 2).reshape(len(digits), -1)
+    reached = probs.sum(axis=0)
+    columns = {}  # pinned (input, response) pairs -> adversary basis states
+    for j, values in enumerate(np.ndindex(state.reg_dims)):
+        if reached[j] == 0.0:
             continue
         xs, labels, ys = _adversary_outputs(circuit, values, claimed)
         pinned = {}
         if all(pinned.setdefault(x, y) == y for x, y in zip(xs, ys)) and relation(labels, ys):
-            total += float(probs[_fixed_index(state.n_oracle, pinned) + values].sum())
+            columns.setdefault(tuple(pinned.items()), []).append(j)
+    total = 0.0
+    for pinned, js in columns.items():
+        match = np.ones(len(digits), dtype=bool)
+        for x, y in pinned:
+            match &= digits[:, x] == y
+        total += float(probs[np.ix_(match, js)].sum())
     return total
 
 

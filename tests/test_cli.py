@@ -165,6 +165,29 @@ class TestPoswCommands:
         for suite in ("extract", "leaves", "newpath"):
             assert main(["lemmas", "--suite", suite, "--trials", "40"]) == 0
 
+    @pytest.mark.parametrize("suite", ["leaves", "newpath", "extract"])
+    def test_lemma_counts_on_stderr(self, tmp_path, capsys, monkeypatch, suite):
+        import qromlab.cli as cli_mod
+
+        collisions = []
+        has_collision = cli_mod.posw_mod.db_has_collision
+
+        def counting(db, w):
+            collisions.append(has_collision(db, w))
+            return collisions[-1]
+
+        monkeypatch.setattr(cli_mod.posw_mod, "db_has_collision", counting)
+        out = tmp_path / "lemmas.json"
+        assert main(["--seed", "3", "lemmas", "--suite", suite, "--trials", "200",
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        skipped = sum(collisions)
+        assert captured.out == f"lemma suite {suite}: 0 failures in 200 trials\n"
+        assert captured.err == (f"lemma suite {suite}: {200 - skipped} evaluated, "
+                                f"{skipped} skipped (query-log collision)\n")
+        assert (skipped > 0) == (suite != "leaves")
+        assert json.loads(out.read_text())[0]["trials"] == 200
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_lemma_trials_below_one_exit_2(self, tmp_path, trials):
         out = tmp_path / "lemmas.json"

@@ -1,0 +1,415 @@
+"""Differential tests for the support-restricted compressed-oracle kernels.
+
+The references below are the original dense kernels: every gate, query
+coordinate, prune and readout sweeps the whole (M+1)^|X| x registers tensor.
+The kernels under test touch only the oracle rows that hold amplitude; on
+every state (random dense ones, ones with planted all-zero rows, circuit
+outputs, a .vec a caller reassigned) both must agree to 1e-12.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qromlab import oracle
+from qromlab.groups import GroupSpec, dual_transform, transition_matrix
+from qromlab.oracle import (
+    PRUNE_TOL,
+    AdversaryCircuit,
+    CompressedState,
+    Database,
+    GateStep,
+    OracleDomain,
+    QueryStep,
+    apply_parallel_query,
+    grover_preimage_circuit,
+    initial_compressed_state,
+    initial_purified_state,
+    named_gate_matrix,
+    run_adversary,
+)
+
+TOL = 1e-12
+SPECS = (GroupSpec.bits(1), GroupSpec.bits(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4))
+SLOW = settings(max_examples=25, deadline=None)
+
+
+# Dense reference kernels
+
+
+def ref_apply_axis(vec, mat, axis):
+    return np.moveaxis(np.tensordot(mat, vec, axes=([1], [axis])), 0, axis)
+
+
+def ref_register_unitary(state, mat, regs):
+    vec = state.vec
+    axes = [state.reg_axis(r) for r in regs]
+    ends = range(vec.ndim - len(axes), vec.ndim)
+    moved = np.moveaxis(vec, axes, ends)
+    shape = moved.shape
+    flat = moved.reshape(shape[: vec.ndim - len(axes)] + (mat.shape[0],))
+    flat = np.tensordot(flat, mat.T, axes=([flat.ndim - 1], [0]))
+    state.vec = np.moveaxis(flat.reshape(shape), ends, axes)
+
+
+def ref_query_coord(state, out_reg, x_label=None, in_reg=None):
+    spec = state.domain.spec
+    out_axis = state.reg_axis(out_reg)
+    if in_reg is None:
+        targets = [(state.domain.index(x_label), {})]
+    else:
+        targets = [(xv, {state.reg_axis(in_reg): xv}) for xv in range(state.domain.size)]
+    w = dual_transform(spec)
+    state.vec = ref_apply_axis(state.vec, w, out_axis)
+    for oracle_axis, pinned in targets:
+        for yhat in range(1, spec.order):
+            fixed = {out_axis: yhat, **pinned}
+            idx = tuple(fixed.get(a, slice(None)) for a in range(state.vec.ndim))
+            local = oracle_axis - sum(1 for a in fixed if a < oracle_axis)
+            state.vec[idx] = ref_apply_axis(state.vec[idx], transition_matrix(spec, yhat), local)
+    state.vec = ref_apply_axis(state.vec, np.conj(w.T), out_axis)
+
+
+def ref_prune(state):
+    state.vec[np.abs(state.vec) < PRUNE_TOL] = 0.0
+
+
+def ref_run(circuit):
+    """The compressed run of the circuit through the dense kernels."""
+    state = initial_compressed_state(circuit.domain, circuit.reg_dims)
+    for step in circuit.steps:
+        if isinstance(step, GateStep):
+            ref_register_unitary(state, np.asarray(step.matrix, dtype=complex), step.regs)
+        elif isinstance(step, QueryStep):
+            if step.xs is not None:
+                for x, out_reg in zip(step.xs, step.out_regs):
+                    ref_query_coord(state, out_reg, x_label=x)
+            else:
+                for in_reg, out_reg in zip(step.in_regs, step.out_regs):
+                    ref_query_coord(state, out_reg, in_reg=in_reg)
+            ref_prune(state)
+        else:
+            dims = tuple(circuit.reg_dims[r] for r in step.regs)
+            ref_register_unitary(state, named_gate_matrix(step.name, dims, circuit.domain.spec,
+                                                          step.param), step.regs)
+    return state
+
+
+def ref_marginal(state):
+    return (np.abs(state.vec) ** 2).sum(axis=tuple(range(state.n_oracle))).ravel()
+
+
+def ref_database_distribution(state):
+    probs = np.abs(state.vec) ** 2
+    marg = probs.reshape(probs.shape[: state.n_oracle] + (-1,)).sum(axis=-1)
+    out = {}
+    for values in np.ndindex(marg.shape):
+        p = float(marg[values])
+        if p > 0.0:
+            out[Database(state.domain, values)] = p
+    return out
+
+
+def ref_success(state, circuit, relation, claimed):
+    """Slice sum per reachable adversary basis state over the whole tensor."""
+    probs = np.abs(state.vec) ** 2
+    reached = probs.sum(axis=tuple(range(state.n_oracle)))
+    total = 0.0
+    for values in np.ndindex(state.reg_dims):
+        if reached[values] == 0.0:
+            continue
+        xs = tuple(values[r] for r in circuit.output_regs)
+        labels = tuple(circuit.domain.inputs[x] for x in xs)
+        if circuit.y_output_regs is not None:
+            ys = tuple(values[r] for r in circuit.y_output_regs)
+        else:
+            ys = tuple(claimed(labels))
+        pinned = {}
+        if all(pinned.setdefault(x, y) == y for x, y in zip(xs, ys)) and relation(labels, ys):
+            idx = tuple(pinned.get(a, slice(None)) for a in range(state.n_oracle))
+            total += float(probs[idx + values].sum())
+    return total
+
+
+def support(vec, n_oracle):
+    flat = vec.reshape(int(np.prod(vec.shape[:n_oracle])), -1)
+    return set(np.flatnonzero(np.abs(flat).max(axis=1) > 0.0).tolist())
+
+
+# Random states and circuits
+
+
+def domain(size, spec):
+    return OracleDomain(tuple(format(i, "02b") for i in range(size)), spec)
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng, dom, reg_dims, zero_rows=0.0):
+    """A normalised random compressed state; each oracle row is all-zero with
+    probability zero_rows (one row always stays live)."""
+    state = initial_compressed_state(dom, reg_dims)
+    shape = state.vec.shape
+    vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flat = vec.reshape(-1, int(np.prod(reg_dims)))
+    dead = rng.random(len(flat)) < zero_rows
+    dead[rng.integers(len(flat))] = False
+    flat[dead] = 0.0
+    state.vec = vec / np.linalg.norm(vec)
+    return state
+
+
+def random_circuit(seed, spec, size, k, rounds, superposed):
+    """k input registers over X and k group-valued response registers, random
+    gates between rounds; classical rounds query fresh distinct inputs."""
+    rng = np.random.default_rng(seed)
+    dom = domain(size, spec)
+    m = spec.order
+    inputs, responses = tuple(range(k)), tuple(range(k, 2 * k))
+    steps = []
+    for j in range(k):
+        steps.append(GateStep(random_unitary(rng, size), (inputs[j],)))
+        steps.append(GateStep(random_unitary(rng, m), (responses[j],)))
+    for _ in range(rounds):
+        if superposed:
+            steps.append(QueryStep(out_regs=responses, in_regs=inputs))
+        else:
+            xs = tuple(dom.inputs[i] for i in rng.permutation(size)[:k])
+            steps.append(QueryStep(out_regs=responses, xs=xs))
+        for j in range(k):
+            steps.append(GateStep(random_unitary(rng, size * m), (inputs[j], responses[j])))
+    return AdversaryCircuit(domain=dom, reg_dims=(size,) * k + (m,) * k, steps=tuple(steps),
+                            output_regs=inputs, y_output_regs=responses if seed % 2 else None)
+
+
+def close(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= TOL
+
+
+circuits = st.builds(
+    random_circuit,
+    seed=st.integers(0, 2**16),
+    spec=st.sampled_from(SPECS),
+    size=st.integers(2, 3),
+    k=st.integers(1, 2),
+    rounds=st.integers(1, 3),
+    superposed=st.booleans(),
+)
+
+
+def preimage(xs, ys):
+    return all(y == 0 for y in ys)
+
+
+def claimed_zero(xs):
+    return (0,) * len(xs)
+
+
+# Circuit outputs
+
+
+@SLOW
+@given(circuits)
+def test_circuit_run_matches_dense(circuit):
+    state = run_adversary(circuit, "compressed")
+    ref = ref_run(circuit)
+    assert close(state.vec, ref.vec)
+    assert close(state.adversary_marginal(), ref_marginal(ref))
+    assert close(oracle._success_probability(state, circuit, preimage, claimed_zero),
+                 ref_success(ref, circuit, preimage, claimed_zero))
+
+
+@SLOW
+@given(circuits)
+def test_readout_on_circuit_outputs(circuit):
+    for picture in ("compressed", "standard"):
+        state = run_adversary(circuit, picture)
+        assert close(oracle._success_probability(state, circuit, preimage, claimed_zero),
+                     ref_success(state, circuit, preimage, claimed_zero))
+        assert close(state.adversary_marginal(), ref_marginal(state))
+    compressed = run_adversary(circuit, "compressed")
+    dist = compressed.database_distribution()
+    assert dist == ref_database_distribution(compressed)
+    assert compressed.max_support_size() == max(db.support_size() for db in dist)
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_grover_matches_dense(size):
+    circuit = grover_preimage_circuit(domain(size, GroupSpec.bits(1)), rounds=2)
+    state = run_adversary(circuit, "compressed")
+    ref = ref_run(circuit)
+    assert close(state.vec, ref.vec)
+    assert state.database_distribution() == ref_database_distribution(state)
+    assert state.max_support_size() <= 2
+
+
+# Random dense and planted states
+
+
+@SLOW
+@given(st.integers(0, 2**16), st.sampled_from(SPECS), st.integers(1, 2), st.sampled_from([0.0, 0.6, 0.95]))
+def test_parallel_query_matches_dense(seed, spec, k, zero_rows):
+    rng = np.random.default_rng(seed)
+    dom = domain(3, spec)
+    state = random_state(rng, dom, (spec.order,) * k + (2,), zero_rows)
+    xs = tuple(dom.inputs[i] for i in rng.permutation(dom.size)[:k])
+    out = apply_parallel_query(state, xs, range(k))
+    ref = state.copy()
+    for x, reg in zip(xs, range(k)):
+        ref_query_coord(ref, reg, x_label=x)
+    ref_prune(ref)
+    assert close(out.vec, ref.vec)
+    assert out.vec.shape == state.vec.shape and out.vec.flags.c_contiguous
+
+
+@SLOW
+@given(st.integers(0, 2**16), st.sampled_from(SPECS), st.sampled_from([0.0, 0.6, 0.95]))
+def test_superposed_coordinate_matches_dense(seed, spec, zero_rows):
+    rng = np.random.default_rng(seed)
+    dom = domain(3, spec)
+    state = random_state(rng, dom, (2, dom.size, spec.order), zero_rows)
+    ref = state.copy()
+    oracle._compressed_query_coord(state, 2, in_reg=1)
+    ref_query_coord(ref, 2, in_reg=1)
+    assert close(state.vec, ref.vec)
+
+
+@SLOW
+@given(st.integers(0, 2**16), st.sampled_from(SPECS), st.sampled_from([0.0, 0.6, 0.95]),
+       st.sampled_from([(0,), (2,), (1, 0), (0, 2)]))
+def test_gate_matches_dense(seed, spec, zero_rows, regs):
+    rng = np.random.default_rng(seed)
+    dims = (3, spec.order, 2)
+    state = random_state(rng, domain(2, spec), dims, zero_rows)
+    mat = random_unitary(rng, int(np.prod([dims[r] for r in regs])))
+    ref = state.copy()
+    state.apply_register_unitary(mat, regs)
+    ref_register_unitary(ref, mat, regs)
+    assert close(state.vec, ref.vec)
+    purified = initial_purified_state(domain(2, spec), dims)
+    purified.vec = ref.vec[(slice(0, spec.order),) * 2].copy()
+    expected = purified.copy()
+    purified.apply_register_unitary(mat, regs)
+    ref_register_unitary(expected, mat, regs)
+    assert close(purified.vec, expected.vec)
+
+
+@SLOW
+@given(st.integers(0, 2**16), st.sampled_from(SPECS), st.sampled_from([0.0, 0.6, 0.95]))
+def test_readout_on_random_states(seed, spec, zero_rows):
+    rng = np.random.default_rng(seed)
+    dom = domain(3, spec)
+    state = random_state(rng, dom, (dom.size, spec.order), zero_rows)
+    dist = state.database_distribution()
+    assert dist == ref_database_distribution(state)
+    assert state.max_support_size() == max(db.support_size() for db in dist)
+    assert close(state.adversary_marginal(), ref_marginal(state))
+    circuit = AdversaryCircuit(domain=dom, reg_dims=(dom.size, spec.order), steps=(),
+                               output_regs=(0,), y_output_regs=(1,))
+    assert close(oracle._success_probability(state, circuit, preimage, None),
+                 ref_success(state, circuit, preimage, None))
+
+
+@SLOW
+@given(st.integers(0, 2**16), st.sampled_from(SPECS), st.booleans())
+def test_reassigned_vec_between_queries(seed, spec, fortran):
+    rng = np.random.default_rng(seed)
+    dom = domain(3, spec)
+    state = initial_compressed_state(dom, (spec.order,))
+    state = apply_parallel_query(state, (dom.inputs[0],), (0,))
+    planted = random_state(rng, dom, (spec.order,), 0.8).vec
+    state.vec = np.asfortranarray(planted) if fortran else planted
+    out = apply_parallel_query(state, (dom.inputs[1],), (0,))
+    ref = CompressedState(dom, (spec.order,), planted.copy())
+    ref_query_coord(ref, 0, x_label=dom.inputs[1])
+    ref_prune(ref)
+    assert close(out.vec, ref.vec)
+
+
+# The support the query kernel carries
+
+
+def gate_rows(monkeypatch):
+    """Record the oracle rows every gate-kernel call touches."""
+    calls = []
+    apply_gate = oracle._apply_gate
+
+    def recording(flat, rows, mat, regs):
+        calls.append(set(np.arange(len(flat))[rows].tolist()))
+        apply_gate(flat, rows, mat, regs)
+
+    monkeypatch.setattr(oracle, "_apply_gate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("level", [0, 2])
+def test_query_support_is_exact(monkeypatch, spec, level):
+    """A superposed query with the input register on one level: only the
+    groups along that input gain amplitude, and W-dagger touches exactly the
+    rows live before or after the query."""
+    rng = np.random.default_rng(level)
+    dom = domain(3, spec)
+    state = random_state(rng, dom, (dom.size, spec.order), 0.9)
+    pin = [slice(None)] * state.vec.ndim
+    for other in range(dom.size):
+        if other != level:
+            pin[state.reg_axis(0)] = other
+            state.vec[tuple(pin)] = 0.0
+    before = support(state.vec, dom.size)
+    ref = state.copy()
+    calls = gate_rows(monkeypatch)
+    oracle._compressed_query_coord(state, 1, in_reg=0)
+    ref_query_coord(ref, 1, in_reg=0)
+    after = support(state.vec, dom.size)
+    assert close(state.vec, ref.vec)
+    assert calls[0] == before
+    assert after <= calls[-1] <= before | after
+    assert len(after) < (spec.order + 1) ** dom.size
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_query_support_from_empty_database(monkeypatch, spec):
+    dom = domain(3, spec)
+    state = initial_compressed_state(dom, (spec.order,))
+    state.apply_register_unitary(random_unitary(np.random.default_rng(1), spec.order), (0,))
+    calls = gate_rows(monkeypatch)
+    out = apply_parallel_query(state, (dom.inputs[1],), (0,))
+    # the empty database and the M databases defining input 1
+    assert calls[-1] == support(out.vec, dom.size)
+    assert len(calls[-1]) == spec.order + 1
+
+
+# Pruned mass
+
+
+@pytest.mark.parametrize("make", [initial_compressed_state, initial_purified_state])
+def test_prune_counts_planted_mass(make):
+    dom = domain(2, GroupSpec.bits(1))
+    state = make(dom, (2,))
+    planted = (0,) * dom.size + (1,)
+    state.vec[planted] = 1e-15
+    ref = state.copy()
+    assert ref.pruned_mass == 0.0
+    state.prune()
+    ref_prune(ref)
+    assert state.vec[planted] == 0.0
+    assert close(state.vec, ref.vec)
+    assert state.pruned_mass == pytest.approx(1e-30, rel=1e-12)
+    state.prune()
+    assert state.pruned_mass == pytest.approx(1e-30, rel=1e-12)
+    assert state.copy().pruned_mass == state.pruned_mass
+
+
+def test_query_carries_pruned_mass():
+    dom = domain(2, GroupSpec.bits(1))
+    state = initial_compressed_state(dom, (2, 2))
+    state.vec[(0, 0, 0, 1)] = 3e-15
+    out = apply_parallel_query(state, (dom.inputs[0],), (0,))
+    assert out.pruned_mass > 0.0 and state.pruned_mass == 0.0
+    assert out.pruned_mass == pytest.approx(9e-30, rel=1e-6)
