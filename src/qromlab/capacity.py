@@ -20,12 +20,18 @@ import numpy as np
 
 from .groups import transition_matrix
 from .oracle import Database, OracleDomain, sparse_encode
-from .properties import DatabaseProperty, window_masks
+from .properties import (
+    MASK_ROWS,
+    DatabaseProperty,
+    truth_table,
+    value_dtype,
+    window_tuples,
+    window_view,
+)
 
 E = math.e
 WINDOW_DIM_BUDGET = 4096
 ENUMERATION_BUDGET = 1 << 22
-MASK_ROWS = 1 << 16  # exterior-by-window rows decided in one batch
 
 
 @dataclass(frozen=True)
@@ -128,12 +134,16 @@ def window_exteriors(domain: OracleDomain, xs: tuple):
     """The values of all databases canonicalized to undefined on the window,
     enumerated in canonical value order on the remaining inputs."""
     window = {domain.index(x) for x in xs}
-    others = [i for i in range(domain.size) if i not in window]
-    values = [domain.spec.bot] * domain.size
-    for assignment in itertools.product(range(domain.spec.order + 1), repeat=len(others)):
-        for i, v in zip(others, assignment):
-            values[i] = v
-        yield tuple(values)
+    ext, pinned = range(domain.spec.order + 1), (domain.spec.bot,)
+    return itertools.product(*(pinned if i in window else ext for i in range(domain.size)))
+
+
+def exterior_values(domain: OracleDomain, xs: tuple) -> np.ndarray:
+    """window_exteriors of a window of distinct inputs as an int array, one row
+    per exterior."""
+    count = (domain.spec.order + 1) ** (domain.size - len(xs)) * domain.size
+    flat = itertools.chain.from_iterable(window_exteriors(domain, xs))
+    return np.fromiter(flat, dtype=value_dtype(domain.spec), count=count).reshape(-1, domain.size)
 
 
 def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int,
@@ -174,14 +184,16 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
                           for yhats in all_yhats]
         return norms[key]
 
+    p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
     best = 0.0
     best_key = None
     chunk = max(1, MASK_ROWS // dim)
     for xi, xs in enumerate(itertools.permutations(pool, k)):
-        exteriors = window_exteriors(domain, xs)
-        while values := list(itertools.islice(exteriors, chunk)):
-            masks = np.concatenate([window_masks(p, domain, values, xs),
-                                    window_masks(pprime, domain, values, xs)], axis=1)
+        exteriors = exterior_values(domain, xs)
+        window = np.concatenate([window_view(p_table, domain, xs),
+                                 window_view(pprime_table, domain, xs)], axis=1)
+        for start in range(0, len(window), chunk):
+            masks = window[start:start + chunk]
             live = np.flatnonzero(masks[:, :dim].any(axis=1) & masks[:, dim:].any(axis=1))
             if not len(live):
                 continue
@@ -198,18 +210,20 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
             for e in np.flatnonzero(events > seen - 2e-12).tolist():
                 i, y = divmod(e, len(all_yhats))
                 value = float(events[e])
-                key = (xi, all_yhats[y], values[live[i]])
+                # exteriors are enumerated in value order, so within one
+                # window the row index orders them as their values would
+                key = (xi, all_yhats[y], start + int(live[i]))
                 if value > best + 1e-12 or (value > best - 1e-12 and (best_key is None or key < best_key)):
                     if value > best:
                         best = value
                     best_key = key
-                    best_xs = xs
+                    best_xs, best_values = xs, exteriors[key[2]]
     best_witness = None
     if best_key is not None:
         best_witness = {
             "xs": list(best_xs),
             "yhats": list(best_key[1]),
-            "database": sparse_encode(Database(domain, best_key[2])),
+            "database": sparse_encode(Database(domain, tuple(best_values.tolist()))),
         }
     return CapacityReport(value=best, witness=best_witness, kind="quantum")
 
@@ -220,7 +234,9 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
 
     Maximizes, over databases satisfying p and distinct query vectors, the
     probability that uniformly resampling the window's fresh coordinates lands
-    in pprime (already-defined coordinates keep their values).
+    in pprime (already-defined coordinates keep their values).  Per window,
+    the hit counts of all databases are one product of pprime's window view
+    with the 0/1 matrix of draws, reading both truth tables once.
     """
     spec = domain.spec
     pool = tuple(domain.inputs if x_restrict is None else x_restrict)
@@ -231,26 +247,40 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     total = ((spec.order + 1) ** domain.size) * math.perm(len(pool), k) * (spec.order ** k)
     if total > ENUMERATION_BUDGET:
         raise ValueError("capacity enumeration exceeds the budget")
-    ext = range(spec.order + 1)
-    best = 0.0
-    best_witness = None
-    for values in itertools.product(ext, repeat=domain.size):
-        db = Database(domain, values)
-        if not p.holds(db):
+    p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
+    ext = spec.order + 1
+    outcomes = float(spec.order) ** (window_tuples(spec, k) == spec.bot).sum(axis=1)
+    best, best_at = 0.0, None
+    for xi, xs in enumerate(itertools.permutations(pool, k)):
+        # hits[D] counts the draws for D's undefined window entries that land
+        # in pprime: the product of pprime's window view with the k-fold
+        # Kronecker power of the draw matrix a (a[w, r] = [w == r] for a
+        # group value w, [r != bot] for w = bot), applied one axis at a time
+        hits = window_view(pprime_table, domain, xs).reshape((-1,) + (ext,) * k).astype(np.int64)
+        for axis in range(1, k + 1):
+            undefined = (slice(None),) * axis + (spec.bot,)
+            hits[undefined] = hits.sum(axis=axis) - hits[undefined]
+        prob = np.where(window_view(p_table, domain, xs), hits.reshape(-1, ext ** k) / outcomes, 0.0)
+        value = float(prob.max())
+        if value < best or value == 0.0:
             continue
-        for xs in itertools.permutations(pool, k):
-            fresh = [x for x in xs if not db.defined(x)]
-            hits = 0
-            for draw in itertools.product(spec.elements(), repeat=len(fresh)):
-                if pprime.holds(db.update(fresh, draw)):
-                    hits += 1
-            prob = hits / (spec.order ** len(fresh))
-            if prob > best + 1e-15:
-                best = prob
-                best_witness = {
-                    "xs": list(xs),
-                    "database": sparse_encode(db),
-                }
+        # the first database, in canonical order, at which this window
+        # attains its maximum: undo window_view's axis move on the hit mask
+        at_max = (prob == value).reshape(p_table.shape)
+        axes = [domain.index(x) for x in xs]
+        first = int(np.argmax(np.moveaxis(at_max, range(domain.size - k, domain.size), axes)))
+        # Distinct probabilities differ by at least M^-k, so the per-row
+        # fold's first prob > best + 1e-15 is the first (database, window)
+        # pair, databases outer, that attains the exact maximum.
+        if value > best or (first, xi) < best_at:
+            best, best_at, best_xs = value, (first, xi), xs
+    best_witness = None
+    if best_at is not None:
+        values = np.unravel_index(best_at[0], p_table.shape)
+        best_witness = {
+            "xs": list(best_xs),
+            "database": sparse_encode(Database(domain, tuple(int(v) for v in values))),
+        }
     return CapacityReport(value=best, witness=best_witness, kind="classical")
 
 

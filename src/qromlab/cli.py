@@ -23,7 +23,6 @@ from . import oracle as oracle_mod
 from . import posw as posw_mod
 from .groups import GroupSpec
 from .properties import (
-    ChainRelation,
     chain_local_family,
     collision_local_family,
     parse_property,
@@ -61,40 +60,41 @@ def _parse_domain(text: str, kind: str) -> oracle_mod.OracleDomain:
 # capacity subcommand
 
 
-def _recognizability_bound(name: str, p, pprime, k: int, domain) -> float:
-    """Evaluate a recognizability bound over all (window, exterior) pairs,
-    choosing the canonical family for the target property's pattern.
+def _recognizability_bound(name: str, p, pprime, k: int, domain, x_restrict=None) -> float:
+    """Evaluate a recognizability bound over all (window, exterior) pairs, the
+    windows drawn from x_restrict (all inputs by default), with the canonical
+    family of the target, which must be a bare PRMG, CL or CHN atom.
 
     A family depends on the exterior only through a few of its features (none
     for PRMG, the exterior's value set for CL, its support for CHN), and a
     bound is a maximum over families, so each distinct family is built and
     evaluated once.
     """
-    target = pprime.name
-    windows = list(itertools.permutations(domain.inputs, k))
-    if "PRMG" in target:
-        families = [prmg_local_family(xs, domain.spec) for xs in windows]
-    else:
-        bot = domain.spec.bot
-        if "CHN" in target:
-            rel_kind = "equality"
-            if "rel=" in target:
-                rel_kind = target.split("rel=", 1)[1].rstrip("]").split(",")[0]
-            rel = ChainRelation(rel_kind)
-            feature = lambda values: tuple(x for x, v in zip(domain.inputs, values) if v != bot)
-            build = lambda db, xs: chain_local_family(db, xs, rel)
-        elif "CL" in target:
-            feature = lambda values: frozenset(values) - {bot}
+    pool = domain.inputs if x_restrict is None else x_restrict
+    windows = list(itertools.permutations(pool, k))
+    kind, arg = pprime.atom or (None, None)
+    bot = domain.spec.bot
+    if kind == "PRMG":
+        families = [prmg_local_family(xs, domain.spec, arg) for xs in windows]
+    elif kind in ("CL", "CHN"):
+        if kind == "CL":
+            def feature(values):
+                present = np.zeros((len(values), bot + 1), dtype=bool)
+                np.put_along_axis(present, values.astype(np.intp), True, axis=1)
+                return present[:, :bot]
             build = collision_local_family
         else:
-            raise ValueError(f"no canonical family for target {target!r}")
-        distinct = {}
+            feature = lambda values: values != bot
+            build = lambda db, xs: chain_local_family(db, xs, arg)
+        families = []
         for xs in windows:
-            for values in capacity_mod.window_exteriors(domain, xs):
-                key = (xs, feature(values))
-                if key not in distinct:
-                    distinct[key] = build(oracle_mod.Database(domain, values), xs)
-        families = list(distinct.values())
+            exteriors = capacity_mod.exterior_values(domain, xs)
+            _, first = np.unique(feature(exteriors), axis=0, return_index=True)
+            families += [build(oracle_mod.Database(domain, tuple(exteriors[i].tolist())), xs)
+                         for i in np.sort(first)]
+    else:
+        raise ValueError(f"no canonical family for target {pprime.name!r}: "
+                         "the bound needs a bare PRMG, CL or CHN target")
     if name == "thm5.7":
         return capacity_mod.bound_thm_simple(families)
     if name == "thm5.9":
@@ -114,7 +114,7 @@ def _cmd_capacity(args) -> int:
     else:
         report = capacity_mod.quantum_capacity_exact(p, pprime, args.k, domain, restrict)
     if args.bound:
-        report.bound = _recognizability_bound(args.bound, p, pprime, args.k, domain)
+        report.bound = _recognizability_bound(args.bound, p, pprime, args.k, domain, restrict)
         report.bound_source = args.bound
     record = report.as_record()
     record.update({"p": args.p, "pprime": args.pprime, "k": args.k, "domain": args.domain})

@@ -17,19 +17,24 @@ import numpy as np
 from .groups import GroupSpec
 from .oracle import Database, OracleDomain
 
+MASK_ROWS = 1 << 16  # database rows decided in one batch
+
 
 class DatabaseProperty:
     """Named decidable subset of the databases over some oracle domain.
 
     batch, when given, decides many databases at once: it maps an int array of
     value rows, shape (N, |X|), and the domain to N booleans.  Without it
-    holds_batch falls back to holds, one row at a time.
+    holds_batch falls back to holds, one row at a time.  atom is (NAME,
+    parameter) for a bare PRMG, CL or CHN atom, the ones with a canonical
+    local family, such as ("PRMG", 0), and None otherwise.
     """
 
-    def __init__(self, name: str, pred, batch=None):
+    def __init__(self, name: str, pred, batch=None, atom=None):
         self.name = name
         self._pred = pred
         self._batch = batch
+        self.atom = atom
 
     def holds(self, db: Database) -> bool:
         return bool(self._pred(db))
@@ -84,7 +89,7 @@ def empty_db_prop() -> DatabaseProperty:
 def prmg(target: int = 0) -> DatabaseProperty:
     name = "PRMG" if target == 0 else f"PRMG[{target}]"
     return DatabaseProperty(name, lambda db: any(v == target for v in db.values),
-                            lambda v, d: (v == target).any(axis=1))
+                            lambda v, d: (v == target).any(axis=1), atom=("PRMG", target))
 
 
 def cl() -> DatabaseProperty:
@@ -104,7 +109,7 @@ def cl() -> DatabaseProperty:
         repeat = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != domain.spec.bot)
         return repeat.any(axis=1)
 
-    return DatabaseProperty("CL", has_collision, has_collision_batch)
+    return DatabaseProperty("CL", has_collision, has_collision_batch, atom=("CL", None))
 
 
 def size_at_most(s: int) -> DatabaseProperty:
@@ -214,8 +219,9 @@ def chn(s: int, rel: ChainRelation) -> DatabaseProperty:
     if s < 0:
         raise ValueError("chain length must be nonnegative")
     if s == 0:
-        return DatabaseProperty(f"CHN[s=0,rel={rel.kind}]", lambda db: True)
-    return DatabaseProperty(f"CHN[s={s},rel={rel.kind}]", lambda db: longest_chain_length(db, rel) >= s)
+        return DatabaseProperty(f"CHN[s=0,rel={rel.kind}]", lambda db: True, atom=("CHN", rel))
+    return DatabaseProperty(f"CHN[s={s},rel={rel.kind}]", lambda db: longest_chain_length(db, rel) >= s,
+                            atom=("CHN", rel))
 
 
 # Restrictions and projectors
@@ -252,6 +258,36 @@ def window_masks(p: DatabaseProperty, domain: OracleDomain, exteriors: np.ndarra
     rows = np.repeat(np.asarray(exteriors, dtype=value_dtype(domain.spec)), len(grid), axis=0)
     rows[:, [domain.index(x) for x in xs]] = np.tile(grid, (len(exteriors), 1))
     return p.holds_batch(rows, domain).reshape(len(exteriors), len(grid))
+
+
+def truth_table(p: DatabaseProperty, domain: OracleDomain) -> np.ndarray:
+    """p on every database of the domain, shape (M+1,)*|X|: entry [v_0, ...,
+    v_{|X|-1}] decides the database with value v_i at input i.
+
+    The databases are decided in canonical order, MASK_ROWS rows per batch.
+    """
+    ext, size = domain.spec.order + 1, domain.size
+    table = np.empty(ext ** size, dtype=bool)
+    for start in range(0, len(table), MASK_ROWS):
+        index = np.arange(start, min(start + MASK_ROWS, len(table)))
+        rows = np.empty((len(index), size), dtype=value_dtype(domain.spec))
+        for i in range(size):  # mixed-radix digits, input 0 most significant
+            rows[:, i] = index // ext ** (size - 1 - i) % ext
+        table[start:start + len(index)] = p.holds_batch(rows, domain)
+    return table.reshape((ext,) * size)
+
+
+def window_view(table: np.ndarray, domain: OracleDomain, xs) -> np.ndarray:
+    """A table over the databases, shape (M+1,)*|X|, read as one row per
+    exterior of the window xs and one column per window tuple.
+
+    Rows come in window_exteriors order and columns in window_tuples order, so
+    the view of a truth table equals window_masks over every exterior.
+    """
+    xs = _distinct_window(xs)
+    ext, k = domain.spec.order + 1, len(xs)
+    moved = np.moveaxis(table, [domain.index(x) for x in xs], range(table.ndim - k, table.ndim))
+    return moved.reshape(ext ** (table.ndim - k), ext ** k)
 
 
 def _window_sides(db: Database, xs, *props) -> tuple:

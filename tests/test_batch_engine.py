@@ -1,10 +1,12 @@
-"""The batch capacity engine against the per-row enumeration it replaced.
+"""The batch capacity engines against the per-row enumeration they replaced.
 
-Three layers are checked: holds_batch against per-row holds on random
-property expressions, quantum_capacity_exact against the per-row engine kept
-below as the differential oracle, and the recognizability bounds against one
-family per (window, exterior) pair.  The full capacity reports at the
-enumeration-budget edge are pinned to the values of the per-row engine.
+Four layers are checked: holds_batch against per-row holds on random
+property expressions, the truth-table window views against window_masks,
+both capacity engines against the per-row engines kept below as differential
+oracles, and the recognizability bounds against one family per (window,
+exterior) pair.  The full capacity reports at the enumeration-budget edge are
+pinned to the values of the per-row engine, and the hot path is pinned to
+make no per-database holds call.
 """
 
 import hashlib
@@ -19,11 +21,13 @@ from hypothesis import strategies as st
 
 from qromlab import capacity as capacity_mod
 from qromlab import cli
-from qromlab.capacity import operator_norm, quantum_capacity_exact
+from qromlab import properties as properties_mod
+from qromlab.capacity import classical_capacity_exact, operator_norm, quantum_capacity_exact
 from qromlab.groups import GroupSpec, transition_matrix
-from qromlab.oracle import Database, OracleDomain
+from qromlab.oracle import Database, OracleDomain, sparse_encode
 from qromlab.properties import (
     ChainRelation,
+    DatabaseProperty,
     chain_local_family,
     chn,
     cl,
@@ -36,9 +40,11 @@ from qromlab.properties import (
     restrict,
     size_at_most,
     true_prop,
+    truth_table,
     value_dtype,
     window_masks,
     window_tuples,
+    window_view,
 )
 
 EQ = ChainRelation("equality")
@@ -114,6 +120,42 @@ def per_row_quantum_capacity(p, pprime, k, domain, x_restrict=None):
     return best, best_witness
 
 
+def per_row_classical_capacity(p, pprime, k, domain, x_restrict=None):
+    """One Database and one holds call per (database, window, fresh draw), the
+    first (database, window) pair whose hit rate exceeds the running best by
+    1e-15 kept, databases outer."""
+    spec = domain.spec
+    pool = tuple(domain.inputs if x_restrict is None else x_restrict)
+    best, best_witness = 0.0, None
+    for values in itertools.product(range(spec.order + 1), repeat=domain.size):
+        db = Database(domain, values)
+        if not p.holds(db):
+            continue
+        for xs in itertools.permutations(pool, k):
+            fresh = [x for x in xs if not db.defined(x)]
+            hits = 0
+            for draw in itertools.product(spec.elements(), repeat=len(fresh)):
+                if pprime.holds(db.update(fresh, draw)):
+                    hits += 1
+            prob = hits / (spec.order ** len(fresh))
+            if prob > best + 1e-15:
+                best = prob
+                best_witness = {"xs": list(xs), "database": sparse_encode(db)}
+    return best, best_witness
+
+
+def nested_loop_exteriors(domain, xs):
+    """window_exteriors as first written: one value tuple per assignment of
+    the inputs outside the window, which stay undefined."""
+    window = {domain.index(x) for x in xs}
+    others = [i for i in range(domain.size) if i not in window]
+    values = [domain.spec.bot] * domain.size
+    for assignment in itertools.product(range(domain.spec.order + 1), repeat=len(others)):
+        for i, v in zip(others, assignment):
+            values[i] = v
+        yield tuple(values)
+
+
 class TestHoldsBatch:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -159,6 +201,42 @@ class TestHoldsBatch:
             assert got == restrict(p, Database(domain, values), xs)
 
 
+class TestTruthTable:
+    WINDOWS = [("10", "00"), ("00", "01"), ("11",), ("01", "11", "00"), ("00", "01", "10", "11")]
+
+    def views_match_masks(self, p, domain):
+        table = truth_table(p, domain)
+        assert table.shape == (domain.spec.order + 1,) * domain.size
+        for xs in self.WINDOWS:
+            exteriors = list(capacity_mod.window_exteriors(domain, xs))
+            assert np.array_equal(window_view(table, domain, xs),
+                                  window_masks(p, domain, exteriors, xs)), (p.name, xs)
+
+    @given(spec=st.sampled_from(SPECS[:3]), p=PROPERTIES)
+    @settings(max_examples=40, deadline=None)
+    def test_view_equals_window_masks(self, spec, p):
+        self.views_match_masks(p, bit_domain(spec))
+
+    @pytest.mark.parametrize("text", ["!CL|CHN[s=2]", "PRMG[target=1]&SIZE<=2", "!(PRMG|CL)"])
+    def test_small_chunks(self, monkeypatch, text):
+        monkeypatch.setattr(properties_mod, "MASK_ROWS", 40)
+        self.views_match_masks(parse_property(text), bit_domain(GroupSpec.cyclic(3)))
+
+    def test_table_is_canonical_order(self):
+        domain = bit_domain(GroupSpec.bits(1))
+        p = DatabaseProperty("ODD", lambda db: sum(db.values) % 2 == 1)
+        want = [p.holds(db) for db in properties_mod.iter_databases(domain)]
+        assert truth_table(p, domain).ravel().tolist() == want
+
+    @pytest.mark.parametrize("spec", [GroupSpec.bits(1), GroupSpec.cyclic(3)])
+    def test_window_exteriors_match_nested_loop(self, spec):
+        domain = bit_domain(spec)
+        for xs in self.WINDOWS:
+            assert list(capacity_mod.window_exteriors(domain, xs)) == list(nested_loop_exteriors(domain, xs))
+            values = capacity_mod.exterior_values(domain, xs)
+            assert [tuple(r) for r in values.tolist()] == list(nested_loop_exteriors(domain, xs))
+
+
 class TestEngineAgainstPerRow:
     CASES = [
         (~prmg(), prmg()),
@@ -201,6 +279,50 @@ class TestEngineAgainstPerRow:
         p, pprime = parse_property("!CL"), parse_property("CL|PRMG")
         report = quantum_capacity_exact(p, pprime, 2, domain)
         assert (report.value, report.witness) == per_row_quantum_capacity(p, pprime, 2, domain)
+
+
+class TestClassicalAgainstPerRow:
+    CASES = [
+        (~prmg(), prmg()),
+        (~cl(), cl()),
+        (~chn(1, EQ), chn(2, EQ)),
+        # the maximum 1 recurs at every database and window, so the witness
+        # is the first database and, within it, the first window
+        (true_prop(), true_prop()),
+        (empty_db_prop() | size_at_most(1), prmg(1) | cl()),
+        (false_prop(), prmg()),
+        (true_prop(), false_prop()),
+    ]
+
+    @pytest.mark.parametrize("spec", [GroupSpec.bits(1), GroupSpec.cyclic(3)])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("x_restrict", [None, ("11", "01", "10")])
+    def test_named_transitions(self, spec, k, x_restrict):
+        domain = bit_domain(spec)
+        for p, pprime in self.CASES:
+            report = classical_capacity_exact(p, pprime, k, domain, x_restrict)
+            value, witness = per_row_classical_capacity(p, pprime, k, domain, x_restrict)
+            assert (report.value, report.witness) == (value, witness), (p.name, pprime.name)
+
+    def test_equal_maxima_recur(self):
+        # !PRMG -> PRMG at k=1 reaches 1/M at every undefined window entry of
+        # every PRMG-free database; the first is the last input of (1, 1, 1, bot)
+        domain = bit_domain(GroupSpec.cyclic(3))
+        report = classical_capacity_exact(~prmg(), prmg(), 1, domain)
+        assert report.value == 1 / 3
+        assert report.witness == {"xs": ["11"], "database": [("00", 1), ("01", 1), ("10", 1)]}
+        assert (report.value, report.witness) == per_row_classical_capacity(~prmg(), prmg(), 1, domain)
+
+    @pytest.mark.parametrize("spec", [GroupSpec.bits(1), GroupSpec.cyclic(3)])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("x_restrict", [None, ("01", "00")])
+    @given(p=PROPERTIES, pprime=PROPERTIES)
+    @settings(max_examples=10, deadline=None)
+    def test_random_transitions(self, spec, k, x_restrict, p, pprime):
+        domain = bit_domain(spec)
+        report = classical_capacity_exact(p, pprime, k, domain, x_restrict)
+        value, witness = per_row_classical_capacity(p, pprime, k, domain, x_restrict)
+        assert report.value == value and report.witness == witness, (p.name, pprime.name)
 
 
 def per_pair_bound(name, pprime, k, domain):
@@ -263,3 +385,40 @@ def test_budget_edge_reports_pinned(tmp_path, argv, sha256, expected):
     record = json.loads(out.read_text())
     assert {key: record.get(key) for key in expected} == expected
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+class TestHotPath:
+    """The budget-edge jobs decide properties only through truth tables and
+    build a Database only for the witness and for each distinct family."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"holds": 0, "database": 0, "families": 0}
+        holds, init, family = DatabaseProperty.holds, Database.__init__, cli.collision_local_family
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(DatabaseProperty, "holds", counted("holds", holds))
+        monkeypatch.setattr(Database, "__init__", counted("database", init))
+        monkeypatch.setattr(cli, "collision_local_family", counted("families", family))
+        return counts
+
+    def run(self, tmp_path, *extra):
+        argv = ["capacity", "--p", "!CL", "--pprime", "CL", "--k", "2", "--domain", "n=3,m=1",
+                "--out", str(tmp_path / "report.json"), *extra]
+        assert cli.main(argv) == 0
+
+    def test_quantum_with_bound(self, tmp_path, counts):
+        self.run(tmp_path, "--bound", "thm5.12")
+        assert counts["holds"] == 0
+        # 56 windows, each with the exterior value sets {}, {0}, {1}, {0, 1}
+        assert counts["families"] == 56 * 4
+        assert counts["database"] == 1 + counts["families"]
+
+    def test_classical(self, tmp_path, counts):
+        self.run(tmp_path, "--classical")
+        assert counts == {"holds": 0, "database": 1, "families": 0}

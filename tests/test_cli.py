@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qromlab import cli
 from qromlab.cli import main
 from qromlab.reporting import render_csv, render_json, wilson_interval
 
@@ -84,6 +85,47 @@ class TestCapacityCommand:
     def test_bad_property_is_usage_error(self):
         assert main(["capacity", "--p", "NOSUCH", "--pprime", "PRMG", "--k", "1",
                      "--domain", "n=1,m=1"]) == 2
+
+    @pytest.mark.parametrize("pprime", ["!PRMG", "CL|PRMG", "PRMG&SIZE<=1", "SIZE<=1", "!CHN[s=1]"])
+    def test_bound_needs_a_bare_family_target(self, pprime, capsys):
+        assert main(["capacity", "--p", "PRMG", "--pprime", pprime, "--k", "1",
+                     "--domain", "n=1,m=1", "--bound", "thm5.7"]) == 2
+        assert "no canonical family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pprime,bound", [("PRMG", "thm5.7"), ("(CL)", "thm5.12"),
+                                              ("CHN[s=2,rel=prefix]", "thm5.9")])
+    def test_bound_accepts_bare_atoms(self, pprime, bound):
+        assert main(["capacity", "--p", "TRUE", "--pprime", pprime, "--k", "1",
+                     "--domain", "n=1,m=1", "--bound", bound]) == 0
+
+    def test_bound_family_keeps_prmg_target(self, monkeypatch):
+        families = []
+        build = cli.prmg_local_family
+        monkeypatch.setattr(cli, "prmg_local_family",
+                            lambda *args: families.append(build(*args)) or families[-1])
+        assert main(["capacity", "--p", "!PRMG[target=1]", "--pprime", "PRMG[target=1]",
+                     "--k", "1", "--domain", "n=1,m=1", "--bound", "thm5.7"]) == 0
+        assert families
+        assert {m for fam in families for lp in fam for m in lp.members} == {(1,)}
+
+    def test_bound_honours_restrict(self, tmp_path, monkeypatch):
+        windows = []
+        build = cli.collision_local_family
+        monkeypatch.setattr(cli, "collision_local_family",
+                            lambda db, xs: windows.append(xs) or build(db, xs))
+
+        def bound(*restrict):
+            out = tmp_path / "cap.json"
+            assert main(["capacity", "--p", "!CL", "--pprime", "CL", "--k", "1",
+                         "--domain", "n=2,m=1", "--bound", "thm5.12", "--out", str(out),
+                         *restrict]) == 0
+            return json.loads(out.read_text())["bound"]
+
+        restricted = bound("--restrict", "00")
+        assert set(windows) == {("00",)}
+        windows.clear()
+        assert restricted <= bound()
+        assert set(windows) == {("00",), ("01",), ("10",), ("11",)}
 
 
 class TestSimulateCommand:
