@@ -118,7 +118,7 @@ def _cmd_capacity(args) -> int:
         report.bound_source = args.bound
     record = report.as_record()
     record.update({"p": args.p, "pprime": args.pprime, "k": args.k, "domain": args.domain})
-    if args.classical and "PRMG" in pprime.name:
+    if args.classical and (pprime.atom or (None,))[0] == "PRMG":
         # the union-bound shorthand k/M is reported next to the exact value,
         # which equals 1 - (1 - 1/M)^k on all-fresh windows
         record["union_bound"] = args.k / domain.spec.order

@@ -11,16 +11,17 @@ from SHA-256 in counter mode and exposes nothing.
 `RoBackend.label_query` takes a label query already framed as
 `label_payload` frames it and only evaluates and records it.  The prover and
 verifier build those frames from label bytes encoded once per label (the
-prover carries the skip-edge bodies down its root path), so no label is
+prover keeps per-depth child labels and skip-edge bodies for its root path,
+the verifier builds an opening's skip bodies once, top down), so no label is
 re-encoded for every query it feeds; callers holding int labels frame them
 with `label_payload`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
+from hashlib import sha256
 
 LABEL_TAG = b"\x00"
 CHALLENGE_TAG = b"\x01"
@@ -179,20 +180,25 @@ class TableBackend(RoBackend):
 
 
 class CryptoBackend(RoBackend):
-    """Deterministic SHA-256-based oracle, expanded in counter mode to w bits."""
+    """Deterministic SHA-256-based oracle, expanded in counter mode to w bits:
+    the output is the top w bits of SHA-256(key | payload | counter) for the
+    32-bit counters 0, 1, ... needed to cover w bits."""
 
     def __init__(self, w: int, key: bytes = b""):
         super().__init__(w)
         self.key = key
         self._seen: set = set()
+        blocks = -(-w // 256)
+        # counters past the first block; empty for w <= 256
+        self._extra_counters = [c.to_bytes(4, "big") for c in range(1, blocks)]
+        self._shift = 256 * blocks - w
 
     def _evaluate(self, payload: bytes) -> tuple:
-        stream = b""
-        block = 0
-        while 8 * len(stream) < self.w:
-            stream += hashlib.sha256(self.key + payload + block.to_bytes(4, "big")).digest()
-            block += 1
-        value = int.from_bytes(stream, "big") >> (8 * len(stream) - self.w)
-        fresh = payload not in self._seen
-        self._seen.add(payload)
-        return value, fresh
+        message = self.key + payload
+        stream = sha256(message + b"\0\0\0\0").digest()
+        for counter in self._extra_counters:
+            stream += sha256(message + counter).digest()
+        seen = self._seen
+        size = len(seen)
+        seen.add(payload)
+        return int.from_bytes(stream, "big") >> self._shift, len(seen) != size

@@ -59,37 +59,40 @@ def compute_labeling(chi: int, params: PoswParams, backend: RoBackend) -> dict:
     """Honest labeling in the sequential leftmost-leaf-first order; exactly one
     oracle query per vertex.
 
-    Every label is encoded once.  A vertex's skip-edge body (the labels of the
-    left siblings of its right-child ancestors) follows skip(p0) = skip(p) and
-    skip(p1) = skip(p) + label(p0); bodies are kept only for the current root
-    path, and a child's bytes are dropped once its parent is labelled, so at
-    most O(n) encoded labels are alive."""
+    Every label is encoded once, into per-depth state for the current root
+    path: left[d] and right[d] hold the bytes of the last labelled left and
+    right child at depth d, and skip[d] the skip-edge body (the labels of the
+    left siblings of its right-child ancestors) of the path's depth-d vertex.
+    An internal vertex at depth d frames left[d+1] + right[d+1] + skip[d], a
+    leaf frames skip[n].  Labelling a left child p0 at depth d hands
+    skip(p1) = skip(p) + label(p0) to its right sibling and that sibling's
+    left spine, which costs amortised O(1) per vertex."""
     if backend.w != params.w:
         raise ValueError("backend width does not match parameters")
     n, w = params.n, params.w
+    nbytes, bound = (w + 7) // 8, 1 << w
     head = LABEL_TAG + label_bytes(chi, w)
+    query = backend.label_query
     labels: dict = {}
-    enc: dict = {}  # label bytes not yet consumed by the parent
-    skip: dict = {dag.ROOT: b""}  # skip bodies of internal vertices on the root path
-
-    def skip_body(u: str) -> bytes:
-        if u in skip:
-            return skip[u]
-        p = u[:-1]
-        body = skip_body(p) + enc[p + "0"] if u[-1] == "1" else skip_body(p)
-        if len(u) < n:
-            skip[u] = body
-        return body
-
+    left = [b""] * (n + 1)
+    right = [b""] * (n + 1)
+    skip = [b""] * (n + 1)
     for v in dag.prover_order(n):
-        if len(v) < n:
-            # the leftmost leaf below v has already memoised skip[v]
-            body = enc.pop(v + "0") + enc.pop(v + "1") + skip.pop(v)
-        else:
-            body = skip_body(v)
-        label = backend.label_query(v, head + encode_vertex(v) + body)
+        d = len(v)
+        body = skip[n] if d == n else left[d + 1] + right[d + 1] + skip[d]
+        label = query(v, head + encode_vertex(v) + body)
+        # a preloaded table oracle can hold any value, so check as label_bytes does
+        if not 0 <= label < bound:
+            raise ValueError(f"label {label} does not fit in {w} bits")
         labels[v] = label
-        enc[v] = label_bytes(label, w)
+        if not d:
+            break  # the root is labelled last
+        data = label.to_bytes(nbytes, "big")
+        if v[-1] == "0":
+            left[d] = data
+            skip[d:] = [skip[d - 1] + data] * (n + 1 - d)
+        else:
+            right[d] = data
     return labels
 
 
@@ -121,25 +124,40 @@ def verify(chi: int, params: PoswParams, t: int, proof: PoswProof, backend: RoBa
         return VerifyResult(False, "malformed: commitment out of range")
     if len(proof.tau) != t:
         return VerifyResult(False, "malformed: wrong number of openings")
-    challenge = derive_challenge(chi, proof.phi, t, params.n, backend)
-    head = LABEL_TAG + label_bytes(chi, params.w)
+    n, w = params.n, params.w
+    nbytes, bound = (w + 7) // 8, 1 << w
+    challenge = derive_challenge(chi, proof.phi, t, n, backend)
+    head = LABEL_TAG + label_bytes(chi, w)
     for i, v in enumerate(challenge):
-        path = dag.authentication_path(v, params.n)
+        path = dag.authentication_path(v, n)
         opening = proof.tau[i]
-        if len(opening) != 2 * params.n:
+        if len(opening) != 2 * n:
             return VerifyResult(False, f"malformed: opening {i} has wrong length")
-        if any(not 0 <= l < (1 << params.w) for l in opening):
+        if any(not 0 <= l < bound for l in opening):
             return VerifyResult(False, f"malformed: opening {i} label out of range")
         labels = dict(zip(path, opening))
         labels[dag.ROOT] = proof.phi
         # the root is no vertex's in-neighbour, so phi is compared, never framed
-        enc = {u: label_bytes(l, params.w) for u, l in zip(path, opening)}
+        enc = {u: l.to_bytes(nbytes, "big") for u, l in zip(path, opening)}
+        # the leaf's in-neighbours are its skip sources, and those of its
+        # depth-d ancestor are the ones no longer than d: build every
+        # ancestor's skip body once, top down
+        sources = dag.in_neighbors(v, n)
+        if any(x not in enc for x in sources):
+            return VerifyResult(False, f"malformed: opening {i} misses labels at {v}")
+        skip = [b""] * (n + 1)
+        for x in sources:
+            d = len(x)
+            skip[d:] = [skip[d - 1] + enc[x]] * (n + 1 - d)
         for u in dag.ancestors(v):
-            needed = dag.in_neighbors(u, params.n)
-            if any(x not in labels for x in needed):
+            d = len(u)
+            if d == n:
+                body = skip[n]
+            elif u + "0" in enc and u + "1" in enc:
+                body = enc[u + "0"] + enc[u + "1"] + skip[d]
+            else:
                 return VerifyResult(False, f"malformed: opening {i} misses labels at {u or 'root'}")
-            payload = head + encode_vertex(u) + b"".join(enc[x] for x in needed)
-            if labels[u] != backend.label_query(u, payload):
+            if labels[u] != backend.label_query(u, head + encode_vertex(u) + body):
                 return VerifyResult(False, f"inconsistent at {u or 'root'}")
     return VerifyResult(True)
 

@@ -1,6 +1,8 @@
 """Command-line dispatch, reports, and determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,25 @@ class TestCapacityCommand:
                    "--domain", "n=1,m=1", "--classical"])
         assert rc == 0
         assert "0.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p,pprime,shorthand", [("CL", "!PRMG", False), ("!PRMG", "PRMG", True),
+                                                     ("TRUE", "PRMG[target=1]", True)])
+    def test_union_bound_only_for_a_bare_prmg_target(self, tmp_path, p, pprime, shorthand):
+        out = tmp_path / "cap.json"
+        assert main(["capacity", "--p", p, "--pprime", pprime, "--k", "1", "--domain", "n=1,m=1",
+                     "--classical", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert ("union_bound" in record) == shorthand
+        assert ("union_bound_holds" in record) == shorthand
+
+    def test_classical_prmg_report_matches_bench_golden(self, tmp_path):
+        golden = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+                            .read_text())["capacity"]["classical-prmg"]
+        out = tmp_path / "cap.json"
+        code = main(["capacity", "--p", "!PRMG", "--pprime", "PRMG", "--k", "2",
+                     "--domain", "n=3,m=1", "--classical", "--out", str(out)])
+        assert code == golden["exit"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
 
     def test_bad_property_is_usage_error(self):
         assert main(["capacity", "--p", "NOSUCH", "--pprime", "PRMG", "--k", "1",

@@ -1,14 +1,17 @@
 """Differential tests for byte-framed PoSW label queries.
 
 The prover and verifier frame every label query from label bytes encoded once
-(the prover carries skip-edge bodies down its root path).  The int-framed
-prover and verifier loop they replaced, which framed each query with
-`label_payload` from int labels, are kept here as the reference: every query
-must keep the same vertex, payload bytes, freshness and order, and every proof
-and verdict must be equal.
+(the prover keeps per-depth child labels and skip-edge bodies for its root
+path, the verifier builds an opening's skip bodies once, top down).  The
+int-framed prover and verifier loop they replaced, which framed each query
+with `label_payload` from int labels, are kept here as the reference: every
+query must keep the same vertex, payload bytes, freshness and order, and
+every proof and verdict must be equal.  The crypto backend's counter-mode
+`while` loop is kept as the reference for its one-pass evaluation.
 """
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -79,6 +82,15 @@ def ref_verify(chi, params, t, proof, backend):
     return VerifyResult(True)
 
 
+def ref_crypto_value(key, w, payload):
+    stream = b""
+    block = 0
+    while 8 * len(stream) < w:
+        stream += hashlib.sha256(key + payload + block.to_bytes(4, "big")).digest()
+        block += 1
+    return int.from_bytes(stream, "big") >> (8 * len(stream) - w)
+
+
 # --- helpers -----------------------------------------------------------------
 
 def make_backend(kind, w, seed):
@@ -140,6 +152,30 @@ def test_statement_wider_than_labels_raises():
         compute_labeling(256, PoswParams(n=2, w=8), TableBackend(8))
 
 
+@pytest.mark.parametrize("w,bad", [(16, 1 << 16), (16, -1), (13, 1 << 13)])
+def test_out_of_range_oracle_label_raises(w, bad):
+    """A preloaded table can hold any value; at w=13 the value 2**13 still
+    fits in the label's two bytes, so only the range check catches it."""
+    n, chi = 3, 7
+    be = TableBackend(w, seed=1)
+    be.preload({label_payload(chi, "0" * n, [], w): bad})
+    with pytest.raises(ValueError, match=f"does not fit in {w} bits"):
+        compute_labeling(chi, PoswParams(n=n, w=w), be)
+
+
+@pytest.mark.parametrize("key", [b"", b"k"])
+@pytest.mark.parametrize("w", [8, 13, 256, 257, 512])
+def test_crypto_backend_matches_counter_loop(w, key):
+    """w=257 is the first width that needs a second SHA-256 block."""
+    be = CryptoBackend(w, key=key)
+    payloads = [b"", b"a", bytes(40), b"a", bytes(range(200)), b"", bytes(40), b"b"]
+    seen = set()
+    for payload in payloads:
+        assert be.label_query("0", payload) == ref_crypto_value(key, w, payload)
+        assert be.trace[-1].fresh == (payload not in seen)
+        seen.add(payload)
+
+
 # --- tampered proofs ------------------------------------------------------------
 
 def tamperings(proof, rng):
@@ -198,3 +234,28 @@ def test_out_of_range_opening_label_is_reported_before_any_query():
     result = verify(5, params, 2, bad, be)
     assert result == VerifyResult(False, "malformed: opening 0 label out of range")
     assert [e.kind for e in be.trace] == ["challenge"]
+
+
+def single_tampers(proof):
+    """Every opening label XOR 1 in turn, then phi XOR 1."""
+    tau = proof.tau
+    for i, opening in enumerate(tau):
+        for j in range(len(opening)):
+            flipped = opening[:j] + (opening[j] ^ 1,) + opening[j + 1:]
+            yield dataclasses.replace(proof, tau=tau[:i] + (flipped,) + tau[i + 1:])
+    yield dataclasses.replace(proof, phi=proof.phi ^ 1)
+
+
+@pytest.mark.parametrize("kind", ["table", "crypto"])
+@pytest.mark.parametrize("w", [8, 256])
+@pytest.mark.parametrize("t", [2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_single_tamper_matches_reference(kind, w, t, n):
+    """Exhaustive over single-label tamperings; at n=1 and t=5 challenge
+    leaves repeat, so repeated openings and repeated queries are covered."""
+    params, chi, seed = PoswParams(n=n, w=w), 3, 11
+    proof = prove(chi, params, t, make_backend(kind, w, seed))
+    rejected = 0
+    for bad in single_tampers(proof):
+        rejected += not assert_verify_matches(chi, params, t, bad, kind, seed).accepted
+    assert rejected
