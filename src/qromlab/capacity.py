@@ -5,8 +5,9 @@ verification of the capacity calculus.
 The quantum capacity of a transition P -> P' at parallelism k is the maximum,
 over query windows xs, dual response vectors yhats, and window exteriors D, of
 the operator norm of (P'|_{D|xs}) Gamma(yhat_1) x ... x Gamma(yhat_k)
-(P|_{D|xs}) on the (M+1)^k window space.  Everything here is enumerated
-exhaustively; no sampling.
+(P|_{D|xs}) on the (M+1)^k window space.  The classical capacity and the
+recognizability bounds range over the same windows (query_windows).
+Everything here is enumerated exhaustively; no sampling.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from .groups import transition_matrix
 from .oracle import Database, OracleDomain, sparse_encode
 from .properties import (
     MASK_ROWS,
+    WINDOW_DIM_BUDGET,
     DatabaseProperty,
+    chain_local_family,
+    collision_local_family,
+    prmg_local_family,
     truth_table,
     value_dtype,
     window_tuples,
@@ -30,35 +35,8 @@ from .properties import (
 )
 
 E = math.e
-WINDOW_DIM_BUDGET = 4096
 ENUMERATION_BUDGET = 1 << 22
-
-
-@dataclass(frozen=True)
-class CapacityQuery:
-    """A one-round transition-capacity question: move from p to pprime with one
-    k-parallel query, the query vector optionally restricted to x_restrict."""
-
-    p: DatabaseProperty
-    pprime: DatabaseProperty
-    k: int
-    domain: OracleDomain
-    x_restrict: tuple | None = None
-
-    def __post_init__(self):
-        pool = self.domain.inputs if self.x_restrict is None else self.x_restrict
-        if not 1 <= self.k <= len(pool):
-            raise ValueError("parallelism must satisfy 1 <= k <= |X_restrict|")
-        for x in pool:
-            self.domain.index(x)
-
-    def quantum(self) -> "CapacityReport":
-        return quantum_capacity_exact(self.p, self.pprime, self.k, self.domain,
-                                      self.x_restrict)
-
-    def classical(self) -> "CapacityReport":
-        return classical_capacity_exact(self.p, self.pprime, self.k, self.domain,
-                                        self.x_restrict)
+BOUND_THEOREMS = ("thm5.7", "thm5.9", "thm5.12")
 
 
 @dataclass
@@ -117,16 +95,24 @@ def _power_iteration(gram: np.ndarray, tol: float = 1e-12, max_iter: int = 10000
     return float(last)
 
 
-def _check_window_budget(domain: OracleDomain, k: int, n_restrict: int) -> None:
-    ext = domain.spec.order + 1
-    if ext ** k > WINDOW_DIM_BUDGET:
-        raise ValueError("window dimension exceeds the exact-computation budget")
-    total = (
-        math.perm(n_restrict, k)
-        * (domain.spec.order ** k)
-        * (ext ** (domain.size - k))
-    )
-    if total > ENUMERATION_BUDGET:
+def query_windows(domain: OracleDomain, k: int, x_restrict=None) -> list:
+    """Every k-parallel query window, as the k-permutations of x_restrict (all
+    inputs by default) in itertools order.
+
+    Raises KeyError for a pool input outside the domain and ValueError unless
+    1 <= k <= |pool|, or when the windows alone exceed the enumeration budget.
+    """
+    pool = tuple(domain.inputs if x_restrict is None else x_restrict)
+    for x in pool:
+        domain.index(x)
+    if not 1 <= k <= len(pool):
+        raise ValueError("parallelism must satisfy 1 <= k <= |X_restrict|")
+    _check_budget(math.perm(len(pool), k))
+    return list(itertools.permutations(pool, k))
+
+
+def _check_budget(enumerated: int) -> None:
+    if enumerated > ENUMERATION_BUDGET:
         raise ValueError("capacity enumeration exceeds the budget")
 
 
@@ -157,12 +143,10 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     pair is normed once per yhat.
     """
     spec = domain.spec
-    pool = tuple(domain.inputs if x_restrict is None else x_restrict)
-    for x in pool:
-        domain.index(x)
-    if k < 1 or k > len(pool):
-        raise ValueError("parallelism must satisfy 1 <= k <= |X_restrict|")
-    _check_window_budget(domain, k, len(pool))
+    windows = query_windows(domain, k, x_restrict)
+    if (spec.order + 1) ** k > WINDOW_DIM_BUDGET:
+        raise ValueError("window dimension exceeds the exact-computation budget")
+    _check_budget(len(windows) * spec.order ** k * (spec.order + 1) ** (domain.size - k))
 
     all_yhats = list(itertools.product(range(spec.order), repeat=k))
     dim = (spec.order + 1) ** k
@@ -188,7 +172,7 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     best = 0.0
     best_key = None
     chunk = max(1, MASK_ROWS // dim)
-    for xi, xs in enumerate(itertools.permutations(pool, k)):
+    for xi, xs in enumerate(windows):
         exteriors = exterior_values(domain, xs)
         window = np.concatenate([window_view(p_table, domain, xs),
                                  window_view(pprime_table, domain, xs)], axis=1)
@@ -239,19 +223,13 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     with the 0/1 matrix of draws, reading both truth tables once.
     """
     spec = domain.spec
-    pool = tuple(domain.inputs if x_restrict is None else x_restrict)
-    for x in pool:
-        domain.index(x)
-    if k < 1 or k > len(pool):
-        raise ValueError("parallelism must satisfy 1 <= k <= |X_restrict|")
-    total = ((spec.order + 1) ** domain.size) * math.perm(len(pool), k) * (spec.order ** k)
-    if total > ENUMERATION_BUDGET:
-        raise ValueError("capacity enumeration exceeds the budget")
+    windows = query_windows(domain, k, x_restrict)
+    _check_budget(len(windows) * spec.order ** k * (spec.order + 1) ** domain.size)
     p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
     ext = spec.order + 1
     outcomes = float(spec.order) ** (window_tuples(spec, k) == spec.bot).sum(axis=1)
     best, best_at = 0.0, None
-    for xi, xs in enumerate(itertools.permutations(pool, k)):
+    for xi, xs in enumerate(windows):
         # hits[D] counts the draws for D's undefined window entries that land
         # in pprime: the product of pprime's window view with the k-fold
         # Kronecker power of the draw matrix a (a[w, r] = [w == r] for a
@@ -358,6 +336,48 @@ def bound_thm_general(families) -> float:
             total += worst
         best = max(best, E * ell * math.sqrt(10.0 * total))
     return best
+
+
+def recognizability_bound(theorem: str, pprime: DatabaseProperty, k: int, domain: OracleDomain,
+                          x_restrict=None) -> float:
+    """A recognizability bound (one of BOUND_THEOREMS) over all (window,
+    exterior) pairs, with the canonical family of the target, which must be a
+    bare PRMG, CL or CHN atom.
+
+    A family depends on the exterior only through a few of its features (none
+    for PRMG, the exterior's value set for CL, its support for CHN), and a
+    bound is a maximum over families, so each distinct family is built and
+    evaluated once.
+    """
+    if theorem not in BOUND_THEOREMS:
+        raise ValueError(f"unknown bound source {theorem!r}")
+    windows = query_windows(domain, k, x_restrict)
+    kind, arg = pprime.atom or (None, None)
+    bot = domain.spec.bot
+    if kind == "PRMG":
+        families = [prmg_local_family(xs, domain.spec, arg) for xs in windows]
+    elif kind in ("CL", "CHN"):
+        if kind == "CL":
+            def feature(values):
+                present = np.zeros((len(values), bot + 1), dtype=bool)
+                np.put_along_axis(present, values.astype(np.intp), True, axis=1)
+                return present[:, :bot]
+            build = collision_local_family
+        else:
+            feature = lambda values: values != bot
+            build = lambda db, xs: chain_local_family(db, xs, arg)
+        families = []
+        for xs in windows:
+            exteriors = exterior_values(domain, xs)
+            _, first = np.unique(feature(exteriors), axis=0, return_index=True)
+            families += [build(Database(domain, tuple(exteriors[i].tolist())), xs)
+                         for i in np.sort(first)]
+    else:
+        raise ValueError(f"no canonical family for target {pprime.name!r}: "
+                         "the bound needs a bare PRMG, CL or CHN target")
+    # looked up at call time, so rebinding a module attribute reaches the call
+    evaluate = (bound_thm_simple, bound_thm_tricky, bound_thm_general)
+    return evaluate[BOUND_THEOREMS.index(theorem)](families)
 
 
 # Capacity calculus verification

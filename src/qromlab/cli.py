@@ -9,7 +9,6 @@ scientific check fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -22,12 +21,7 @@ from . import capacity as capacity_mod
 from . import oracle as oracle_mod
 from . import posw as posw_mod
 from .groups import GroupSpec
-from .properties import (
-    chain_local_family,
-    collision_local_family,
-    parse_property,
-    prmg_local_family,
-)
+from .properties import parse_property
 from .reporting import render_csv, render_json, wilson_interval
 
 BOUND_PROBLEMS = ("preimage", "collision", "gencol", "chain", "posw")
@@ -60,50 +54,6 @@ def _parse_domain(text: str, kind: str) -> oracle_mod.OracleDomain:
 # capacity subcommand
 
 
-def _recognizability_bound(name: str, p, pprime, k: int, domain, x_restrict=None) -> float:
-    """Evaluate a recognizability bound over all (window, exterior) pairs, the
-    windows drawn from x_restrict (all inputs by default), with the canonical
-    family of the target, which must be a bare PRMG, CL or CHN atom.
-
-    A family depends on the exterior only through a few of its features (none
-    for PRMG, the exterior's value set for CL, its support for CHN), and a
-    bound is a maximum over families, so each distinct family is built and
-    evaluated once.
-    """
-    pool = domain.inputs if x_restrict is None else x_restrict
-    windows = list(itertools.permutations(pool, k))
-    kind, arg = pprime.atom or (None, None)
-    bot = domain.spec.bot
-    if kind == "PRMG":
-        families = [prmg_local_family(xs, domain.spec, arg) for xs in windows]
-    elif kind in ("CL", "CHN"):
-        if kind == "CL":
-            def feature(values):
-                present = np.zeros((len(values), bot + 1), dtype=bool)
-                np.put_along_axis(present, values.astype(np.intp), True, axis=1)
-                return present[:, :bot]
-            build = collision_local_family
-        else:
-            feature = lambda values: values != bot
-            build = lambda db, xs: chain_local_family(db, xs, arg)
-        families = []
-        for xs in windows:
-            exteriors = capacity_mod.exterior_values(domain, xs)
-            _, first = np.unique(feature(exteriors), axis=0, return_index=True)
-            families += [build(oracle_mod.Database(domain, tuple(exteriors[i].tolist())), xs)
-                         for i in np.sort(first)]
-    else:
-        raise ValueError(f"no canonical family for target {pprime.name!r}: "
-                         "the bound needs a bare PRMG, CL or CHN target")
-    if name == "thm5.7":
-        return capacity_mod.bound_thm_simple(families)
-    if name == "thm5.9":
-        return capacity_mod.bound_thm_tricky(families)
-    if name == "thm5.12":
-        return capacity_mod.bound_thm_general(families)
-    raise ValueError(f"unknown bound source {name!r}")
-
-
 def _cmd_capacity(args) -> int:
     domain = _parse_domain(args.domain, args.kind)
     p = parse_property(args.p)
@@ -114,7 +64,7 @@ def _cmd_capacity(args) -> int:
     else:
         report = capacity_mod.quantum_capacity_exact(p, pprime, args.k, domain, restrict)
     if args.bound:
-        report.bound = _recognizability_bound(args.bound, p, pprime, args.k, domain, restrict)
+        report.bound = capacity_mod.recognizability_bound(args.bound, pprime, args.k, domain, restrict)
         report.bound_source = args.bound
     record = report.as_record()
     record.update({"p": args.p, "pprime": args.pprime, "k": args.k, "domain": args.domain})
@@ -352,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--kind", choices=("bits", "cyclic"), default="bits")
     cap.add_argument("--restrict")
     cap.add_argument("--classical", action="store_true")
-    cap.add_argument("--bound", choices=("thm5.7", "thm5.9", "thm5.12"))
+    cap.add_argument("--bound", choices=capacity_mod.BOUND_THEOREMS)
     cap.add_argument("--out")
     cap.set_defaults(func=_cmd_capacity)
 

@@ -18,6 +18,7 @@ from .groups import GroupSpec
 from .oracle import Database, OracleDomain
 
 MASK_ROWS = 1 << 16  # database rows decided in one batch
+WINDOW_DIM_BUDGET = 4096  # largest dense (M+1)^k window space
 
 
 class DatabaseProperty:
@@ -72,8 +73,12 @@ class DatabaseProperty:
         return f"DatabaseProperty({self.name})"
 
 
+def _all_true(values: np.ndarray, domain: OracleDomain) -> np.ndarray:
+    return np.ones(len(values), dtype=bool)
+
+
 def true_prop() -> DatabaseProperty:
-    return DatabaseProperty("TRUE", lambda db: True, lambda v, d: np.ones(len(v), dtype=bool))
+    return DatabaseProperty("TRUE", lambda db: True, _all_true)
 
 
 def false_prop() -> DatabaseProperty:
@@ -219,7 +224,8 @@ def chn(s: int, rel: ChainRelation) -> DatabaseProperty:
     if s < 0:
         raise ValueError("chain length must be nonnegative")
     if s == 0:
-        return DatabaseProperty(f"CHN[s=0,rel={rel.kind}]", lambda db: True, atom=("CHN", rel))
+        return DatabaseProperty(f"CHN[s=0,rel={rel.kind}]", lambda db: True, _all_true,
+                                atom=("CHN", rel))
     return DatabaseProperty(f"CHN[s={s},rel={rel.kind}]", lambda db: longest_chain_length(db, rel) >= s,
                             atom=("CHN", rel))
 
@@ -308,15 +314,13 @@ def restrict(p: DatabaseProperty, db: Database, xs) -> frozenset:
 def projector(restricted: frozenset, k: int, spec: GroupSpec) -> np.ndarray:
     """Diagonal 0/1 projector on the (M+1)^k-dimensional window space, in the
     canonical mixed-radix basis order with the undefined index last."""
-    dim = (spec.order + 1) ** k
-    if dim > 4096:
+    ext = spec.order + 1
+    if ext ** k > WINDOW_DIM_BUDGET:
         raise ValueError("projector dimension exceeds the dense-space budget")
-    diag = np.zeros(dim)
-    for r in restricted:
-        idx = 0
-        for v in r:
-            idx = idx * (spec.order + 1) + spec.check_extended(v)
-        diag[idx] = 1.0
+    diag = np.zeros(ext ** k)
+    if restricted:
+        # rejects, as check_extended does, any value outside 0..M
+        diag[np.ravel_multi_index(np.array(list(restricted)).T, (ext,) * k)] = 1.0
     return np.diag(diag)
 
 

@@ -353,7 +353,7 @@ def per_pair_bound(name, pprime, k, domain):
 def test_distinct_family_bound_matches_per_pair(name, p, pprime, k, spec):
     domain = bit_domain(spec)
     p, pprime = parse_property(p), parse_property(pprime)
-    assert cli._recognizability_bound(name, p, pprime, k, domain) == per_pair_bound(name, pprime, k, domain)
+    assert capacity_mod.recognizability_bound(name, pprime, k, domain) == per_pair_bound(name, pprime, k, domain)
 
 
 # Full reports of the per-row engine at n=3, m=1, k=2: the values, the first
@@ -394,7 +394,7 @@ class TestHotPath:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"holds": 0, "database": 0, "families": 0}
-        holds, init, family = DatabaseProperty.holds, Database.__init__, cli.collision_local_family
+        holds, init, family = DatabaseProperty.holds, Database.__init__, capacity_mod.collision_local_family
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -404,7 +404,7 @@ class TestHotPath:
 
         monkeypatch.setattr(DatabaseProperty, "holds", counted("holds", holds))
         monkeypatch.setattr(Database, "__init__", counted("database", init))
-        monkeypatch.setattr(cli, "collision_local_family", counted("families", family))
+        monkeypatch.setattr(capacity_mod, "collision_local_family", counted("families", family))
         return counts
 
     def run(self, tmp_path, *extra):

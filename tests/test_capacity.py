@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qromlab.capacity import (
-    CapacityQuery,
     bound_thm_general,
     bound_thm_simple,
     bound_thm_tricky,
@@ -17,6 +16,8 @@ from qromlab.capacity import (
     multi_step_bound,
     operator_norm,
     quantum_capacity_exact,
+    query_windows,
+    recognizability_bound,
     verify_calculus,
 )
 from qromlab.groups import GroupSpec
@@ -397,19 +398,30 @@ class TestFullSpaceCrossCheck:
             assert windowed == pytest.approx(full, abs=1e-9), (p.name, pprime.name)
 
 
-class TestCapacityQuery:
-    def test_query_object_dispatch(self):
-        dom = make_domain(2)
-        query = CapacityQuery(~prmg(), prmg(), 1, dom)
-        assert query.quantum().value == pytest.approx(math.sqrt(3) / 2, abs=1e-9)
-        assert query.classical().value == pytest.approx(0.5)
+WINDOW_USERS = {
+    "windows": lambda k, dom, pool: query_windows(dom, k, pool),
+    "quantum": lambda k, dom, pool: quantum_capacity_exact(~prmg(), prmg(), k, dom, pool),
+    "classical": lambda k, dom, pool: classical_capacity_exact(~prmg(), prmg(), k, dom, pool),
+    "bound": lambda k, dom, pool: recognizability_bound("thm5.7", prmg(), k, dom, pool),
+}
 
-    def test_invariants_enforced_at_construction(self):
-        dom = make_domain(2)
-        with pytest.raises(ValueError):
-            CapacityQuery(prmg(), prmg(), 3, dom)
-        with pytest.raises(KeyError):
-            CapacityQuery(prmg(), prmg(), 1, dom, x_restrict=("z",))
+
+class TestQueryWindows:
+    def test_permutations_of_the_pool(self):
+        dom = make_domain(3)
+        assert query_windows(dom, 2) == list(itertools.permutations(dom.inputs, 2))
+        assert query_windows(dom, 1, ("c", "a")) == [("c",), ("a",)]
+
+    @pytest.mark.parametrize("k,pool,error", [
+        (1, ("a", "z"), KeyError),
+        (0, None, ValueError),
+        (3, None, ValueError),
+        (2, ("b",), ValueError),
+    ], ids=["unknown-input", "k-zero", "k-above-domain", "k-above-pool"])
+    @pytest.mark.parametrize("user", WINDOW_USERS)
+    def test_pool_is_validated(self, user, k, pool, error):
+        with pytest.raises(error):
+            WINDOW_USERS[user](k, make_domain(2), pool)
 
 
 class TestCalculusOnArbitraryProperties:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qromlab import cli
+from qromlab import capacity
 from qromlab.cli import main
 from qromlab.reporting import render_csv, render_json, wilson_interval
 
@@ -107,6 +107,12 @@ class TestCapacityCommand:
         assert main(["capacity", "--p", "NOSUCH", "--pprime", "PRMG", "--k", "1",
                      "--domain", "n=1,m=1"]) == 2
 
+    @pytest.mark.parametrize("k,restrict", [("1", "00,zz"), ("3", "00,01")],
+                             ids=["unknown-input", "k-above-pool"])
+    def test_bad_window_pool_is_usage_error(self, k, restrict):
+        assert main(["capacity", "--p", "!PRMG", "--pprime", "PRMG", "--k", k,
+                     "--domain", "n=2,m=1", "--restrict", restrict, "--bound", "thm5.7"]) == 2
+
     @pytest.mark.parametrize("pprime", ["!PRMG", "CL|PRMG", "PRMG&SIZE<=1", "SIZE<=1", "!CHN[s=1]"])
     def test_bound_needs_a_bare_family_target(self, pprime, capsys):
         assert main(["capacity", "--p", "PRMG", "--pprime", pprime, "--k", "1",
@@ -121,8 +127,8 @@ class TestCapacityCommand:
 
     def test_bound_family_keeps_prmg_target(self, monkeypatch):
         families = []
-        build = cli.prmg_local_family
-        monkeypatch.setattr(cli, "prmg_local_family",
+        build = capacity.prmg_local_family
+        monkeypatch.setattr(capacity, "prmg_local_family",
                             lambda *args: families.append(build(*args)) or families[-1])
         assert main(["capacity", "--p", "!PRMG[target=1]", "--pprime", "PRMG[target=1]",
                      "--k", "1", "--domain", "n=1,m=1", "--bound", "thm5.7"]) == 0
@@ -131,8 +137,8 @@ class TestCapacityCommand:
 
     def test_bound_honours_restrict(self, tmp_path, monkeypatch):
         windows = []
-        build = cli.collision_local_family
-        monkeypatch.setattr(cli, "collision_local_family",
+        build = capacity.collision_local_family
+        monkeypatch.setattr(capacity, "collision_local_family",
                             lambda db, xs: windows.append(xs) or build(db, xs))
 
         def bound(*restrict):

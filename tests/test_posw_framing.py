@@ -259,3 +259,14 @@ def test_every_single_tamper_matches_reference(kind, w, t, n):
     for bad in single_tampers(proof):
         rejected += not assert_verify_matches(chi, params, t, bad, kind, seed).accepted
     assert rejected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_authentication_path_holds_every_in_neighbour(n):
+    """The verifier frames each ancestor of a challenge leaf from the opening
+    alone, so an opening of full length never misses a label: every
+    in-neighbour of every ancestor lies on the leaf's authentication path."""
+    for leaf in dag.leaves(n):
+        path = set(dag.authentication_path(leaf, n))
+        for u in dag.ancestors(leaf):
+            assert set(dag.in_neighbors(u, n)) <= path, (leaf, u)

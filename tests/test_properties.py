@@ -177,6 +177,17 @@ class TestProjector:
         proj = projector(frozenset({(0, 2), (1, 1)}), 2, spec)
         assert np.array_equal(proj @ proj, proj)
 
+    def test_mixed_radix_order(self):
+        spec = GroupSpec.bits(1)
+        diag = np.diag(projector(frozenset({(0, 2), (1, 1)}), 2, spec))
+        assert np.flatnonzero(diag).tolist() == [0 * 3 + 2, 1 * 3 + 1]
+
+    @pytest.mark.parametrize("bad", [(3,), (-1,), (0, 3)])
+    def test_out_of_range_value_raises(self, bad):
+        spec = GroupSpec.bits(1)
+        with pytest.raises(ValueError):
+            projector(frozenset({(0,) * len(bad), bad}), len(bad), spec)
+
 
 class TestLocalProperties:
     def test_bot_monotonicity_validator(self):
