@@ -69,42 +69,26 @@ class CapacityReport:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value via the Gram matrix, with a power-iteration fallback."""
+    """Largest singular value via the Gram matrix."""
     if a.size == 0:
         return 0.0
-    gram = a.conj().T @ a
-    try:
-        eigs = np.linalg.eigvalsh(gram)
-        return math.sqrt(max(float(eigs[-1]), 0.0))
-    except np.linalg.LinAlgError:
-        return math.sqrt(_power_iteration(gram))
-
-
-def _power_iteration(gram: np.ndarray, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    v = np.ones(gram.shape[0], dtype=complex) / math.sqrt(gram.shape[0])
-    last = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - last) <= tol * max(norm, 1.0):
-            return float(norm)
-        last = norm
-    return float(last)
+    eigs = np.linalg.eigvalsh(a.conj().T @ a)
+    return math.sqrt(max(float(eigs[-1]), 0.0))
 
 
 def query_windows(domain: OracleDomain, k: int, x_restrict=None) -> list:
     """Every k-parallel query window, as the k-permutations of x_restrict (all
     inputs by default) in itertools order.
 
-    Raises KeyError for a pool input outside the domain and ValueError unless
-    1 <= k <= |pool|, or when the windows alone exceed the enumeration budget.
+    Raises KeyError for a pool input outside the domain. Raises ValueError
+    when the pool names an input twice, unless 1 <= k <= |pool|, and when the
+    windows alone exceed the enumeration budget.
     """
     pool = tuple(domain.inputs if x_restrict is None else x_restrict)
     for x in pool:
         domain.index(x)
+    if len(set(pool)) != len(pool):
+        raise ValueError("the window pool names an input twice")
     if not 1 <= k <= len(pool):
         raise ValueError("parallelism must satisfy 1 <= k <= |X_restrict|")
     _check_budget(math.perm(len(pool), k))

@@ -58,7 +58,7 @@ def _cmd_capacity(args) -> int:
     domain = _parse_domain(args.domain, args.kind)
     p = parse_property(args.p)
     pprime = parse_property(args.pprime)
-    restrict = args.restrict.split(",") if args.restrict else None
+    restrict = None if args.restrict is None else args.restrict.split(",")
     if args.classical:
         report = capacity_mod.classical_capacity_exact(p, pprime, args.k, domain, restrict)
     else:

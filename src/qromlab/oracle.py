@@ -4,7 +4,9 @@ The joint state of oracle and adversary is a complex tensor with one axis per
 oracle input (dimension M for the purified oracle, M+1 for the compressed one,
 index M encoding "not yet defined") followed by one axis per adversary
 register.  Everything is exact linear algebra at desk scale; queries are the
-unitaries built from the single-register transition matrix.
+unitaries built from the single-register transition matrix.  The compressed
+picture stores only the databases that carry amplitude and builds the dense
+tensor only when .vec is read.
 """
 
 from __future__ import annotations
@@ -147,24 +149,30 @@ def _inverse(perm: list) -> list:
     return sorted(range(len(perm)), key=perm.__getitem__)
 
 
-def _apply_gate(flat: np.ndarray, rows, mat: np.ndarray, regs) -> None:
-    """Apply mat to the joint space of the registers regs on the given oracle
-    rows of flat, a (oracle rows, *reg_dims) view of a joint state, in place."""
-    block = flat[rows]
+def _apply_gate(state: "_JointState", mat: np.ndarray, regs) -> None:
+    """Apply mat to the joint space of the registers regs on every stored
+    oracle row of the state, in place."""
+    _, block = state._rows()
     axes = [1 + r for r in regs]
     perm = [a for a in range(block.ndim) if a not in axes] + axes
     moved = block.transpose(perm)
     out = moved.reshape(-1, mat.shape[0]) @ mat.T
-    flat[rows] = out.reshape(moved.shape).transpose(_inverse(perm))
+    block[...] = out.reshape(moved.shape).transpose(_inverse(perm))
+
+
+def _nonzero_rows(block: np.ndarray) -> np.ndarray:
+    """Which rows of a C-contiguous (rows, *reg_dims) block hold any nonzero
+    amplitude."""
+    return block.reshape(len(block), math.prod(block.shape[1:])).view(np.float64).any(axis=1)
 
 
 class _JointState:
-    """Shared tensor plumbing for the two oracle pictures.
+    """Shared kernels for the two oracle pictures.
 
-    The kernels view .vec as (oracle rows, *reg_dims) and touch only the rows
-    _live_rows names; pruned_mass accumulates the squared norm prune drops."""
-
-    oracle_dim: int
+    Every kernel works on _rows(): the sorted mixed-radix oracle index (one
+    digit per input) of each stored oracle row and a (rows, *reg_dims) complex
+    block holding those rows; pruned_mass accumulates the squared norm prune
+    drops."""
 
     def __init__(self, domain: OracleDomain, reg_dims, vec: np.ndarray):
         self.domain = domain
@@ -176,43 +184,41 @@ class _JointState:
     def n_oracle(self) -> int:
         return self.domain.size
 
+    @property
+    def oracle_dim(self) -> int:
+        """Levels of one oracle axis."""
+        raise NotImplementedError
+
+    @property
+    def dims(self) -> tuple:
+        """Shape of the dense joint tensor."""
+        return (self.oracle_dim,) * self.n_oracle + self.reg_dims
+
     def reg_axis(self, reg: int) -> int:
         return self.n_oracle + reg
 
+    def _rows(self):
+        raise NotImplementedError
+
+    def _drop_zero_rows(self) -> None:
+        """Stop storing rows that hold no amplitude, where the storage allows."""
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec.ravel()))
+        return float(np.linalg.norm(self._rows()[1].ravel()))
 
-    def copy(self):
-        new = type(self)(self.domain, self.reg_dims, self.vec.copy())
-        new.pruned_mass = self.pruned_mass
-        return new
-
-    def _flat(self) -> np.ndarray:
-        """.vec, made C-contiguous complex if a caller assigned otherwise, as a
-        (oracle rows, *reg_dims) view."""
-        self.vec = np.ascontiguousarray(self.vec, dtype=complex)
-        return self.vec.reshape((-1,) + self.reg_dims)
-
-    def _live_rows(self, flat: np.ndarray):
-        """The oracle rows a kernel must touch: all of them."""
-        return slice(None)
-
-    def _row_digits(self, rows) -> np.ndarray:
+    def _row_digits(self, keys) -> np.ndarray:
         """The oracle value of each of the given rows, shape (rows, |X|)."""
-        shape = self.vec.shape[: self.n_oracle]
-        return np.stack(np.unravel_index(np.arange(math.prod(shape))[rows], shape), axis=1)
+        return np.stack(np.unravel_index(keys, self.dims[: self.n_oracle]), axis=1)
 
     def prune(self) -> None:
         """Zero every amplitude below PRUNE_TOL, adding its squared norm to
         pruned_mass."""
-        flat = self._flat()
-        rows = self._live_rows(flat)
-        block = flat[rows]
+        _, block = self._rows()
         small = (np.abs(block) < PRUNE_TOL) & (block != 0.0)
         if small.any():
             self.pruned_mass += float(np.sum(np.abs(block[small]) ** 2))
             block[small] = 0.0
-            flat[rows] = block
+        self._drop_zero_rows()
 
     def apply_register_unitary(self, mat: np.ndarray, regs) -> None:
         """Apply a unitary to the joint space of the given adversary registers."""
@@ -222,45 +228,109 @@ class _JointState:
             dim *= self.reg_dims[r]
         if mat.shape != (dim, dim):
             raise ValueError(f"gate of shape {mat.shape} does not fit registers {regs}")
-        flat = self._flat()
-        _apply_gate(flat, self._live_rows(flat), mat, regs)
+        _apply_gate(self, mat, regs)
 
     def apply_phase_flip(self, regs, predicate) -> None:
         """Multiply by -1 every basis branch whose register values satisfy predicate."""
         regs = tuple(regs)
         dims = [self.reg_dims[r] for r in regs]
+        sign = np.ones(self.reg_dims)
         for values in itertools.product(*(range(d) for d in dims)):
             if predicate(*values):
-                idx = _fixed_index(self.vec.ndim, {self.reg_axis(r): v for r, v in zip(regs, values)})
-                self.vec[idx] *= -1.0
+                sign[_fixed_index(sign.ndim, dict(zip(regs, values)))] *= -1.0
+        _, block = self._rows()
+        block *= sign
 
     def adversary_marginal(self) -> np.ndarray:
         """Probability over joint adversary basis states (oracle traced out)."""
-        flat = self._flat()
-        return (np.abs(flat[self._live_rows(flat)]) ** 2).sum(axis=0).ravel()
+        return (np.abs(self._rows()[1]) ** 2).sum(axis=0).ravel()
 
 
 class PurifiedState(_JointState):
-    """Joint state over full function tables H: X -> Y plus adversary registers."""
+    """Joint state over full function tables H: X -> Y plus adversary registers,
+    stored as the dense tensor .vec."""
+
+    @property
+    def oracle_dim(self) -> int:
+        return self.domain.spec.order
+
+    def _rows(self):
+        """Every oracle row, as a view of .vec (made C-contiguous complex if a
+        caller assigned otherwise)."""
+        self.vec = np.ascontiguousarray(self.vec, dtype=complex)
+        block = self.vec.reshape((-1,) + self.reg_dims)
+        return np.arange(len(block)), block
+
+    def copy(self) -> "PurifiedState":
+        new = PurifiedState(self.domain, self.reg_dims, self.vec.copy())
+        new.pruned_mass = self.pruned_mass
+        return new
 
 
 class CompressedState(_JointState):
     """Joint state over databases X -> Y u {bot} plus adversary registers.
 
     After q rounds of k parallel queries only databases with at most qk
-    defined entries carry amplitude, so every kernel works on the support:
-    the oracle rows holding any nonzero amplitude."""
+    defined entries carry amplitude, so the state stores only those rows:
+    sorted int64 keys (the mixed-radix database index, bot as digit M) and a
+    (rows, *reg_dims) block.  Reading .vec materialises the dense tensor and
+    makes it authoritative, so writes through it count; the next kernel
+    re-derives the keys from it once."""
 
-    def _live_rows(self, flat: np.ndarray) -> np.ndarray:
-        """The support, derived from the tensor itself (callers may assign .vec)."""
-        return np.flatnonzero(flat.reshape(len(flat), -1).view(np.float64).any(axis=1))
+    def __init__(self, domain: OracleDomain, reg_dims, vec: np.ndarray = None, keys=None, block=None):
+        super().__init__(domain, reg_dims, vec)
+        if vec is None:
+            self._keys, self._block = keys, block
+
+    @property
+    def oracle_dim(self) -> int:
+        return self.domain.spec.order + 1
+
+    @property
+    def vec(self) -> np.ndarray:
+        if self._dense is None:
+            dense = np.zeros((self.oracle_dim ** self.n_oracle,) + self.reg_dims, dtype=complex)
+            dense[self._keys] = self._block
+            self._dense = dense.reshape(self.dims)
+            self._keys = self._block = None
+        return self._dense
+
+    @vec.setter
+    def vec(self, value: np.ndarray) -> None:
+        self._dense = value
+        self._keys = self._block = None
+
+    def _rows(self):
+        if self._dense is not None:
+            flat = np.ascontiguousarray(self._dense, dtype=complex).reshape((-1,) + self.reg_dims)
+            self._keys = np.flatnonzero(_nonzero_rows(flat))
+            self._block = flat[self._keys]
+            self._dense = None
+        return self._keys, self._block
+
+    def _set_rows(self, keys: np.ndarray, block: np.ndarray) -> None:
+        self._keys, self._block = keys, block
+
+    def _drop_zero_rows(self) -> None:
+        keys, block = self._rows()
+        live = _nonzero_rows(block)
+        if not live.all():
+            self._set_rows(keys[live], block[live])
+
+    def copy(self) -> "CompressedState":
+        if self._dense is not None:
+            new = CompressedState(self.domain, self.reg_dims, self._dense.copy())
+        else:
+            new = CompressedState(self.domain, self.reg_dims, keys=self._keys.copy(),
+                                  block=self._block.copy())
+        new.pruned_mass = self.pruned_mass
+        return new
 
     def _database_marginal(self):
-        """(oracle values, probability) of each support row."""
-        flat = self._flat()
-        rows = self._live_rows(flat)
-        probs = (np.abs(flat[rows]) ** 2).reshape(len(rows), -1).sum(axis=1)
-        return self._row_digits(rows), probs
+        """(oracle values, probability) of each stored row."""
+        keys, block = self._rows()
+        probs = (np.abs(block) ** 2).sum(axis=tuple(range(1, block.ndim)))
+        return self._row_digits(keys), probs
 
     def database_distribution(self) -> dict:
         digits, probs = self._database_marginal()
@@ -277,11 +347,11 @@ def initial_compressed_state(domain: OracleDomain, reg_dims=(1,)) -> CompressedS
     """All-bot database joint with adversary basis state 0."""
     reg_dims = (reg_dims,) if isinstance(reg_dims, int) else tuple(reg_dims)
     m = domain.spec.order
-    dims = (m + 1,) * domain.size + reg_dims
-    _check_budget(dims)
-    vec = np.zeros(dims, dtype=complex)
-    vec[(m,) * domain.size + (0,) * len(reg_dims)] = 1.0
-    return CompressedState(domain, reg_dims, vec)
+    _check_budget((m + 1,) * domain.size + reg_dims)
+    block = np.zeros((1,) + reg_dims, dtype=complex)
+    block[(0,) * block.ndim] = 1.0
+    keys = np.array([(m + 1) ** domain.size - 1], dtype=np.int64)
+    return CompressedState(domain, reg_dims, keys=keys, block=block)
 
 
 def initial_purified_state(domain: OracleDomain, reg_dims=(1,)) -> PurifiedState:
@@ -341,19 +411,17 @@ def _query_targets(state: _JointState, out_reg: int, x_label, in_reg):
 def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, in_reg=None) -> None:
     """One coordinate of a parallel query against the compressed oracle.
 
-    W and W-dagger act on the response register of the support rows only.
-    For each queried input x (and pinned input level), the support rows are
-    grouped by their row with x blanked; each group's M+1 rows are gathered,
-    the transition for every non-neutral yhat is applied on the pinned slice
-    and scattered back, and the group rows that came out nonzero join the
-    support."""
+    W and W-dagger act on the response register of the stored rows only.  For
+    each queried input x (and pinned input level), the stored rows are grouped
+    by their key with x blanked; each group's M+1 rows are gathered by
+    searchsorted (an absent row reads as zero), the transition for every
+    non-neutral yhat is applied on the pinned slice and scattered back, and
+    the absent group rows that came out nonzero join the stored rows."""
     spec = state.domain.spec
     m = spec.order
     _, targets = _query_targets(state, out_reg, x_label, in_reg)
-    flat = state._flat()
-    rows = state._live_rows(flat)
     w = dual_transform(spec)
-    _apply_gate(flat, rows, w, (out_reg,))
+    _apply_gate(state, w, (out_reg,))
     ts = np.stack([transition_matrix(spec, yhat) for yhat in range(1, m)])
     levels = np.arange(m + 1)
     # A gathered block is (group, level, registers left once the input
@@ -363,19 +431,29 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     perm = [out_pos, 1] + [a for a in range(ndim) if a not in (out_pos, 1)]
     inverse = _inverse(perm)
     for oracle_axis, pinned in targets:
+        keys, block = state._rows()
         stride = (m + 1) ** (state.n_oracle - 1 - oracle_axis)
-        bases = np.unique(rows - rows // stride % (m + 1) * stride)
-        group = bases[:, None] + stride * levels
-        index = (group,) + tuple(pinned.get(state.reg_axis(r), slice(None))
-                                 for r in range(len(state.reg_dims)))
-        block = np.ascontiguousarray(flat[index].transpose(perm))
-        shape = block.shape
-        block = block.reshape(m, m + 1, -1)
-        block[1:] = ts @ block[1:]
-        live = block.view(np.float64).reshape(m, m + 1, len(bases), -1).any(axis=(0, 3))
-        flat[index] = block.reshape(shape).transpose(inverse)
-        rows = np.union1d(rows, group.T[live])
-    _apply_gate(flat, rows, np.conj(w.T), (out_reg,))
+        group = np.unique(keys - keys // stride % (m + 1) * stride)[:, None] + stride * levels
+        pos = np.searchsorted(keys, group)
+        present = keys[np.minimum(pos, len(keys) - 1)] == group
+        pin = tuple(pinned.get(state.reg_axis(r), slice(None)) for r in range(len(state.reg_dims)))
+        rest = tuple(d for d, i in zip(state.reg_dims, pin) if isinstance(i, slice))
+        gathered = np.zeros(group.shape + rest, dtype=complex)
+        gathered[present] = block[(pos[present],) + pin]
+        gathered = np.ascontiguousarray(gathered.transpose(perm))
+        shape = gathered.shape
+        gathered = gathered.reshape(m, m + 1, -1)
+        gathered[1:] = ts @ gathered[1:]
+        gathered = gathered.reshape(shape).transpose(inverse)
+        block[(pos[present],) + pin] = gathered[present]
+        fresh = (gathered != 0.0).any(axis=tuple(range(2, gathered.ndim))) & ~present
+        if fresh.any():
+            rows = np.zeros((int(fresh.sum()),) + state.reg_dims, dtype=complex)
+            rows[(slice(None),) + pin] = gathered[fresh]
+            keys = np.concatenate([keys, group[fresh]])
+            order = np.argsort(keys, kind="stable")
+            state._set_rows(keys[order], np.concatenate([block, rows])[order])
+    _apply_gate(state, np.conj(w.T), (out_reg,))
 
 
 def _standard_query_coord(state: PurifiedState, out_reg: int, x_label=None, in_reg=None) -> None:
@@ -575,13 +653,21 @@ def relation_probabilities(circuit: AdversaryCircuit, relation, claimed=None):
     relation holds; p' is the same against the compressed oracle with the
     responses compared to the measured database.  A response outside the
     range group raises ValueError.
+
+    Both come from one compressed run.  The compressed state is comp of the
+    purified one and comp_matrix is an involution, so p scores each output
+    input's value through comp_matrix; every other input keeps its compressed
+    values, which carry the same probability because comp_matrix is unitary.
     """
     if not circuit.output_regs:
         raise ValueError("circuit must designate x output registers")
     if claimed is None and circuit.y_output_regs is None:
         raise ValueError("either claimed responses or y output registers are required")
-    p = _success_probability(run_adversary(circuit, "standard"), circuit, relation, claimed)
-    p_prime = _success_probability(run_adversary(circuit, "compressed"), circuit, relation, claimed)
+    state = run_adversary(circuit, "compressed")
+    columns = _output_columns(state, circuit, relation, claimed)
+    spec = circuit.domain.spec
+    p = _fold(state, columns, comp_matrix(spec)[: spec.order])
+    p_prime = _fold(state, columns, _indicator(state))
     return p, p_prime
 
 
@@ -600,20 +686,12 @@ def _adversary_outputs(circuit: AdversaryCircuit, values, claimed):
     return xs, labels, ys
 
 
-def _success_probability(state: _JointState, circuit: AdversaryCircuit, relation, claimed) -> float:
-    """Probability that the oracle maps each output input to its output
-    response and the relation holds.
-
-    Over the live oracle rows only: for each reachable adversary basis state,
-    sum the probability of the rows whose values at the output inputs equal
-    the output responses.  A basis state naming one input with two different
-    responses contributes 0."""
-    flat = state._flat()
-    rows = state._live_rows(flat)
-    digits = state._row_digits(rows)
-    probs = (np.abs(flat[rows]) ** 2).reshape(len(digits), -1)
-    reached = probs.sum(axis=0)
-    columns = {}  # pinned (input, response) pairs -> adversary basis states
+def _output_columns(state: _JointState, circuit: AdversaryCircuit, relation, claimed) -> dict:
+    """The reached adversary basis states (flat indices) whose output
+    satisfies the relation, grouped by the (input, response) pairs they pin.
+    A basis state naming one input with two different responses pins none."""
+    reached = state.adversary_marginal()
+    columns = {}
     for j, values in enumerate(np.ndindex(state.reg_dims)):
         if reached[j] == 0.0:
             continue
@@ -621,13 +699,47 @@ def _success_probability(state: _JointState, circuit: AdversaryCircuit, relation
         pinned = {}
         if all(pinned.setdefault(x, y) == y for x, y in zip(xs, ys)) and relation(labels, ys):
             columns.setdefault(tuple(pinned.items()), []).append(j)
+    return columns
+
+
+def _indicator(state: _JointState) -> np.ndarray:
+    """Weights comparing a pinned response y with the oracle value directly."""
+    return np.eye(state.domain.spec.order, state.oracle_dim)
+
+
+def _fold(state: _JointState, columns: dict, weights: np.ndarray) -> float:
+    """Success probability of the columns under per-row weights.
+
+    For each group of columns pinning the same (x, y) pairs, every stored row
+    is weighted by the product of weights[y, its value at x] over the pairs,
+    the weighted rows that agree off the pinned inputs are added up, and the
+    squared magnitudes are summed over the group's columns.  Indicator
+    weights give the probability that the oracle holds y at every pinned x;
+    comp_matrix rows give it for the purified oracle behind a compressed
+    state."""
+    keys, block = state._rows()
+    amps = block.reshape(len(keys), math.prod(state.reg_dims))
+    digits = state._row_digits(keys)
+    strides = state.oracle_dim ** np.arange(state.n_oracle - 1, -1, -1)
     total = 0.0
     for pinned, js in columns.items():
-        match = np.ones(len(digits), dtype=bool)
+        xs = [x for x, _ in pinned]
+        w = np.ones(len(keys))
         for x, y in pinned:
-            match &= digits[:, x] == y
-        total += float(probs[np.ix_(match, js)].sum())
+            w = w * weights[y, digits[:, x]]
+        live = np.flatnonzero(w)
+        rest = keys[live] - digits[live][:, xs] @ strides[xs]
+        heads, groups = np.unique(rest, return_inverse=True)
+        folded = np.zeros((len(heads), len(js)), dtype=complex)
+        np.add.at(folded, groups, w[live, None] * amps[np.ix_(live, js)])
+        total += float(np.sum(np.abs(folded) ** 2))
     return total
+
+
+def _success_probability(state: _JointState, circuit: AdversaryCircuit, relation, claimed) -> float:
+    """Probability that the state's oracle maps each output input to its
+    output response and the relation holds."""
+    return _fold(state, _output_columns(state, circuit, relation, claimed), _indicator(state))
 
 
 def run_adversary_fixed_function(circuit: AdversaryCircuit, table) -> PurifiedState:

@@ -417,7 +417,8 @@ class TestQueryWindows:
         (0, None, ValueError),
         (3, None, ValueError),
         (2, ("b",), ValueError),
-    ], ids=["unknown-input", "k-zero", "k-above-domain", "k-above-pool"])
+        (1, ("a", "a"), ValueError),
+    ], ids=["unknown-input", "k-zero", "k-above-domain", "k-above-pool", "repeated-input"])
     @pytest.mark.parametrize("user", WINDOW_USERS)
     def test_pool_is_validated(self, user, k, pool, error):
         with pytest.raises(error):

@@ -107,8 +107,8 @@ class TestCapacityCommand:
         assert main(["capacity", "--p", "NOSUCH", "--pprime", "PRMG", "--k", "1",
                      "--domain", "n=1,m=1"]) == 2
 
-    @pytest.mark.parametrize("k,restrict", [("1", "00,zz"), ("3", "00,01")],
-                             ids=["unknown-input", "k-above-pool"])
+    @pytest.mark.parametrize("k,restrict", [("1", "00,zz"), ("3", "00,01"), ("1", "00,00"), ("1", "")],
+                             ids=["unknown-input", "k-above-pool", "repeated-input", "empty"])
     def test_bad_window_pool_is_usage_error(self, k, restrict):
         assert main(["capacity", "--p", "!PRMG", "--pprime", "PRMG", "--k", k,
                      "--domain", "n=2,m=1", "--restrict", restrict, "--bound", "thm5.7"]) == 2

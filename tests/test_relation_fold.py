@@ -2,14 +2,18 @@
 
 The reference below is the original readout: a Python loop over every
 amplitude of the final joint state, scoring each basis branch on its own.  The
-fold under test sums one slice of |vec|^2 per adversary basis state instead;
-both must give the same p and p' on every circuit shape, including explicit
-response registers and outputs that name one input twice.
+fold under test reads both p and p' off one compressed run instead; both must
+give the same p and p' on every circuit shape, including explicit response
+registers and outputs that name one input twice.  p must also match the
+purified oracle's own readout, which the fold no longer runs.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qromlab import oracle
 from qromlab.groups import GroupSpec
 from qromlab.oracle import (
     AdversaryCircuit,
@@ -146,3 +150,32 @@ def test_claimed_response_outside_group_raises(bad):
     circuit = grover_preimage_circuit(domain(2, GroupSpec.bits(1)), 1)
     with pytest.raises(ValueError):
         relation_probabilities(circuit, preimage, lambda labels: (bad,) * len(labels))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), spec=st.sampled_from(SPECS), k=st.integers(1, 2),
+       rounds=st.integers(1, 2), y_outputs=st.booleans(), scoring=st.integers(0, 2))
+def test_compressed_p_matches_purified_readout(seed, spec, k, rounds, y_outputs, scoring):
+    """p read off the compressed run equals the purified oracle's success
+    probability; with k = 2 some outputs name one input twice."""
+    dom = domain(3 if k == 1 else 2, spec)
+    circuit = random_circuit(seed, dom, k, rounds, y_outputs=y_outputs)
+    relation, claimed = [
+        (preimage, claimed_zero),
+        (first_label_matters, lambda labels: tuple(len(x) % spec.order for x in labels)),
+        (lambda labels, ys: True, lambda labels: tuple(range(len(labels)))),
+    ][scoring]
+    p, _ = relation_probabilities(circuit, relation, None if y_outputs else claimed)
+    standard = run_adversary(circuit, "standard")
+    expected = oracle._success_probability(standard, circuit, relation, None if y_outputs else claimed)
+    assert abs(p - expected) <= TOL
+
+
+def test_one_compressed_run(monkeypatch):
+    """relation_probabilities runs the adversary once, on the compressed oracle."""
+    oracles = []
+    run = oracle.run_adversary
+    monkeypatch.setattr(oracle, "run_adversary",
+                        lambda circuit, picture="compressed": oracles.append(picture) or run(circuit, picture))
+    relation_probabilities(grover_preimage_circuit(domain(4, GroupSpec.bits(1)), 1), preimage, claimed_zero)
+    assert oracles == ["compressed"]

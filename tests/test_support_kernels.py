@@ -2,10 +2,12 @@
 
 The references below are the original dense kernels: every gate, query
 coordinate, prune and readout sweeps the whole (M+1)^|X| x registers tensor.
-The kernels under test touch only the oracle rows that hold amplitude; on
-every state (random dense ones, ones with planted all-zero rows, circuit
-outputs, a .vec a caller reassigned) both must agree to 1e-12.
+The kernels under test store and touch only the oracle rows that hold
+amplitude; on every state (random dense ones, ones with planted all-zero rows,
+circuit outputs, a .vec a caller reassigned) both must agree to 1e-12.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qromlab.oracle import (
     Database,
     GateStep,
     OracleDomain,
+    PhaseFlipStep,
     QueryStep,
     apply_parallel_query,
     grover_preimage_circuit,
@@ -71,6 +74,14 @@ def ref_query_coord(state, out_reg, x_label=None, in_reg=None):
     state.vec = ref_apply_axis(state.vec, np.conj(w.T), out_axis)
 
 
+def ref_phase_flip(state, regs, predicate):
+    dims = [state.reg_dims[r] for r in regs]
+    for values in itertools.product(*(range(d) for d in dims)):
+        if predicate(*values):
+            fixed = {state.reg_axis(r): v for r, v in zip(regs, values)}
+            state.vec[tuple(fixed.get(a, slice(None)) for a in range(state.vec.ndim))] *= -1.0
+
+
 def ref_prune(state):
     state.vec[np.abs(state.vec) < PRUNE_TOL] = 0.0
 
@@ -89,6 +100,8 @@ def ref_run(circuit):
                 for in_reg, out_reg in zip(step.in_regs, step.out_regs):
                     ref_query_coord(state, out_reg, in_reg=in_reg)
             ref_prune(state)
+        elif isinstance(step, PhaseFlipStep):
+            ref_phase_flip(state, step.regs, step.predicate)
         else:
             dims = tuple(circuit.reg_dims[r] for r in step.regs)
             ref_register_unitary(state, named_gate_matrix(step.name, dims, circuit.domain.spec,
@@ -248,6 +261,66 @@ def test_grover_matches_dense(size):
     assert state.max_support_size() <= 2
 
 
+def with_phase_flips(circuit, seed):
+    """The circuit with a phase flip on a random register set after every
+    step; the flipped branches are a random subset of register values."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for step in circuit.steps:
+        steps.append(step)
+        regs = tuple(int(r) for r in rng.permutation(len(circuit.reg_dims))[: rng.integers(1, 3)])
+        flipped = {tuple(int(v) for v in values)
+                   for values in itertools.product(*(range(circuit.reg_dims[r]) for r in regs))
+                   if rng.random() < 0.5}
+        steps.append(PhaseFlipStep(regs, lambda *values, flipped=flipped: values in flipped))
+    return AdversaryCircuit(domain=circuit.domain, reg_dims=circuit.reg_dims, steps=tuple(steps),
+                            output_regs=circuit.output_regs, y_output_regs=circuit.y_output_regs)
+
+
+@SLOW
+@given(circuits, st.integers(0, 2**16))
+def test_phase_flips_match_dense_and_standard(circuit, seed):
+    circuit = with_phase_flips(circuit, seed)
+    state = run_adversary(circuit, "compressed")
+    standard = run_adversary(circuit, "standard")
+    assert close(state.adversary_marginal(), standard.adversary_marginal())
+    assert close(state.vec, ref_run(circuit).vec)
+
+
+def test_grover_never_materialises(monkeypatch):
+    """A compressed Grover run at |X| = 10 stays on its row keys: it never
+    builds the dense tensor and ends on at most the 1 + 2|X| databases one
+    query can reach, each of them carrying amplitude."""
+    dense = CompressedState.vec
+
+    def refuse(state):
+        raise AssertionError("the dense tensor was materialised")
+
+    monkeypatch.setattr(CompressedState, "vec", property(refuse, dense.fset))
+    circuit = grover_preimage_circuit(domain(10, GroupSpec.bits(1)), rounds=1)
+    state = run_adversary(circuit, "compressed")
+    oracle._success_probability(state, circuit, preimage, claimed_zero)
+    assert len(state._rows()[0]) == len(state.database_distribution()) <= 21
+
+
+def test_all_zero_state():
+    """A caller may assign an all-zero tensor: no row is stored, every kernel
+    runs, and every readout is zero."""
+    dom = domain(3, GroupSpec.bits(1))
+    state = initial_compressed_state(dom, (dom.size, 2))
+    state.vec = np.zeros_like(state.vec)
+    state = apply_parallel_query(state, (dom.inputs[0],), (1,))
+    oracle._compressed_query_coord(state, 1, in_reg=0)
+    state.apply_phase_flip((0,), lambda v: v == 1)
+    circuit = AdversaryCircuit(domain=dom, reg_dims=(dom.size, 2), steps=(),
+                               output_regs=(0,), y_output_regs=(1,))
+    assert len(state._rows()[0]) == 0
+    assert state.norm() == 0.0 and not state.adversary_marginal().any()
+    assert state.database_distribution() == {} and state.max_support_size() == 0
+    assert oracle._success_probability(state, circuit, preimage, None) == 0.0
+    assert not state.vec.any()
+
+
 # Random dense and planted states
 
 
@@ -335,13 +408,14 @@ def test_reassigned_vec_between_queries(seed, spec, fortran):
 
 
 def gate_rows(monkeypatch):
-    """Record the oracle rows every gate-kernel call touches."""
+    """Record the oracle rows every gate-kernel call touches: the state's row
+    keys, which are the dense tensor's row numbers."""
     calls = []
     apply_gate = oracle._apply_gate
 
-    def recording(flat, rows, mat, regs):
-        calls.append(set(np.arange(len(flat))[rows].tolist()))
-        apply_gate(flat, rows, mat, regs)
+    def recording(state, mat, regs):
+        calls.append(set(state._rows()[0].tolist()))
+        apply_gate(state, mat, regs)
 
     monkeypatch.setattr(oracle, "_apply_gate", recording)
     return calls
