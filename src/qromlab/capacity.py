@@ -134,22 +134,16 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
 
     all_yhats = list(itertools.product(range(spec.order), repeat=k))
     dim = (spec.order + 1) ** k
-    gammas: dict = {}
     norms: dict = {}
-
-    def gamma_kron(yhats: tuple) -> np.ndarray:
-        if yhats not in gammas:
-            mats = [np.asarray(transition_matrix(spec, yh)) for yh in yhats]
-            gammas[yhats] = reduce(np.kron, mats)
-        return gammas[yhats]
 
     def block_norms(masks: np.ndarray) -> list:
         """Norms of the blocks of one (in_mask, out_mask) pair, one per yhat."""
         key = masks.tobytes()
         if key not in norms:
             in_mask, out_mask = masks[:dim], masks[dim:]
-            norms[key] = [operator_norm(gamma_kron(yhats)[np.ix_(out_mask, in_mask)])
-                          for yhats in all_yhats]
+            gammas = (reduce(np.kron, [transition_matrix(spec, yh) for yh in yhats])
+                      for yhats in all_yhats)
+            norms[key] = [operator_norm(g[np.ix_(out_mask, in_mask)]) for g in gammas]
         return norms[key]
 
     p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)

@@ -4,9 +4,10 @@ The joint state of oracle and adversary is a complex tensor with one axis per
 oracle input (dimension M for the purified oracle, M+1 for the compressed one,
 index M encoding "not yet defined") followed by one axis per adversary
 register.  Everything is exact linear algebra at desk scale; queries are the
-unitaries built from the single-register transition matrix.  The compressed
-picture stores only the databases that carry amplitude and builds the dense
-tensor only when .vec is read.
+unitaries built from the single-register transition matrix.  Both pictures
+keep one row store: only the oracle rows (function tables or databases) that
+carry amplitude are stored, and the dense tensor is built only when .vec is
+read.
 """
 
 from __future__ import annotations
@@ -141,10 +142,6 @@ def _fixed_index(ndim: int, fixed: dict):
     return tuple(fixed.get(a, slice(None)) for a in range(ndim))
 
 
-def _local_axis(axis: int, fixed: dict) -> int:
-    return axis - sum(1 for a in fixed if a < axis)
-
-
 def _inverse(perm: list) -> list:
     return sorted(range(len(perm)), key=perm.__getitem__)
 
@@ -167,17 +164,23 @@ def _nonzero_rows(block: np.ndarray) -> np.ndarray:
 
 
 class _JointState:
-    """Shared kernels for the two oracle pictures.
+    """The joint state of oracle and adversary; the two oracle pictures differ
+    only in oracle_dim, the levels of one oracle axis.
 
-    Every kernel works on _rows(): the sorted mixed-radix oracle index (one
-    digit per input) of each stored oracle row and a (rows, *reg_dims) complex
-    block holding those rows; pruned_mass accumulates the squared norm prune
-    drops."""
+    The state stores only the oracle rows that hold amplitude: sorted int64
+    keys (the mixed-radix oracle index, one digit per input) and a
+    (rows, *reg_dims) complex block, on which every kernel works.  Reading
+    .vec materialises the dense tensor and makes it authoritative, so writes
+    through it count; assigning .vec replaces the state; the next kernel
+    re-derives the keys from it once.  pruned_mass accumulates the squared
+    norm prune drops."""
 
-    def __init__(self, domain: OracleDomain, reg_dims, vec: np.ndarray):
+    def __init__(self, domain: OracleDomain, reg_dims, vec: np.ndarray = None, keys=None, block=None):
         self.domain = domain
         self.reg_dims = tuple(reg_dims)
         self.vec = vec
+        if vec is None:
+            self._keys, self._block = keys, block
         self.pruned_mass = 0.0
 
     @property
@@ -197,11 +200,39 @@ class _JointState:
     def reg_axis(self, reg: int) -> int:
         return self.n_oracle + reg
 
-    def _rows(self):
-        raise NotImplementedError
+    @property
+    def vec(self) -> np.ndarray:
+        if self._dense is None:
+            dense = np.zeros((self.oracle_dim ** self.n_oracle,) + self.reg_dims, dtype=complex)
+            dense[self._keys] = self._block
+            self._dense = dense.reshape(self.dims)
+            self._keys = self._block = None
+        return self._dense
 
-    def _drop_zero_rows(self) -> None:
-        """Stop storing rows that hold no amplitude, where the storage allows."""
+    @vec.setter
+    def vec(self, value: np.ndarray) -> None:
+        self._dense = value
+        self._keys = self._block = None
+
+    def _rows(self):
+        """The stored rows' keys and block."""
+        if self._dense is not None:
+            flat = np.ascontiguousarray(self._dense, dtype=complex).reshape((-1,) + self.reg_dims)
+            self._keys = np.flatnonzero(_nonzero_rows(flat))
+            self._block = flat[self._keys]
+            self._dense = None
+        return self._keys, self._block
+
+    def _set_rows(self, keys: np.ndarray, block: np.ndarray) -> None:
+        self._keys, self._block = keys, block
+
+    def copy(self):
+        if self._dense is not None:
+            new = type(self)(self.domain, self.reg_dims, self._dense.copy())
+        else:
+            new = type(self)(self.domain, self.reg_dims, keys=self._keys.copy(), block=self._block.copy())
+        new.pruned_mass = self.pruned_mass
+        return new
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._rows()[1].ravel()))
@@ -212,13 +243,15 @@ class _JointState:
 
     def prune(self) -> None:
         """Zero every amplitude below PRUNE_TOL, adding its squared norm to
-        pruned_mass."""
-        _, block = self._rows()
+        pruned_mass, and stop storing the rows left all zero."""
+        keys, block = self._rows()
         small = (np.abs(block) < PRUNE_TOL) & (block != 0.0)
         if small.any():
             self.pruned_mass += float(np.sum(np.abs(block[small]) ** 2))
             block[small] = 0.0
-        self._drop_zero_rows()
+        live = _nonzero_rows(block)
+        if not live.all():
+            self._set_rows(keys[live], block[live])
 
     def apply_register_unitary(self, mat: np.ndarray, regs) -> None:
         """Apply a unitary to the joint space of the given adversary registers."""
@@ -247,84 +280,21 @@ class _JointState:
 
 
 class PurifiedState(_JointState):
-    """Joint state over full function tables H: X -> Y plus adversary registers,
-    stored as the dense tensor .vec."""
+    """Joint state over full function tables H: X -> Y plus adversary registers."""
 
     @property
     def oracle_dim(self) -> int:
         return self.domain.spec.order
 
-    def _rows(self):
-        """Every oracle row, as a view of .vec (made C-contiguous complex if a
-        caller assigned otherwise)."""
-        self.vec = np.ascontiguousarray(self.vec, dtype=complex)
-        block = self.vec.reshape((-1,) + self.reg_dims)
-        return np.arange(len(block)), block
-
-    def copy(self) -> "PurifiedState":
-        new = PurifiedState(self.domain, self.reg_dims, self.vec.copy())
-        new.pruned_mass = self.pruned_mass
-        return new
-
 
 class CompressedState(_JointState):
-    """Joint state over databases X -> Y u {bot} plus adversary registers.
-
-    After q rounds of k parallel queries only databases with at most qk
-    defined entries carry amplitude, so the state stores only those rows:
-    sorted int64 keys (the mixed-radix database index, bot as digit M) and a
-    (rows, *reg_dims) block.  Reading .vec materialises the dense tensor and
-    makes it authoritative, so writes through it count; the next kernel
-    re-derives the keys from it once."""
-
-    def __init__(self, domain: OracleDomain, reg_dims, vec: np.ndarray = None, keys=None, block=None):
-        super().__init__(domain, reg_dims, vec)
-        if vec is None:
-            self._keys, self._block = keys, block
+    """Joint state over databases X -> Y u {bot} plus adversary registers, bot
+    as oracle digit M.  After q rounds of k parallel queries only databases
+    with at most qk defined entries carry amplitude, so few rows are stored."""
 
     @property
     def oracle_dim(self) -> int:
         return self.domain.spec.order + 1
-
-    @property
-    def vec(self) -> np.ndarray:
-        if self._dense is None:
-            dense = np.zeros((self.oracle_dim ** self.n_oracle,) + self.reg_dims, dtype=complex)
-            dense[self._keys] = self._block
-            self._dense = dense.reshape(self.dims)
-            self._keys = self._block = None
-        return self._dense
-
-    @vec.setter
-    def vec(self, value: np.ndarray) -> None:
-        self._dense = value
-        self._keys = self._block = None
-
-    def _rows(self):
-        if self._dense is not None:
-            flat = np.ascontiguousarray(self._dense, dtype=complex).reshape((-1,) + self.reg_dims)
-            self._keys = np.flatnonzero(_nonzero_rows(flat))
-            self._block = flat[self._keys]
-            self._dense = None
-        return self._keys, self._block
-
-    def _set_rows(self, keys: np.ndarray, block: np.ndarray) -> None:
-        self._keys, self._block = keys, block
-
-    def _drop_zero_rows(self) -> None:
-        keys, block = self._rows()
-        live = _nonzero_rows(block)
-        if not live.all():
-            self._set_rows(keys[live], block[live])
-
-    def copy(self) -> "CompressedState":
-        if self._dense is not None:
-            new = CompressedState(self.domain, self.reg_dims, self._dense.copy())
-        else:
-            new = CompressedState(self.domain, self.reg_dims, keys=self._keys.copy(),
-                                  block=self._block.copy())
-        new.pruned_mass = self.pruned_mass
-        return new
 
     def _database_marginal(self):
         """(oracle values, probability) of each stored row."""
@@ -343,27 +313,29 @@ class CompressedState(_JointState):
         return int(defined[probs > 0.0].max(initial=0))
 
 
+def _basis_state(cls, domain: OracleDomain, reg_dims: tuple, keys, amplitude: float) -> _JointState:
+    """The state whose oracle rows keys each hold amplitude, with the
+    adversary at basis state 0."""
+    block = np.zeros((len(keys),) + reg_dims, dtype=complex)
+    block[(slice(None),) + (0,) * len(reg_dims)] = amplitude
+    return cls(domain, reg_dims, keys=np.asarray(keys, dtype=np.int64), block=block)
+
+
 def initial_compressed_state(domain: OracleDomain, reg_dims=(1,)) -> CompressedState:
     """All-bot database joint with adversary basis state 0."""
     reg_dims = (reg_dims,) if isinstance(reg_dims, int) else tuple(reg_dims)
     m = domain.spec.order
     _check_budget((m + 1,) * domain.size + reg_dims)
-    block = np.zeros((1,) + reg_dims, dtype=complex)
-    block[(0,) * block.ndim] = 1.0
-    keys = np.array([(m + 1) ** domain.size - 1], dtype=np.int64)
-    return CompressedState(domain, reg_dims, keys=keys, block=block)
+    return _basis_state(CompressedState, domain, reg_dims, [(m + 1) ** domain.size - 1], 1.0)
 
 
 def initial_purified_state(domain: OracleDomain, reg_dims=(1,)) -> PurifiedState:
     """Uniform superposition over all functions H, adversary at basis state 0."""
     reg_dims = (reg_dims,) if isinstance(reg_dims, int) else tuple(reg_dims)
     m = domain.spec.order
-    dims = (m,) * domain.size + reg_dims
-    _check_budget(dims)
-    vec = np.zeros(dims, dtype=complex)
-    oracle = np.full((m,) * domain.size, m ** (-domain.size / 2.0), dtype=complex)
-    vec[(Ellipsis,) + (0,) * len(reg_dims)] = oracle
-    return PurifiedState(domain, reg_dims, vec)
+    _check_budget((m,) * domain.size + reg_dims)
+    return _basis_state(PurifiedState, domain, reg_dims, np.arange(m ** domain.size),
+                        m ** (-domain.size / 2.0))
 
 
 def comp(state: PurifiedState) -> CompressedState:
@@ -392,20 +364,21 @@ def comp_dagger(state: CompressedState) -> PurifiedState:
 
 
 def _query_targets(state: _JointState, out_reg: int, x_label, in_reg):
-    """Shape checks and axes shared by both query kernels.
+    """Shape checks shared by both query kernels.
 
-    Returns the response axis and one (oracle axis, pinned) pair per queried
-    input, where pinned fixes the input register to that input's level (empty
-    for a classical input)."""
+    Returns the response register's position among the registers left once
+    the input register is pinned, and one (oracle axis, pin) pair per queried
+    input, where pin indexes the registers with the input register fixed to
+    that input's level (all free for a classical input)."""
     if state.reg_dims[out_reg] != state.domain.spec.order:
         raise ValueError("response register must be group-valued")
-    out_axis = state.reg_axis(out_reg)
+    free = (slice(None),) * len(state.reg_dims)
     if in_reg is None:
-        return out_axis, [(state.domain.index(x_label), {})]
+        return out_reg, [(state.domain.index(x_label), free)]
     if state.reg_dims[in_reg] != state.domain.size:
         raise ValueError("query input register must have one level per domain input")
-    in_axis = state.reg_axis(in_reg)
-    return out_axis, [(xv, {in_axis: xv}) for xv in range(state.domain.size)]
+    pins = [free[:in_reg] + (xv,) + free[in_reg + 1:] for xv in range(state.domain.size)]
+    return out_reg - (in_reg < out_reg), list(enumerate(pins))
 
 
 def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, in_reg=None) -> None:
@@ -419,24 +392,22 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     the absent group rows that came out nonzero join the stored rows."""
     spec = state.domain.spec
     m = spec.order
-    _, targets = _query_targets(state, out_reg, x_label, in_reg)
+    out_pos, targets = _query_targets(state, out_reg, x_label, in_reg)
     w = dual_transform(spec)
     _apply_gate(state, w, (out_reg,))
     ts = np.stack([transition_matrix(spec, yhat) for yhat in range(1, m)])
     levels = np.arange(m + 1)
     # A gathered block is (group, level, registers left once the input
     # register is pinned); perm brings it to (response, level, group, rest).
-    out_pos = 2 + out_reg - (in_reg is not None and in_reg < out_reg)
     ndim = 2 + len(state.reg_dims) - (in_reg is not None)
-    perm = [out_pos, 1] + [a for a in range(ndim) if a not in (out_pos, 1)]
+    perm = [2 + out_pos, 1] + [a for a in range(ndim) if a not in (2 + out_pos, 1)]
     inverse = _inverse(perm)
-    for oracle_axis, pinned in targets:
+    for oracle_axis, pin in targets:
         keys, block = state._rows()
         stride = (m + 1) ** (state.n_oracle - 1 - oracle_axis)
         group = np.unique(keys - keys // stride % (m + 1) * stride)[:, None] + stride * levels
         pos = np.searchsorted(keys, group)
         present = keys[np.minimum(pos, len(keys) - 1)] == group
-        pin = tuple(pinned.get(state.reg_axis(r), slice(None)) for r in range(len(state.reg_dims)))
         rest = tuple(d for d, i in zip(state.reg_dims, pin) if isinstance(i, slice))
         gathered = np.zeros(group.shape + rest, dtype=complex)
         gathered[present] = block[(pos[present],) + pin]
@@ -457,16 +428,21 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
 
 
 def _standard_query_coord(state: PurifiedState, out_reg: int, x_label=None, in_reg=None) -> None:
-    """One coordinate of a parallel query against the purified standard oracle."""
+    """One coordinate of a parallel query against the purified standard oracle.
+
+    For each queried input x (and pinned input level), the response register
+    of every stored row whose value at x is h is shifted by h.  No row is
+    added, so the stored rows stay those of the state before."""
     spec = state.domain.spec
-    out_axis, targets = _query_targets(state, out_reg, x_label, in_reg)
-    for oracle_axis, pinned in targets:
-        for h in range(spec.order):
-            fixed = {oracle_axis: h, **pinned}
-            idx = _fixed_index(state.vec.ndim, fixed)
-            local = _local_axis(out_axis, fixed)
-            src = [spec.add(y, spec.neg(h)) for y in range(spec.order)]
-            state.vec[idx] = np.take(state.vec[idx], src, axis=local)
+    m = spec.order
+    out_pos, targets = _query_targets(state, out_reg, x_label, in_reg)
+    keys, block = state._rows()
+    for oracle_axis, pin in targets:
+        digits = keys // m ** (state.n_oracle - 1 - oracle_axis) % m
+        for h in range(1, m):
+            rows = (np.flatnonzero(digits == h),) + pin
+            src = [spec.add(y, spec.neg(h)) for y in range(m)]
+            block[rows] = np.take(block[rows], src, axis=1 + out_pos)
 
 
 def _check_distinct(xs) -> None:
@@ -493,6 +469,8 @@ def apply_standard_query(state: PurifiedState, xs, out_regs) -> PurifiedState:
     addition into the response registers).  Returns a new state."""
     xs = tuple(xs)
     _check_distinct(xs)
+    if len(xs) != len(tuple(out_regs)):
+        raise ValueError("one response register per queried input is required")
     new = state.copy()
     for x, reg in zip(xs, out_regs):
         _standard_query_coord(new, reg, x_label=x)
@@ -534,6 +512,9 @@ class AdversaryCircuit:
 
     reg_dims lists the adversary registers; query steps must all have the same
     arity k.  output_regs name the registers measured as the final x-output.
+    Each query step gives either classical inputs xs or input registers
+    in_regs, one per response register; a malformed step or a register index
+    outside reg_dims raises ValueError.
     """
 
     domain: OracleDomain
@@ -543,12 +524,23 @@ class AdversaryCircuit:
     y_output_regs: tuple | None = None
 
     def __post_init__(self):
-        arities = {len(s.out_regs) for s in self.steps if isinstance(s, QueryStep)}
-        if len(arities) > 1:
+        queries = [s for s in self.steps if isinstance(s, QueryStep)]
+        if len({len(s.out_regs) for s in queries}) > 1:
             raise ValueError("query arity k must be constant across rounds")
-        for s in self.steps:
-            if isinstance(s, QueryStep) and s.xs is not None:
+        for s in queries:
+            if (s.xs is None) == (s.in_regs is None):
+                raise ValueError("a query step takes exactly one of xs and in_regs")
+            if len(s.xs if s.xs is not None else s.in_regs) != len(s.out_regs):
+                raise ValueError("a query step needs one input per response register")
+            if set(s.in_regs or ()) & set(s.out_regs):
+                raise ValueError("a query step's input and response registers must differ")
+            if s.xs is not None:
                 _check_distinct(s.xs)
+        named = [self.output_regs, self.y_output_regs or ()]
+        named += [(*s.out_regs, *(s.in_regs or ())) if isinstance(s, QueryStep) else getattr(s, "regs", ())
+                  for s in self.steps]
+        if not all(0 <= r < len(self.reg_dims) for regs in named for r in regs):
+            raise ValueError("circuit names a register outside its reg_dims")
 
     @property
     def k(self) -> int:
@@ -602,7 +594,8 @@ def named_gate_matrix(name: str, dims, spec: GroupSpec, param: int = 0) -> np.nd
     raise ValueError(f"unknown named gate {name!r}")
 
 
-def _run_steps(state: _JointState, circuit: AdversaryCircuit, compressed: bool) -> _JointState:
+def _run_steps(state: _JointState, circuit: AdversaryCircuit) -> _JointState:
+    query = _compressed_query_coord if isinstance(state, CompressedState) else _standard_query_coord
     for step in circuit.steps:
         if isinstance(step, GateStep):
             state.apply_register_unitary(np.asarray(step.matrix, dtype=complex), step.regs)
@@ -615,10 +608,7 @@ def _run_steps(state: _JointState, circuit: AdversaryCircuit, compressed: bool) 
             coords = step.xs if step.xs is not None else [None] * len(step.out_regs)
             in_regs = step.in_regs if step.in_regs is not None else [None] * len(step.out_regs)
             for x, in_reg, out_reg in zip(coords, in_regs, step.out_regs):
-                if compressed:
-                    _compressed_query_coord(state, out_reg, x_label=x, in_reg=in_reg)
-                else:
-                    _standard_query_coord(state, out_reg, x_label=x, in_reg=in_reg)
+                query(state, out_reg, x_label=x, in_reg=in_reg)
             state.prune()
         else:
             raise TypeError(f"unknown circuit step {step!r}")
@@ -633,7 +623,7 @@ def run_adversary(circuit: AdversaryCircuit, oracle: str = "compressed"):
         state = initial_purified_state(circuit.domain, circuit.reg_dims)
     else:
         raise ValueError("oracle must be 'compressed' or 'standard'")
-    return _run_steps(state, circuit, compressed=(oracle == "compressed"))
+    return _run_steps(state, circuit)
 
 
 def zhandry_gap_check(p: float, p_prime: float, ell: int, m: int) -> bool:
@@ -748,14 +738,10 @@ def run_adversary_fixed_function(circuit: AdversaryCircuit, table) -> PurifiedSt
     table maps each domain input to a range value; the oracle register starts
     in the corresponding basis state instead of the uniform superposition."""
     m = circuit.domain.spec.order
-    reg_dims = circuit.reg_dims
-    dims = (m,) * circuit.domain.size + reg_dims
-    _check_budget(dims)
-    vec = np.zeros(dims, dtype=complex)
+    _check_budget((m,) * circuit.domain.size + circuit.reg_dims)
     oracle_index = tuple(circuit.domain.spec.check_element(table[x]) for x in circuit.domain.inputs)
-    vec[oracle_index + (0,) * len(reg_dims)] = 1.0
-    state = PurifiedState(circuit.domain, reg_dims, vec)
-    return _run_steps(state, circuit, compressed=False)
+    key = np.ravel_multi_index(oracle_index, (m,) * circuit.domain.size)
+    return _run_steps(_basis_state(PurifiedState, circuit.domain, circuit.reg_dims, [key], 1.0), circuit)
 
 
 def sampled_relation_probability(circuit: AdversaryCircuit, relation, claimed,

@@ -195,6 +195,26 @@ class TestSimulateCommand:
         record = json.loads(out.read_text())
         assert record["wilson_low"] <= record["p"] <= record["wilson_high"]
 
+    @pytest.mark.parametrize("query", [
+        {"xs": ["00"], "out_regs": [1, 2]},
+        {"in_regs": [0, 0], "out_regs": [1]},
+        {"xs": ["00"], "in_regs": [0], "out_regs": [1]},
+        {"out_regs": [1]},
+        {"xs": ["00"], "out_regs": [5]},
+    ])
+    def test_malformed_query_step_exit_2(self, tmp_path, query):
+        circuit = {
+            "domain": "n=2,m=1",
+            "registers": [4, 2, 2],
+            "steps": [{"type": "query", **query}],
+            "output_regs": [0],
+        }
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(circuit))
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--circuit", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestPoswCommands:
     def test_prove_verify_round_trip(self, tmp_path, capsys):

@@ -155,6 +155,39 @@ class TestStandardQuery:
                 right = apply_parallel_query(comp(ps), (dom.inputs[0],), (0,))
                 assert np.max(np.abs(left.vec - right.vec)) <= 1e-8
 
+    @pytest.mark.parametrize("xs, out_regs", [(("0", "1"), (0,)), (("0",), (0, 1))])
+    def test_response_register_count_checked(self, xs, out_regs):
+        ps = initial_purified_state(bit_domain(1), (2, 2))
+        with pytest.raises(ValueError, match="one response register"):
+            apply_standard_query(ps, xs, out_regs)
+
+
+class TestMalformedQuerySteps:
+    @pytest.mark.parametrize("step", [
+        QueryStep(out_regs=(0, 1), xs=("00",)),
+        QueryStep(out_regs=(0,), xs=("00", "01")),
+        QueryStep(out_regs=(1,), in_regs=(0, 0)),
+        QueryStep(out_regs=(1, 1), in_regs=(0,)),
+        QueryStep(out_regs=(1,), xs=("00",), in_regs=(0,)),
+        QueryStep(out_regs=(1,)),
+        QueryStep(out_regs=(1,), in_regs=(1,)),
+    ])
+    def test_rejected(self, step):
+        with pytest.raises(ValueError, match="query step"):
+            AdversaryCircuit(domain=bit_domain(2), reg_dims=(4, 2), steps=(step,))
+
+    @pytest.mark.parametrize("steps, output_regs", [
+        ((QueryStep(out_regs=(2,), xs=("00",)),), ()),
+        ((QueryStep(out_regs=(1,), in_regs=(-2,)),), ()),
+        ((GateStep(np.eye(2), (-1,)),), ()),
+        ((NamedGateStep("reflect_mean", (0, 2)),), ()),
+        ((), (2,)),
+    ])
+    def test_register_out_of_range(self, steps, output_regs):
+        with pytest.raises(ValueError, match="outside its reg_dims"):
+            AdversaryCircuit(domain=bit_domain(2), reg_dims=(4, 2), steps=steps,
+                             output_regs=output_regs)
+
 
 class TestParallelQuery:
     def test_duplicate_inputs_rejected(self):

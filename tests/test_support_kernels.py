@@ -1,8 +1,8 @@
-"""Differential tests for the support-restricted compressed-oracle kernels.
+"""Differential tests for the row-store kernels of both oracle pictures.
 
 The references below are the original dense kernels: every gate, query
-coordinate, prune and readout sweeps the whole (M+1)^|X| x registers tensor.
-The kernels under test store and touch only the oracle rows that hold
+coordinate, prune and readout sweeps the whole M^|X| or (M+1)^|X| x registers
+tensor.  The kernels under test store and touch only the oracle rows that hold
 amplitude; on every state (random dense ones, ones with planted all-zero rows,
 circuit outputs, a .vec a caller reassigned) both must agree to 1e-12.
 """
@@ -31,6 +31,7 @@ from qromlab.oracle import (
     initial_purified_state,
     named_gate_matrix,
     run_adversary,
+    run_adversary_fixed_function,
 )
 
 TOL = 1e-12
@@ -74,6 +75,24 @@ def ref_query_coord(state, out_reg, x_label=None, in_reg=None):
     state.vec = ref_apply_axis(state.vec, np.conj(w.T), out_axis)
 
 
+def ref_standard_query_coord(state, out_reg, x_label=None, in_reg=None):
+    """The dense standard query: on every slice of the whole M^|X| x registers
+    tensor where the oracle holds h at x, shift the response axis by h."""
+    spec = state.domain.spec
+    out_axis = state.reg_axis(out_reg)
+    if in_reg is None:
+        targets = [(state.domain.index(x_label), {})]
+    else:
+        targets = [(xv, {state.reg_axis(in_reg): xv}) for xv in range(state.domain.size)]
+    for oracle_axis, pinned in targets:
+        for h in range(spec.order):
+            fixed = {oracle_axis: h, **pinned}
+            idx = tuple(fixed.get(a, slice(None)) for a in range(state.vec.ndim))
+            local = out_axis - sum(1 for a in fixed if a < out_axis)
+            src = [spec.add(y, spec.neg(h)) for y in range(spec.order)]
+            state.vec[idx] = np.take(state.vec[idx], src, axis=local)
+
+
 def ref_phase_flip(state, regs, predicate):
     dims = [state.reg_dims[r] for r in regs]
     for values in itertools.product(*(range(d) for d in dims)):
@@ -86,19 +105,21 @@ def ref_prune(state):
     state.vec[np.abs(state.vec) < PRUNE_TOL] = 0.0
 
 
-def ref_run(circuit):
-    """The compressed run of the circuit through the dense kernels."""
-    state = initial_compressed_state(circuit.domain, circuit.reg_dims)
+def ref_run(circuit, state=None, query=ref_query_coord):
+    """The run of the circuit through the dense kernels, by default the
+    compressed run; query is the dense query kernel for state's picture."""
+    if state is None:
+        state = initial_compressed_state(circuit.domain, circuit.reg_dims)
     for step in circuit.steps:
         if isinstance(step, GateStep):
             ref_register_unitary(state, np.asarray(step.matrix, dtype=complex), step.regs)
         elif isinstance(step, QueryStep):
             if step.xs is not None:
                 for x, out_reg in zip(step.xs, step.out_regs):
-                    ref_query_coord(state, out_reg, x_label=x)
+                    query(state, out_reg, x_label=x)
             else:
                 for in_reg, out_reg in zip(step.in_regs, step.out_regs):
-                    ref_query_coord(state, out_reg, in_reg=in_reg)
+                    query(state, out_reg, in_reg=in_reg)
             ref_prune(state)
         elif isinstance(step, PhaseFlipStep):
             ref_phase_flip(state, step.regs, step.predicate)
@@ -163,10 +184,11 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_state(rng, dom, reg_dims, zero_rows=0.0):
-    """A normalised random compressed state; each oracle row is all-zero with
-    probability zero_rows (one row always stays live)."""
-    state = initial_compressed_state(dom, reg_dims)
+def random_state(rng, dom, reg_dims, zero_rows=0.0, make=initial_compressed_state):
+    """A normalised random state, compressed unless make says otherwise; each
+    oracle row is all-zero with probability zero_rows (one row always stays
+    live)."""
+    state = make(dom, reg_dims)
     shape = state.vec.shape
     vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     flat = vec.reshape(-1, int(np.prod(reg_dims)))
@@ -402,6 +424,48 @@ def test_reassigned_vec_between_queries(seed, spec, fortran):
     ref_query_coord(ref, 0, x_label=dom.inputs[1])
     ref_prune(ref)
     assert close(out.vec, ref.vec)
+
+
+# The standard query on stored rows
+
+
+@SLOW
+@given(st.integers(0, 2**16), st.sampled_from(SPECS), st.sampled_from([0.0, 0.6, 0.95]),
+       st.sampled_from(["classical", "input first", "input last"]))
+def test_standard_query_matches_dense(seed, spec, zero_rows, layout):
+    """The standard query coordinate on the stored rows of a random purified
+    state equals the dense kernel, and keeps exactly the rows live before."""
+    rng = np.random.default_rng(seed)
+    dom = domain(3, spec)
+    m = spec.order
+    dims, out_reg, in_reg = {"classical": ((2, m), 1, None),
+                             "input first": ((dom.size, 2, m), 2, 0),
+                             "input last": ((m, 2, dom.size), 0, 2)}[layout]
+    x = dom.inputs[rng.integers(dom.size)] if in_reg is None else None
+    state = random_state(rng, dom, dims, zero_rows, initial_purified_state)
+    before = support(state.vec, dom.size)
+    ref = state.copy()
+    oracle._standard_query_coord(state, out_reg, x_label=x, in_reg=in_reg)
+    ref_standard_query_coord(ref, out_reg, x_label=x, in_reg=in_reg)
+    assert set(state._rows()[0].tolist()) == before
+    assert close(state.vec, ref.vec)
+
+
+@pytest.mark.parametrize("target", [0, 7])
+def test_fixed_function_run_keeps_one_row(target):
+    """A Grover run against a fixed function at |X| = 10 stays on its one
+    oracle row through every gate and standard query, and matches the dense
+    run from that function's basis state."""
+    dom = domain(10, GroupSpec.bits(1))
+    circuit = grover_preimage_circuit(dom, rounds=2)
+    table = {x: int(i != target) for i, x in enumerate(dom.inputs)}
+    state = run_adversary_fixed_function(circuit, table)
+    assert len(state._rows()[0]) == 1
+    start = initial_purified_state(dom, circuit.reg_dims)
+    start.vec = np.zeros_like(start.vec)
+    start.vec[tuple(table[x] for x in dom.inputs) + (0, 0)] = 1.0
+    ref = ref_run(circuit, start, ref_standard_query_coord)
+    assert close(state.vec, ref.vec)
 
 
 # The support the query kernel carries
