@@ -41,7 +41,10 @@ def _parse_domain(text: str, kind: str) -> oracle_mod.OracleDomain:
     params = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
-        params[key.strip()] = int(value)
+        key = key.strip()
+        if key not in ("n", "m") or key in params:
+            raise ValueError(f"domain key {key!r} is unknown or repeated")
+        params[key] = int(value)
     if "n" not in params or "m" not in params:
         raise ValueError("domain must specify n=<input bits>,m=<range bits>")
     if kind == "cyclic":

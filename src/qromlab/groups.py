@@ -6,13 +6,17 @@ distinguished "undefined" symbol BOT.  Two group kinds are supported: the bit
 group Z_2^m (real characters, the common case) and the cyclic group Z_M
 (complex characters).  All matrices and vectors over Y-bar use the canonical
 basis order (0, 1, ..., M-1, BOT), i.e. BOT is always the last index, M.
+
+Every character value comes from one table per group, character_table, and
+the single-register query is built from its definition: the standard oracle's
+phase yhat seen through compression, T_yhat = Comp @ diag(yhat, 1) @ Comp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -83,61 +87,51 @@ class GroupSpec:
         return a
 
 
-def character(spec: GroupSpec, yhat: int, y: int) -> complex:
-    """Evaluate the dual character yhat at the group element y.
+@lru_cache(maxsize=None)
+def character_table(spec: GroupSpec) -> np.ndarray:
+    """The M x M dual characters, entry [yhat, y] = yhat(y), row 0 neutral:
+    (-1)^popcount(yhat & y) for the bit group (the Sylvester-order Kronecker
+    power of [[1, 1], [1, -1]]), exp(2*pi*i*yhat*y/M) for the cyclic group.
+    Cached per spec; the returned array is read-only."""
+    if spec.kind == BITS:
+        sylvester = np.array([[1.0, 1.0], [1.0, -1.0]])
+        table = reduce(np.kron, [sylvester] * spec.nbits, np.ones((1, 1))).astype(complex)
+    else:
+        # a real phase: dividing a complex array by M rounds its last bit differently
+        y = np.arange(spec.order)
+        table = np.exp(1j * (2 * math.pi * (np.outer(y, y) % spec.order) / spec.order))
+    table.setflags(write=False)
+    return table
 
-    The dual group is indexed by 0..M-1 with the standard pairing per kind:
-    (-1)^(popcount(yhat & y)) for the bit group, exp(2*pi*i*yhat*y/M) for the
-    cyclic group.  Index 0 is the neutral character.
-    """
+
+def character(spec: GroupSpec, yhat: int, y: int) -> complex:
+    """Evaluate the dual character yhat at the group element y."""
     spec.check_element(yhat)
     spec.check_element(y)
-    if spec.kind == BITS:
-        return -1.0 + 0j if (yhat & y).bit_count() & 1 else 1.0 + 0j
-    return complex(np.exp(2j * math.pi * (yhat * y % spec.order) / spec.order))
+    return complex(character_table(spec)[yhat, y])
 
 
 def character_row(spec: GroupSpec, yhat: int) -> np.ndarray:
-    """Vector of yhat(y) over all y in Y."""
-    return np.array([character(spec, yhat, y) for y in spec.elements()])
+    """Vector of yhat(y) over all y in Y (read-only)."""
+    spec.check_element(yhat)
+    return character_table(spec)[yhat]
 
 
 @lru_cache(maxsize=None)
-def _transition_matrix_cached(kind: str, order: int, yhat: int) -> np.ndarray:
-    spec = GroupSpec(kind, order)
-    m = order
-    if yhat == 0:
-        out = np.eye(m + 1, dtype=complex)
-        out.setflags(write=False)
-        return out
-    ch = character_row(spec, yhat)
-    g = np.empty((m + 1, m + 1), dtype=complex)
-    s = math.sqrt(m)
-    for u in range(m):
-        g[u, m] = ch[u] / s
-        # row BOT carries yhat(r)/sqrt(M) unconjugated; unitarity fails for
-        # complex characters under the conjugated variant
-        g[m, u] = ch[u] / s
-        for r in range(m):
-            if r == u:
-                g[u, r] = (1.0 - 2.0 / m) * ch[u] + 1.0 / m
-            else:
-                g[u, r] = (1.0 - ch[r] - ch[u]) / m
-    g[m, m] = 0.0
-    g.setflags(write=False)
-    return g
-
-
 def transition_matrix(spec: GroupSpec, yhat: int) -> np.ndarray:
-    """The (M+1)x(M+1) unitary describing one compressed-oracle query at a
-    single database register, for response Fourier component yhat.
-
-    Entry [u, r] is the amplitude for the register to move from value r to
-    value u; the identity when yhat is the neutral character.  Cached per
-    (spec, yhat); the returned array is read-only.
-    """
+    """The (M+1)x(M+1) unitary of one compressed-oracle query at a single
+    database register for response Fourier component yhat:
+    Comp @ diag(yhat, 1) @ Comp.  Entry [u, r] is the amplitude from value r
+    to value u; exactly the identity at the neutral character.  Cached; the
+    returned array is read-only."""
     spec.check_element(yhat)
-    return _transition_matrix_cached(spec.kind, spec.order, yhat)
+    if yhat == 0:
+        out = np.eye(spec.order + 1, dtype=complex)
+    else:
+        c = comp_matrix(spec)
+        out = (c * np.append(character_table(spec)[yhat], 1.0)) @ c
+    out.setflags(write=False)
+    return out
 
 
 def comp_matrix(spec: GroupSpec) -> np.ndarray:
@@ -160,11 +154,7 @@ def dual_transform(spec: GroupSpec) -> np.ndarray:
 
     W[yhat, y] = yhat(y)/sqrt(M), so psi_hat = W @ psi.
     """
-    m = spec.order
-    w = np.empty((m, m), dtype=complex)
-    for yhat in range(m):
-        w[yhat, :] = character_row(spec, yhat) / math.sqrt(m)
-    return w
+    return character_table(spec) / math.sqrt(spec.order)
 
 
 def tilde_prob(spec: GroupSpec, r: int, yhat: int, subset) -> float:

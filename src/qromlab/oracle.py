@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, comp_matrix, dual_transform, transition_matrix
+from .groups import GroupSpec, character_row, comp_matrix, dual_transform, transition_matrix
 
 DEFAULT_BUDGET = 1 << 24
 PRUNE_TOL = 1e-14
@@ -450,31 +450,26 @@ def _check_distinct(xs) -> None:
         raise ValueError("parallel query inputs must be pairwise distinct")
 
 
-def apply_parallel_query(state: CompressedState, xs, out_regs) -> CompressedState:
-    """Apply cO on the k pairwise-distinct inputs xs, with responses wired to
-    the given group-valued adversary registers.  Returns a new state."""
-    xs = tuple(xs)
+def apply_parallel_query(state: _JointState, xs, out_regs) -> _JointState:
+    """Apply the oracle of the state's picture, cO on a CompressedState or the
+    standard oracle O on a PurifiedState, to the k pairwise-distinct inputs
+    xs, with responses in the given group-valued registers; a new state."""
+    xs, out_regs = tuple(xs), tuple(out_regs)
     _check_distinct(xs)
-    if len(xs) != len(tuple(out_regs)):
+    if len(xs) != len(out_regs):
         raise ValueError("one response register per queried input is required")
     new = state.copy()
-    for x, reg in zip(xs, out_regs):
-        _compressed_query_coord(new, reg, x_label=x)
-    new.prune()
+    _query(new, out_regs, xs, (None,) * len(xs))
     return new
 
 
-def apply_standard_query(state: PurifiedState, xs, out_regs) -> PurifiedState:
-    """Apply the standard oracle O on inputs xs (computational-basis group
-    addition into the response registers).  Returns a new state."""
-    xs = tuple(xs)
-    _check_distinct(xs)
-    if len(xs) != len(tuple(out_regs)):
-        raise ValueError("one response register per queried input is required")
-    new = state.copy()
-    for x, reg in zip(xs, out_regs):
-        _standard_query_coord(new, reg, x_label=x)
-    return new
+def _query(state: _JointState, out_regs, xs, in_regs) -> None:
+    """One parallel query in place: each coordinate (a classical input or an
+    input register) with the kernel of the state's picture, then a prune."""
+    coord = _compressed_query_coord if isinstance(state, CompressedState) else _standard_query_coord
+    for out_reg, x, in_reg in zip(out_regs, xs, in_regs):
+        coord(state, out_reg, x_label=x, in_reg=in_reg)
+    state.prune()
 
 
 # Adversary circuits
@@ -584,8 +579,6 @@ def named_gate_matrix(name: str, dims, spec: GroupSpec, param: int = 0) -> np.nd
     if name == "prepare_dual":
         if dims != (spec.order,):
             raise ValueError("prepare_dual acts on a single group register")
-        from .groups import character_row
-
         col = np.conj(character_row(spec, param)) / math.sqrt(spec.order)
         return unitary_with_first_column(col)
     if name == "reflect_mean":
@@ -595,7 +588,6 @@ def named_gate_matrix(name: str, dims, spec: GroupSpec, param: int = 0) -> np.nd
 
 
 def _run_steps(state: _JointState, circuit: AdversaryCircuit) -> _JointState:
-    query = _compressed_query_coord if isinstance(state, CompressedState) else _standard_query_coord
     for step in circuit.steps:
         if isinstance(step, GateStep):
             state.apply_register_unitary(np.asarray(step.matrix, dtype=complex), step.regs)
@@ -605,11 +597,8 @@ def _run_steps(state: _JointState, circuit: AdversaryCircuit) -> _JointState:
         elif isinstance(step, PhaseFlipStep):
             state.apply_phase_flip(step.regs, step.predicate)
         elif isinstance(step, QueryStep):
-            coords = step.xs if step.xs is not None else [None] * len(step.out_regs)
-            in_regs = step.in_regs if step.in_regs is not None else [None] * len(step.out_regs)
-            for x, in_reg, out_reg in zip(coords, in_regs, step.out_regs):
-                query(state, out_reg, x_label=x, in_reg=in_reg)
-            state.prune()
+            unset = (None,) * len(step.out_regs)
+            _query(state, step.out_regs, step.xs or unset, step.in_regs or unset)
         else:
             raise TypeError(f"unknown circuit step {step!r}")
     return state

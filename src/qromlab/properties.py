@@ -40,11 +40,6 @@ class DatabaseProperty:
     def holds(self, db: Database) -> bool:
         return bool(self._pred(db))
 
-    __call__ = holds
-
-    def __contains__(self, db: Database) -> bool:
-        return self.holds(db)
-
     def holds_batch(self, values, domain: OracleDomain) -> np.ndarray:
         """holds for every row of an int array of database values, shape (N, |X|)."""
         values = np.asarray(values)
@@ -92,9 +87,12 @@ def empty_db_prop() -> DatabaseProperty:
 
 
 def prmg(target: int = 0) -> DatabaseProperty:
+    """Some input maps to target; deciding it on a range without target raises
+    ValueError."""
     name = "PRMG" if target == 0 else f"PRMG[{target}]"
-    return DatabaseProperty(name, lambda db: any(v == target for v in db.values),
-                            lambda v, d: (v == target).any(axis=1), atom=("PRMG", target))
+    return DatabaseProperty(name, lambda db: db.domain.spec.check_element(target) in db.values,
+                            lambda v, d: (v == d.spec.check_element(target)).any(axis=1),
+                            atom=("PRMG", target))
 
 
 def cl() -> DatabaseProperty:
@@ -377,9 +375,6 @@ class LocalProperty:
     def is_trivial(self) -> bool:
         return self.is_constant_true or self.is_constant_false
 
-    def holds(self, db: Database) -> bool:
-        return tuple(db.value(x) for x in self.support) in self.members
-
     def contains_window_tuple(self, xs: tuple, r: tuple) -> bool:
         """Membership of a response tuple r over the window xs (supp inside xs)."""
         pos = [xs.index(x) for x in self.support]
@@ -420,7 +415,6 @@ class LocalFamily:
     """A family of local properties with pairwise distinct supports."""
 
     properties: tuple
-    provenance: str = "non-uniform"
 
     def __post_init__(self):
         supports = [p.support for p in self.properties]
@@ -486,7 +480,7 @@ def chain_local_family(db: Database, xs, rel: ChainRelation) -> LocalFamily:
     props = tuple(
         LocalProperty.one_local(x, values, domain.spec, name=f"CHN_L{i}") for i, x in enumerate(xs)
     )
-    return LocalFamily(props, provenance="non-uniform")
+    return LocalFamily(props)
 
 
 def collision_local_family(db: Database, xs) -> LocalFamily:
@@ -503,7 +497,7 @@ def collision_local_family(db: Database, xs) -> LocalFamily:
         props.append(LocalProperty((xs[i], xs[j]), members, spec, name=f"CL_{i}{j}"))
     for i, x in enumerate(xs):
         props.append(LocalProperty.one_local(x, outside, spec, name=f"CL_{i}"))
-    return LocalFamily(tuple(props), provenance="non-uniform")
+    return LocalFamily(tuple(props))
 
 
 def prmg_local_family(xs, spec: GroupSpec, target: int = 0) -> LocalFamily:
@@ -511,7 +505,7 @@ def prmg_local_family(xs, spec: GroupSpec, target: int = 0) -> LocalFamily:
     props = tuple(
         LocalProperty.one_local(x, (target,), spec, name=f"PRMG_L{i}") for i, x in enumerate(xs)
     )
-    return LocalFamily(props, provenance="uniform")
+    return LocalFamily(props)
 
 
 # Property strings: NAME[key=val,...] with "!" complement, "&" intersection,
@@ -577,7 +571,13 @@ def _parse_unary(tokens, pos):
     return _parse_atom(tokens[pos]), pos + 1
 
 
+ATOM_KEYS = {"PRMG": ("target",), "CHN": ("s", "rel", "t"), "SIZE": ("s",),
+             "CL": (), "TRUE": (), "FALSE": (), "BOT": ()}
+
+
 def _parse_atom(token: str) -> DatabaseProperty:
+    """One NAME[key=val,...] atom; an unknown name, or a key the atom does not
+    read or that is given twice, raises ValueError."""
     name, args = token, {}
     if "[" in token:
         if not token.endswith("]"):
@@ -585,13 +585,20 @@ def _parse_atom(token: str) -> DatabaseProperty:
         name, body = token[:-1].split("[", 1)
         for item in body.split(","):
             if item:
-                key, _, value = item.partition("=")
-                args[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in item.partition("="))
+                if key in args:
+                    raise ValueError(f"repeated key {key!r} in property atom {token!r}")
+                args[key] = value
     name = name.strip().upper()
-    if name.startswith("SIZE"):
-        if "<=" in name:
-            return size_at_most(int(name.split("<=", 1)[1]))
-        return size_at_most(int(args["s"]))
+    base, shorthand, size_bound = name.partition("<=")
+    if base not in ATOM_KEYS or (shorthand and base != "SIZE"):
+        raise ValueError(f"unknown property name {name!r}")
+    allowed = () if shorthand else ATOM_KEYS[base]
+    unknown = sorted(set(args) - set(allowed))
+    if unknown:
+        raise ValueError(f"property atom {token!r} takes no key {unknown[0]!r}")
+    if base == "SIZE":
+        return size_at_most(int(size_bound if shorthand else args["s"]))
     if name == "PRMG":
         return prmg(int(args.get("target", 0)))
     if name == "CL":
@@ -604,6 +611,4 @@ def _parse_atom(token: str) -> DatabaseProperty:
         return true_prop()
     if name == "FALSE":
         return false_prop()
-    if name == "BOT":
-        return empty_db_prop()
-    raise ValueError(f"unknown property name {name!r}")
+    return empty_db_prop()

@@ -387,6 +387,27 @@ def test_budget_edge_reports_pinned(tmp_path, argv, sha256, expected):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+# The first reports whose bound is below 1, at k=1: their values, bounds and
+# the SHA-256 of the report bytes.
+NON_VACUOUS_REPORTS = [
+    (["--p", "!PRMG", "--pprime", "PRMG", "--domain", "n=2,m=4"],
+     "d4b1987c483729dfb1fa292897dd5f6d4617896622d8af21a78e3b34c2df0784",
+     {"value": 0.347985272677, "bound": 0.790569415042, "holds": True}),
+    (["--p", "!CHN[s=1]", "--pprime", "CHN[s=2]", "--domain", "n=1,m=5"],
+     "15f9445d619f3f44850120b0d57debe2ab5f11289952639d9f673f10cb89eed9",
+     {"value": 0.421585548851, "bound": 0.790569415042, "holds": True}),
+]
+
+
+@pytest.mark.parametrize("argv,sha256,expected", NON_VACUOUS_REPORTS, ids=["prmg-m4", "chn-m5"])
+def test_non_vacuous_reports_pinned(tmp_path, argv, sha256, expected):
+    out = tmp_path / "report.json"
+    assert cli.main(["capacity", *argv, "--k", "1", "--bound", "thm5.7", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert {key: record[key] for key in expected} == expected
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestHotPath:
     """The budget-edge jobs decide properties only through truth tables and
     build a Database only for the witness and for each distinct family."""

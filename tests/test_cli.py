@@ -4,11 +4,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qromlab import capacity
+from qromlab import bounds, capacity
 from qromlab.cli import main
-from qromlab.reporting import render_csv, render_json, wilson_interval
+from qromlab.groups import GroupSpec
+from qromlab.oracle import (AdversaryCircuit, GateStep, OracleDomain, PhaseFlipStep, QueryStep,
+                            relation_probabilities)
+from qromlab.reporting import normalize_float, render_csv, render_json, wilson_interval
 
 GOLDEN_CAPACITY_JSON = """\
 {
@@ -40,6 +44,12 @@ GOLDEN_CAPACITY_JSON = """\
 """
 
 
+def bench_golden(job: str) -> dict:
+    """The benchmark's golden record of a capacity job."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    return json.loads(path.read_text())["capacity"][job]
+
+
 class TestBoundsCommand:
     def test_preimage_reference(self, capsys):
         assert main(["bounds", "--problem", "preimage", "--q", "16", "--k", "4",
@@ -54,6 +64,22 @@ class TestBoundsCommand:
                      "q=1,2,4", "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
+
+    @pytest.mark.parametrize("problem,flag,value,formula", [
+        ("gencol", "--gamma", 3, bounds.gencol_bound), ("chain", "--T", 2, bounds.chain_bound)])
+    def test_fan_in_parameter_is_reported(self, tmp_path, problem, flag, value, formula):
+        out = tmp_path / "table.json"
+        assert main(["bounds", "--problem", problem, "--q", "2", "--k", "2", flag, str(value),
+                     "--out", str(out)]) == 0
+        (record,) = json.loads(out.read_text())
+        assert record[flag.lstrip("-")] == value
+        assert record["value"] == normalize_float(formula(2, 2, 1 << 20, value))
+
+    def test_sweep_over_k_is_usage_error(self, tmp_path):
+        out = tmp_path / "table.json"
+        assert main(["bounds", "--problem", "preimage", "--q", "1", "--sweep", "k=1,2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_posw_bound_requires_wide_labels(self):
         assert main(["bounds", "--problem", "posw", "--q", "4", "--w", "8",
@@ -95,13 +121,38 @@ class TestCapacityCommand:
         assert ("union_bound_holds" in record) == shorthand
 
     def test_classical_prmg_report_matches_bench_golden(self, tmp_path):
-        golden = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
-                            .read_text())["capacity"]["classical-prmg"]
+        golden = bench_golden("classical-prmg")
         out = tmp_path / "cap.json"
         code = main(["capacity", "--p", "!PRMG", "--pprime", "PRMG", "--k", "2",
                      "--domain", "n=3,m=1", "--classical", "--out", str(out)])
         assert code == golden["exit"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
+
+    @pytest.mark.parametrize("name", ["cyclic-prmg", "cyclic-cl"])
+    def test_cyclic_report_matches_bench_golden(self, tmp_path, name):
+        golden = bench_golden(name)
+        out = tmp_path / "cap.json"
+        p = "PRMG" if name == "cyclic-prmg" else "CL"
+        assert main(["capacity", "--p", f"!{p}", "--pprime", p, "--k", "2", "--domain", "n=2,m=2",
+                     "--kind", "cyclic", "--out", str(out)]) == golden["exit"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"]
+
+    @pytest.mark.parametrize("p,pprime,domain", [
+        ("!PRMG[tagret=1]", "PRMG[tagret=1]", "n=1,m=1"),
+        ("!PRMG[target=1,target=1]", "PRMG[target=1]", "n=1,m=1"),
+        ("!CL", "CL[foo=bar]", "n=1,m=1"),
+        ("!PRMG[target=2]", "PRMG[target=2]", "n=1,m=1"),
+        ("!PRMG[target=7]", "PRMG[target=7]", "n=1,m=1"),
+        ("!PRMG", "PRMG", "n=1,m=2,kind=3"),
+        ("!PRMG", "PRMG", "n=1,m=1,m=2"),
+        ("!PRMG", "PRMG", "n=1"),
+    ], ids=["misspelt-key", "repeated-key", "key-on-cl", "target-2-at-m1", "target-7-at-m1",
+            "unknown-domain-key", "repeated-domain-key", "domain-without-m"])
+    def test_input_it_does_not_read_is_usage_error(self, tmp_path, p, pprime, domain):
+        out = tmp_path / "cap.json"
+        assert main(["capacity", "--p", p, "--pprime", pprime, "--k", "1", "--domain", domain,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_bad_property_is_usage_error(self):
         assert main(["capacity", "--p", "NOSUCH", "--pprime", "PRMG", "--k", "1",
@@ -194,6 +245,58 @@ class TestSimulateCommand:
                      "--shots", "2000", "--out", str(out)]) == 0
         record = json.loads(out.read_text())
         assert record["wilson_low"] <= record["p"] <= record["wilson_high"]
+
+    def test_gate_and_phase_flip_steps_match_library_run(self, tmp_path):
+        s = 0.5 ** 0.5
+        mixer = [[[s, 0.0], [0.0, s]], [[0.0, s], [s, 0.0]]]  # (1/sqrt 2)[[1, i], [i, 1]]
+        hadamard = [[[s, 0.0], [s, 0.0]], [[s, 0.0], [-s, 0.0]]]
+        circuit = {
+            "domain": "n=1,m=1",
+            "registers": [2, 2],
+            "steps": [
+                {"type": "gate", "matrix": mixer, "regs": [0]},
+                {"type": "gate", "matrix": hadamard, "regs": [1]},
+                {"type": "query", "in_regs": [0], "out_regs": [1]},
+                {"type": "phase_flip", "regs": [0, 1], "values": [[1, 1], [0, 1]]},
+                {"type": "gate", "matrix": mixer, "regs": [0]},
+                {"type": "query", "xs": ["1"], "out_regs": [1]},
+            ],
+            "output_regs": [0],
+        }
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(circuit))
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--circuit", str(path), "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+
+        as_matrix = lambda rows: np.array([[complex(re, im) for re, im in row] for row in rows])
+        domain = OracleDomain.of_bit_inputs(1, GroupSpec.bits(1))
+        library = AdversaryCircuit(domain=domain, reg_dims=(2, 2), output_regs=(0,), steps=(
+            GateStep(as_matrix(mixer), (0,)),
+            GateStep(as_matrix(hadamard), (1,)),
+            QueryStep(out_regs=(1,), in_regs=(0,)),
+            PhaseFlipStep((0, 1), lambda a, b: b == 1),
+            GateStep(as_matrix(mixer), (0,)),
+            QueryStep(out_regs=(1,), xs=("1",)),
+        ))
+        p, p_prime = relation_probabilities(library, lambda xs, ys: all(y == 0 for y in ys),
+                                            lambda xs: (0,) * len(xs))
+        assert 0.0 < p_prime and 0.0 < p < 1.0
+        assert abs(record["p"] - p) <= 1e-12
+        assert abs(record["p_prime"] - p_prime) <= 1e-12
+
+    @pytest.mark.parametrize("change", [
+        {"steps": [{"type": "swap", "regs": [0, 1]}]},
+        {"relation": {"kind": "collision"}},
+    ], ids=["unknown-step-type", "non-preimage-relation"])
+    def test_unsupported_circuit_file_exit_2(self, tmp_path, change):
+        circuit = {"domain": "n=1,m=1", "registers": [2, 2], "output_regs": [0],
+                   "steps": [{"type": "query", "in_regs": [0], "out_regs": [1]}], **change}
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(circuit))
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--circuit", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("query", [
         {"xs": ["00"], "out_regs": [1, 2]},

@@ -9,6 +9,7 @@ import pytest
 from qromlab.groups import (
     GroupSpec,
     character,
+    character_table,
     comp_matrix,
     connection_bound_check,
     dual_transform,
@@ -18,6 +19,29 @@ from qromlab.groups import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+def entrywise_transition_matrix(spec, yhat):
+    """The transition matrix entry by entry from its hand-derived formula,
+    kept as the reference for the Comp @ diag(yhat, 1) @ Comp definition."""
+    m = spec.order
+    if yhat == 0:
+        return np.eye(m + 1, dtype=complex)
+    ch = np.array([character(spec, yhat, y) for y in spec.elements()])
+    g = np.empty((m + 1, m + 1), dtype=complex)
+    s = math.sqrt(m)
+    for u in range(m):
+        g[u, m] = ch[u] / s
+        # row BOT carries yhat(r)/sqrt(M) unconjugated; unitarity fails for
+        # complex characters under the conjugated variant
+        g[m, u] = ch[u] / s
+        for r in range(m):
+            if r == u:
+                g[u, r] = (1.0 - 2.0 / m) * ch[u] + 1.0 / m
+            else:
+                g[u, r] = (1.0 - ch[r] - ch[u]) / m
+    g[m, m] = 0.0
+    return g
 
 
 def unitarity_defect(g):
@@ -71,6 +95,19 @@ class TestCharacter:
             assert np.conj(character(spec, yhat, y)) == pytest.approx(
                 character(spec, yhat, spec.neg(y))
             )
+
+    @pytest.mark.parametrize("spec", [GroupSpec.bits(m) for m in range(1, 6)]
+                             + [GroupSpec.cyclic(m) for m in range(2, 18)],
+                             ids=lambda s: f"{s.kind}{s.order}")
+    def test_table_matches_pairing(self, spec):
+        m = spec.order
+        for yhat, y in itertools.product(spec.elements(), repeat=2):
+            if spec.kind == "bits":
+                expected = -1.0 if bin(yhat & y).count("1") & 1 else 1.0
+            else:
+                expected = complex(np.exp(2j * math.pi * (yhat * y % m) / m))
+            assert character_table(spec)[yhat, y] == expected
+            assert character(spec, yhat, y) == expected
 
     def test_out_of_range_rejected(self):
         spec = GroupSpec.bits(1)
@@ -133,6 +170,14 @@ class TestTransitionMatrix:
                 o_mat = f @ perm @ np.conj(f.T)
                 expected = cm @ o_mat @ np.conj(cm.T)
                 assert np.max(np.abs(transition_matrix(spec, yhat) - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("kind,order", [("bits", 2), ("bits", 4), ("bits", 8), ("bits", 16),
+                                            ("bits", 32)] + [("cyclic", m) for m in range(2, 33)])
+    def test_matches_entrywise_formula(self, kind, order):
+        spec = GroupSpec(kind, order)
+        for yhat in spec.elements():
+            diff = np.max(np.abs(transition_matrix(spec, yhat) - entrywise_transition_matrix(spec, yhat)))
+            assert diff <= 1e-14
 
     def test_composition_law(self):
         for spec in (GroupSpec.bits(2), GroupSpec.cyclic(4)):

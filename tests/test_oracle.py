@@ -20,7 +20,6 @@ from qromlab.oracle import (
     PhaseFlipStep,
     QueryStep,
     apply_parallel_query,
-    apply_standard_query,
     comp,
     comp_dagger,
     grover_preimage_circuit,
@@ -133,7 +132,7 @@ class TestStandardQuery:
         ps = initial_purified_state(dom, (2,))
         ps.vec[:] = 0
         ps.vec[(0, 0) + (0,)] = 1.0  # H == 0 everywhere, response register 0
-        out = apply_standard_query(ps, ("0",), (0,))
+        out = apply_parallel_query(ps, ("0",), (0,))
         assert np.max(np.abs(out.vec - ps.vec)) <= 1e-12
 
     def test_xor_semantics_per_branch(self):
@@ -141,7 +140,7 @@ class TestStandardQuery:
         ps = initial_purified_state(dom, (2,))
         ps.vec[:] = 0
         ps.vec[(1, 0) + (1,)] = 1.0  # H('0')=1, H('1')=0, response register 1
-        out = apply_standard_query(ps, ("0",), (0,))
+        out = apply_parallel_query(ps, ("0",), (0,))
         assert out.vec[(1, 0) + (0,)] == pytest.approx(1.0)
 
     def test_commuting_diagram(self):
@@ -151,7 +150,7 @@ class TestStandardQuery:
                 ("00", "01", "10", "11")[:3], GroupSpec.cyclic(3))
             for _ in range(3):
                 ps = randomize(initial_purified_state(dom, (dom.spec.order,)), rng)
-                left = comp(apply_standard_query(ps, (dom.inputs[0],), (0,)))
+                left = comp(apply_parallel_query(ps, (dom.inputs[0],), (0,)))
                 right = apply_parallel_query(comp(ps), (dom.inputs[0],), (0,))
                 assert np.max(np.abs(left.vec - right.vec)) <= 1e-8
 
@@ -159,7 +158,7 @@ class TestStandardQuery:
     def test_response_register_count_checked(self, xs, out_regs):
         ps = initial_purified_state(bit_domain(1), (2, 2))
         with pytest.raises(ValueError, match="one response register"):
-            apply_standard_query(ps, xs, out_regs)
+            apply_parallel_query(ps, xs, out_regs)
 
 
 class TestMalformedQuerySteps:

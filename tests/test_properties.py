@@ -348,6 +348,27 @@ class TestSubsetAndParse:
         negated = parse_property("!(PRMG | CL)")
         assert negated.holds(Database.empty(dom))
 
+    def test_parse_accepts_every_key_an_atom_reads(self):
+        for text in ("PRMG[target=1]", "CHN[s=2,rel=prefix,t=1]", "SIZE[s=1]", "SIZE<=1",
+                     "CL", "TRUE", "FALSE", "BOT"):
+            parse_property(text)
+
+    @pytest.mark.parametrize("text", [
+        "PRMG[tagret=1]", "PRMG[target=1,target=2]", "CHN[s=1,u=2]", "CHN[s=1,s=2]", "SIZE[t=1]",
+        "SIZE<=2[s=1]", "SIZEX[s=1]", "PRMG<=1", "CL[foo=bar]", "TRUE[x=1]", "FALSE[x=1]",
+        "BOT[x=1]", "!PRMG[tagret=1]&CL"])
+    def test_parse_rejects_keys_an_atom_does_not_read(self, text):
+        with pytest.raises(ValueError):
+            parse_property(text)
+
+    @pytest.mark.parametrize("target", [2, 7])
+    def test_prmg_target_outside_the_range_raises(self, target):
+        dom = domain3()
+        with pytest.raises(ValueError):
+            prmg(target).holds(Database.empty(dom))
+        with pytest.raises(ValueError):
+            prmg(target).holds_batch(np.zeros((1, dom.size), dtype=int), dom)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_property("NOSUCH")
