@@ -243,8 +243,12 @@ def _cmd_lemmas(args) -> int:
 
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    params = posw_mod.PoswParams(n=args.n, w=args.w)
+    n, w, chi = params.n, params.w, 0x5A
+    # the largest log drawn holds 3 * 2^n - 1 entries
+    if 3 * (1 << n) - 1 > capacity_mod.ENUMERATION_BUDGET:
+        raise ValueError(f"--n {n} draws query logs larger than the enumeration budget")
     rng = random.Random(args.seed)
-    n, w, chi = args.n, args.w, 0x5A
     failures = skipped = 0
     records = []
     for _ in range(args.trials):

@@ -49,22 +49,6 @@ def encode_vertex(v: str) -> bytes:
     return bytes([len(v)]) + packed
 
 
-def decode_vertex(data: bytes) -> tuple:
-    """Parse a length-prefixed vertex; returns (vertex, bytes consumed)."""
-    if not data:
-        raise ValueError("empty vertex encoding")
-    depth = data[0]
-    nbytes = (depth + 7) // 8
-    if len(data) < 1 + nbytes:
-        raise ValueError("truncated vertex encoding")
-    if depth == 0:
-        return "", 1
-    value = int.from_bytes(data[1 : 1 + nbytes], "big")
-    if value >> depth:
-        raise ValueError("vertex padding bits must be zero")
-    return format(value, f"0{depth}b"), 1 + nbytes
-
-
 def label_payload(chi: int, v: str, in_labels, w: int) -> bytes:
     body = b"".join(label_bytes(l, w) for l in in_labels)
     return LABEL_TAG + label_bytes(chi, w) + encode_vertex(v) + body
@@ -75,22 +59,31 @@ def challenge_payload(chi: int, phi: int, counter: int, w: int) -> bytes:
 
 
 def parse_label_payload(payload: bytes, w: int):
-    """Inverse of label_payload: (chi, vertex, labels) or None if not label-framed."""
+    """Inverse of label_payload: (chi, vertex, labels) or None if not label-framed.
+
+    One pass over the frame: it accepts exactly the byte strings that
+    label_payload produces, so a statement or label wider than w bits, a
+    vertex with set padding bits, and a truncated vertex or label are refused.
+    """
     nb = (w + 7) // 8
-    if len(payload) < 1 + nb + 1 or payload[:1] != LABEL_TAG:
+    size = len(payload)
+    if size < nb + 2 or payload[0] != LABEL_TAG[0]:
         return None
-    try:
-        chi = label_from_bytes(payload[1 : 1 + nb], w)
-        v, used = decode_vertex(payload[1 + nb :])
-        rest = payload[1 + nb + used :]
-        if len(rest) % nb:
-            return None
-        labels = tuple(
-            label_from_bytes(rest[i : i + nb], w) for i in range(0, len(rest), nb)
-        )
-    except ValueError:
+    depth = payload[nb + 1]
+    start = nb + 2 + (depth + 7) // 8  # first label byte
+    if size < start or (size - start) % nb:
         return None
-    return chi, v, labels
+    chi = int.from_bytes(payload[1 : nb + 1], "big")
+    packed = int.from_bytes(payload[nb + 2 : start], "big")
+    if packed >> depth:
+        return None
+    if nb == 1:
+        labels = tuple(payload[start:])
+    else:
+        labels = tuple(int.from_bytes(payload[i : i + nb], "big") for i in range(start, size, nb))
+    if w % 8 and (chi >> w or any(label >> w for label in labels)):
+        return None
+    return chi, format(packed, f"0{depth}b") if depth else "", labels
 
 
 def parse_challenge_payload(payload: bytes, w: int):

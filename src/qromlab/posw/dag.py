@@ -10,6 +10,8 @@ The fixed vertex ordering is (length, lexicographic).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 ROOT = ""
 
 
@@ -54,10 +56,17 @@ def leaves(n: int) -> list:
 def in_neighbors(v: str, n: int) -> list:
     """Tree children (for internal vertices) followed by the skip-edge sources:
     the left siblings of every right-child ancestor, each group in vertex order
-    (a skip source's prefix length gives its order)."""
+    (a skip source's prefix length gives its order).  Each call returns a new
+    list."""
+    return list(_in_neighbors(v, n))
+
+
+@lru_cache(maxsize=1 << 12)
+def _in_neighbors(v: str, n: int) -> tuple:
+    # an invalid vertex raises, and a raising call is not cached
     check_vertex(v, n)
-    skips = [v[:i] + "0" for i, c in enumerate(v) if c == "1"]
-    return skips if len(v) == n else [v + "0", v + "1"] + skips
+    skips = tuple(v[:i] + "0" for i, c in enumerate(v) if c == "1")
+    return skips if len(v) == n else (v + "0", v + "1") + skips
 
 
 def authentication_path(v: str, n: int) -> list:

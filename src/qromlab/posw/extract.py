@@ -3,7 +3,10 @@ subtree a database supports for a claimed root label, plus the chain machinery
 and the lemma checkers built on it.
 
 Databases here are query logs: finite maps from framed oracle inputs to w-bit
-values, as exposed by the table backend.
+values, as exposed by the table backend.  Each check parses a log once, in
+canonical payload order, and indexes the label entries of its statement by
+vertex and slot labels; extraction, the chain length and every label equation
+read that one parse, so no equation is re-framed to be looked up.
 """
 
 from __future__ import annotations
@@ -24,12 +27,21 @@ class ExtractResult:
     collision: bool      # ambiguity was met while decomposing
 
 
-def _label_entries_by_vertex(db: dict, n: int, w: int, chi: int) -> dict:
-    """Index parseable label entries for the statement chi: vertex -> sorted
-    list of (payload, labels, value) with the arity the DAG prescribes."""
+def _parse_log(db: dict, w: int) -> list:
+    """The log in canonical payload order as (payload, parsed, value) triples,
+    parsed as parse_label_payload returns it (None when not label-framed)."""
+    return [(payload, parse_label_payload(payload, w), db[payload]) for payload in sorted(db)]
+
+
+def _label_entries_by_vertex(log: list, n: int, chi: int) -> dict:
+    """Index the parsed log's label entries for the statement chi whose vertex
+    lies in the depth-n DAG with the arity it prescribes: vertex -> {slot
+    labels: value}, in canonical payload order.
+
+    Framing is injective, so the entry for (v, slots) is the log's value at
+    label_payload(chi, v, slots, w) whenever that input is well formed."""
     index: dict = {}
-    for payload in sorted(db):
-        parsed = parse_label_payload(payload, w)
+    for _, parsed, value in log:
         if parsed is None:
             continue
         pchi, v, labels = parsed
@@ -37,7 +49,7 @@ def _label_entries_by_vertex(db: dict, n: int, w: int, chi: int) -> dict:
             continue
         if len(labels) != len(dag.in_neighbors(v, n)):
             continue
-        index.setdefault(v, []).append((payload, labels, db[payload]))
+        index.setdefault(v, {})[labels] = value
     return index
 
 
@@ -50,10 +62,10 @@ def extract(db: dict, n: int, phi: int, chi: int, w: int) -> ExtractResult:
     With collisions in the database the decomposition may be ambiguous; the
     first candidate in canonical payload order is taken and a flag raised.
     """
-    return _extract(_label_entries_by_vertex(db, n, w, chi), db, n, phi, chi, w)
+    return _extract(_label_entries_by_vertex(_parse_log(db, w), n, chi), n, phi)
 
 
-def _extract(entries: dict, db: dict, n: int, phi: int, chi: int, w: int) -> ExtractResult:
+def _extract(entries: dict, n: int, phi: int) -> ExtractResult:
     """extract() on a query log already indexed by _label_entries_by_vertex."""
     labels: dict = {dag.ROOT: phi}
     collision = False
@@ -64,7 +76,7 @@ def _extract(entries: dict, db: dict, n: int, phi: int, chi: int, w: int) -> Ext
             continue
         skip_neighbors = dag.in_neighbors(v, n)[2:]
         candidates = []
-        for payload, slot_labels, value in entries.get(v, ()):
+        for slot_labels, value in entries.get(v, {}).items():
             if value != labels[v]:
                 continue
             if any(slot_labels[2 + i] != labels.get(u) for i, u in enumerate(skip_neighbors)):
@@ -80,12 +92,17 @@ def _extract(entries: dict, db: dict, n: int, phi: int, chi: int, w: int) -> Ext
         queue.append(dag.left(v))
         queue.append(dag.right(v))
     tree = set(labels)
-    for v in sorted((u for u in tree if dag.is_leaf(u, n)), key=dag.vertex_key):
-        in_labels = [labels[u] for u in dag.in_neighbors(v, n)]
-        payload = label_payload(chi, v, in_labels, w)
-        if db.get(payload) != labels[v]:
+    for v in [u for u in tree if dag.is_leaf(u, n)]:
+        if not _equation_holds(entries, n, labels, v):
             tree.discard(v)
     return ExtractResult(tree=tree, labels=labels, collision=collision)
+
+
+def _equation_holds(entries: dict, n: int, labels: dict, v: str) -> bool:
+    """Whether the indexed log maps v's in-neighbour labels to v's label; an
+    unlabelled in-neighbour (a None slot, which no entry has) fails it."""
+    slots = tuple(labels.get(u) for u in dag.in_neighbors(v, n))
+    return entries.get(v, {}).get(slots) == labels[v]
 
 
 def db_has_collision(db: dict, w: int) -> bool:
@@ -99,22 +116,23 @@ def db_has_collision(db: dict, w: int) -> bool:
     return False
 
 
-def longest_posw_chain(db: dict, n: int, w: int) -> float:
+def longest_posw_chain(db: dict, n: int, w: int, *, _log: list | None = None) -> float:
     """Longest chain x_0,...,x_s in the database under the link relation
     "the value of x_{i-1} appears as a label slot of x_i".
 
     Every element but the last must be a defined database entry; the last hop
     is free since any value fits a label slot of some input.  Support cycles
-    give chains of every length, reported as inf.
+    give chains of every length, reported as inf.  A caller that already holds
+    the log's parse (_parse_log(db, w)) passes it as _log.
     """
-    payloads = sorted(db)
+    log = _parse_log(db, w) if _log is None else _log
+    payloads = [payload for payload, _, _ in log]
     # slot value -> payloads holding it in some label slot, in payload order
     holders: dict = {}
-    for payload in payloads:
-        parsed = parse_label_payload(payload, w)
+    for payload, parsed, _ in log:
         for value in set(parsed[2]) if parsed else ():
             holders.setdefault(value, []).append(payload)
-    successors = {p: holders.get(db[p], []) for p in payloads}
+    successors = {payload: holders.get(value, []) for payload, _, value in log}
     # the free final hop gives every entry a chain of length 1
     return longest_path(payloads, successors, dict.fromkeys(payloads, 1.0))
 
@@ -141,14 +159,15 @@ def check_leaves_lemma(db: dict, n: int, w: int, chi: int, extra_phis=()) -> boo
     supplied extras.  Databases with unboundedly long chains satisfy the bound
     vacuously.
     """
-    q = longest_posw_chain(db, n, w)
+    log = _parse_log(db, w)
+    q = longest_posw_chain(db, n, w, _log=log)
     if math.isinf(q):
         return True
     phis = sorted(set(db.values()) | set(extra_phis))
     limit = (q + 2) / 2.0
-    entries = _label_entries_by_vertex(db, n, w, chi)
+    entries = _label_entries_by_vertex(log, n, chi)
     for phi in phis:
-        result = _extract(entries, db, n, phi, chi, w)
+        result = _extract(entries, n, phi)
         if len([v for v in result.tree if dag.is_leaf(v, n)]) > limit:
             return False
     return True
@@ -166,23 +185,17 @@ def check_extract_lemma(db: dict, n: int, w: int, chi: int, phi: int,
     depth-first search over matching log entries; its cost is the entries
     tried per ancestor).
     """
-    entries = _label_entries_by_vertex(db, n, w, chi)
-    result = _extract(entries, db, n, phi, chi, w)
+    entries = _label_entries_by_vertex(_parse_log(db, w), n, chi)
+    result = _extract(entries, n, phi)
     tree, labels = result.tree, result.labels
-    # extraction labels an upward-closed subtree, so this covers every ancestor
-    ins = {v: dag.in_neighbors(v, n) for v in tree}
-
-    def equation_holds(v: str) -> bool:
-        if any(u not in labels for u in ins[v]):
-            return False
-        return db.get(label_payload(chi, v, [labels[u] for u in ins[v]], w)) == labels[v]
-
     for v in tree:
-        if ins[v] and all(u in tree for u in ins[v]):
-            if not equation_holds(v):
+        ins = dag.in_neighbors(v, n)
+        if ins and all(u in tree for u in ins):
+            if not _equation_holds(entries, n, labels, v):
                 return False
+    # extraction labels an upward-closed subtree, so this covers every ancestor
     for v in (u for u in tree if dag.is_leaf(u, n)):
-        if not all(equation_holds(z) for z in dag.ancestors(v)):
+        if not all(_equation_holds(entries, n, labels, z) for z in dag.ancestors(v)):
             return False
     if completeness:
         label_bytes(chi, w)  # a statement wider than w bits raises, as a framed query would
@@ -207,7 +220,7 @@ def _consistent_path_exists(entries: dict, n: int, phi: int, v: str) -> bool:
     def descend(depth: int, lab: dict) -> bool:
         z = v[:depth]
         ins = dag.in_neighbors(z, n)
-        for _, slots, value in entries.get(z, ()):
+        for slots, value in entries.get(z, {}).items():
             if value != lab[z] or any(lab.get(u, s) != s for u, s in zip(ins, slots)):
                 continue
             if depth == n or descend(depth + 1, {**lab, **dict(zip(ins, slots))}):

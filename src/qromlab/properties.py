@@ -573,6 +573,8 @@ def _parse_unary(tokens, pos):
 
 ATOM_KEYS = {"PRMG": ("target",), "CHN": ("s", "rel", "t"), "SIZE": ("s",),
              "CL": (), "TRUE": (), "FALSE": (), "BOT": ()}
+# the relations an atom can name; a custom relation needs a function
+CHAIN_RELATION_KINDS = ("equality", "prefix", "substring")
 
 
 def _parse_atom(token: str) -> DatabaseProperty:
@@ -605,6 +607,8 @@ def _parse_atom(token: str) -> DatabaseProperty:
         return cl()
     if name == "CHN":
         rel_kind = args.get("rel", "equality")
+        if rel_kind not in CHAIN_RELATION_KINDS:
+            raise ValueError(f"unknown chain relation {rel_kind!r} in property atom {token!r}")
         t_override = int(args["t"]) if "t" in args else None
         return chn(int(args["s"]), ChainRelation(rel_kind, t_bound_override=t_override))
     if name == "TRUE":

@@ -158,6 +158,12 @@ class TestCapacityCommand:
         assert main(["capacity", "--p", "NOSUCH", "--pprime", "PRMG", "--k", "1",
                      "--domain", "n=1,m=1"]) == 2
 
+    @pytest.mark.parametrize("rel", ["custom", "suffix", ""])
+    def test_unknown_chain_relation_is_usage_error(self, rel, capsys):
+        assert main(["capacity", "--p", f"!CHN[s=1,rel={rel}]", "--pprime",
+                     f"CHN[s=2,rel={rel}]", "--k", "1", "--domain", "n=1,m=1"]) == 2
+        assert "unknown chain relation" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k,restrict", [("1", "00,zz"), ("3", "00,01"), ("1", "00,00"), ("1", "")],
                              ids=["unknown-input", "k-above-pool", "repeated-input", "empty"])
     def test_bad_window_pool_is_usage_error(self, k, restrict):
@@ -384,6 +390,14 @@ class TestPoswCommands:
     def test_lemma_trials_below_one_exit_2(self, tmp_path, trials):
         out = tmp_path / "lemmas.json"
         assert main(["lemmas", "--suite", "leaves", "--trials", trials, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-1"], ["--n", "21"], ["--n", "40"],
+                                       ["--w", "7"], ["--w", "513"], ["--w", "600"]])
+    def test_lemma_parameters_out_of_range_exit_2(self, tmp_path, flags):
+        out = tmp_path / "lemmas.json"
+        assert main(["lemmas", "--suite", "leaves", "--trials", "1", *flags,
+                     "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_posw_lemmas_alias_is_gone(self):

@@ -7,7 +7,8 @@ int-framed prover and verifier loop they replaced, which framed each query
 with `label_payload` from int labels, are kept here as the reference: every
 query must keep the same vertex, payload bytes, freshness and order, and
 every proof and verdict must be equal.  The crypto backend's counter-mode
-`while` loop is kept as the reference for its one-pass evaluation.
+`while` loop is kept as the reference for its one-pass evaluation, and the
+per-field label-frame parser for the one-pass `parse_label_payload`.
 """
 
 import dataclasses
@@ -15,6 +16,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromlab.posw import (
     CryptoBackend,
@@ -25,10 +28,13 @@ from qromlab.posw import (
     compute_labeling,
     dag,
     derive_challenge,
+    challenge_payload,
     label_payload,
+    parse_label_payload,
     prove,
     verify,
 )
+from qromlab.posw.backend import LABEL_TAG
 
 WIDTHS = (8, 13, 16, 255, 256, 512)
 
@@ -270,3 +276,110 @@ def test_authentication_path_holds_every_in_neighbour(n):
         path = set(dag.authentication_path(leaf, n))
         for u in dag.ancestors(leaf):
             assert set(dag.in_neighbors(u, n)) <= path, (leaf, u)
+
+
+# --- reference: the per-field label-frame parser ----------------------------
+
+def ref_label_from_bytes(data, w):
+    if len(data) != (w + 7) // 8:
+        raise ValueError("label has the wrong byte length")
+    value = int.from_bytes(data, "big")
+    if value >> w:
+        raise ValueError(f"label bytes exceed {w} bits")
+    return value
+
+
+def ref_decode_vertex(data):
+    if not data:
+        raise ValueError("empty vertex encoding")
+    depth = data[0]
+    nbytes = (depth + 7) // 8
+    if len(data) < 1 + nbytes:
+        raise ValueError("truncated vertex encoding")
+    if depth == 0:
+        return "", 1
+    value = int.from_bytes(data[1 : 1 + nbytes], "big")
+    if value >> depth:
+        raise ValueError("vertex padding bits must be zero")
+    return format(value, f"0{depth}b"), 1 + nbytes
+
+
+def ref_parse_label_payload(payload, w):
+    nb = (w + 7) // 8
+    if len(payload) < 1 + nb + 1 or payload[:1] != LABEL_TAG:
+        return None
+    try:
+        chi = ref_label_from_bytes(payload[1 : 1 + nb], w)
+        v, used = ref_decode_vertex(payload[1 + nb :])
+        rest = payload[1 + nb + used :]
+        if len(rest) % nb:
+            return None
+        labels = tuple(
+            ref_label_from_bytes(rest[i : i + nb], w) for i in range(0, len(rest), nb)
+        )
+    except ValueError:
+        return None
+    return chi, v, labels
+
+
+# byte-aligned and unaligned widths, the edges of the admitted range included
+PARSE_WIDTHS = st.one_of(st.sampled_from([8, 9, 13, 15, 16, 17, 255, 256, 257, 511, 512]),
+                         st.integers(8, 512))
+
+
+@st.composite
+def label_frames(draw):
+    """(payload, w): a label frame, possibly mutated into a malformed one."""
+    w = draw(PARSE_WIDTHS)
+    nb = (w + 7) // 8
+    depth = draw(st.integers(0, 24))
+    v = format(draw(st.integers(0, (1 << depth) - 1)), f"0{depth}b") if depth else ""
+    labels = draw(st.lists(st.integers(0, (1 << w) - 1), max_size=5))
+    payload = bytearray(label_payload(draw(st.integers(0, (1 << w) - 1)), v, labels, w))
+    vertex_end = nb + 2 + (depth + 7) // 8
+    mutation = draw(st.sampled_from(
+        ["none", "flip", "truncate", "extend", "vertex padding", "label padding",
+         "statement padding", "depth", "tag"]))
+    if mutation == "flip":
+        i = draw(st.integers(0, len(payload) - 1))
+        payload[i] ^= 1 << draw(st.integers(0, 7))
+    elif mutation == "truncate":
+        del payload[draw(st.integers(0, len(payload) - 1)):]
+    elif mutation == "extend":
+        payload += draw(st.binary(min_size=1, max_size=2 * nb + 1))
+    elif mutation == "vertex padding" and depth % 8:
+        payload[vertex_end - 1] |= 1 << draw(st.integers(0, 7 - depth % 8))
+    elif mutation == "label padding" and labels and w % 8:
+        i = vertex_end + nb * draw(st.integers(0, len(labels) - 1))
+        payload[i] |= 0x80 >> draw(st.integers(0, 7 - w % 8))
+    elif mutation == "statement padding" and w % 8:
+        payload[1] |= 0x80 >> draw(st.integers(0, 7 - w % 8))
+    elif mutation == "depth":
+        payload[nb + 1] = draw(st.integers(0, 255))
+    elif mutation == "tag":
+        payload[0] = draw(st.integers(1, 255))
+    return bytes(payload), w
+
+
+@settings(max_examples=600, deadline=None)
+@given(label_frames())
+def test_parser_matches_reference_on_mutated_frames(frame):
+    payload, w = frame
+    assert parse_label_payload(payload, w) == ref_parse_label_payload(payload, w)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=80), PARSE_WIDTHS)
+def test_parser_matches_reference_on_random_bytes(payload, w):
+    assert parse_label_payload(payload, w) == ref_parse_label_payload(payload, w)
+    tagged = LABEL_TAG + payload
+    assert parse_label_payload(tagged, w) == ref_parse_label_payload(tagged, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PARSE_WIDTHS, st.data())
+def test_parser_refuses_challenge_frames(w, data):
+    chi, phi = (data.draw(st.integers(0, (1 << w) - 1)) for _ in range(2))
+    payload = challenge_payload(chi, phi, data.draw(st.integers(0, 2**32 - 1)), w)
+    assert parse_label_payload(payload, w) is None
+    assert ref_parse_label_payload(payload, w) is None

@@ -2,9 +2,11 @@
 
 The direct DAG topology is checked against the ancestor-walk construction it
 replaced, the top-down completeness search against the exhaustive search over
-every labeling of a leaf's ancestor closure, and the slot-indexed longest
-chain against the all-pairs link comparison, all kept here as reference
-oracles.
+every labeling of a leaf's ancestor closure, the slot-indexed longest chain
+against the all-pairs link comparison, and the lemma checks that read label
+equations from the per-vertex index against the versions that re-frame every
+equation with `label_payload` and look it up in the log, all kept here as
+reference oracles.
 """
 
 import itertools
@@ -12,14 +14,18 @@ import random
 
 import pytest
 
-from qromlab.posw import dag, label_payload, parse_label_payload
+from qromlab.posw import challenge_payload, dag, label_payload, parse_label_payload
+from qromlab.posw.backend import label_bytes
 from qromlab.properties import longest_path
 from qromlab.posw.extract import (
+    ExtractResult,
     _consistent_path_exists,
     _extract,
     _label_entries_by_vertex,
+    _parse_log,
     check_extract_lemma,
     check_leaves_lemma,
+    check_newpath_lemma,
     db_has_collision,
     extract,
     longest_posw_chain,
@@ -115,7 +121,7 @@ def assert_search_matches_reference(db, n, w, chi, phi):
     the completeness check with the reference's verdict on the leaves that
     extraction missed.  Returns (leaves with a consistent path, whether every
     such leaf was extracted)."""
-    entries = _label_entries_by_vertex(db, n, w, chi)
+    entries = _label_entries_by_vertex(_parse_log(db, w), n, chi)
     expected = {v: ref_labeling_exists(db, n, w, chi, phi, v) for v in dag.leaves(n)}
     for v, exists in expected.items():
         assert _consistent_path_exists(entries, n, phi, v) == exists, (db, phi, v)
@@ -216,7 +222,7 @@ def test_entries_outside_the_statement_are_not_indexed():
         label_payload(chi, "00", [], w): 3,            # deeper than n
         b"\x01garbage": 3,                             # not label-framed
     }
-    assert _label_entries_by_vertex(db, n, w, chi) == {"": [(good, (1, 2), 3)]}
+    assert _label_entries_by_vertex(_parse_log(db, w), n, chi) == {"": {(1, 2): 3}}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -239,10 +245,19 @@ def test_leaves_are_the_depth_n_vertices(n):
 def test_invalid_vertices_raise(v):
     with pytest.raises(ValueError):
         dag.check_vertex(v, 3)
-    with pytest.raises(ValueError):
-        dag.in_neighbors(v, 3)
+    for _ in range(2):  # a memoised neighbour list must not hide a second bad call
+        with pytest.raises(ValueError):
+            dag.in_neighbors(v, 3)
     with pytest.raises(ValueError):
         dag.authentication_path(v, 3)
+
+
+def test_in_neighbors_returns_a_fresh_list():
+    first = dag.in_neighbors("11", 3)
+    first.append("mutated")
+    first[0] = "mutated"
+    assert dag.in_neighbors("11", 3) == ["110", "111", "0", "10"]
+    assert dag.in_neighbors("11", 3) is not dag.in_neighbors("11", 3)
 
 
 def ref_leaves_lemma(db, n, w, chi, extra_phis):
@@ -263,9 +278,9 @@ def test_shared_index_matches_one_extract_per_root_label():
         w = 2 if trial % 2 else 8
         db = mutated_honest_log(rng, n, w, chi) if trial % 2 else random_log(rng, n, w, chi, 21)
         extra = (rng.getrandbits(w),)
-        entries = _label_entries_by_vertex(db, n, w, chi)
+        entries = _label_entries_by_vertex(_parse_log(db, w), n, chi)
         for phi in sorted(set(db.values()) | set(extra)):
-            assert _extract(entries, db, n, phi, chi, w) == extract(db, n, phi, chi, w)
+            assert _extract(entries, n, phi) == extract(db, n, phi, chi, w)
         assert check_leaves_lemma(db, n, w, chi, extra) == ref_leaves_lemma(db, n, w, chi, extra)
 
 
@@ -297,3 +312,195 @@ def test_longest_chain_matches_all_pairs_reference():
         lengths.append(q)
     assert float("inf") in lengths
     assert len({q for q in lengths if q != float("inf")}) > 2
+
+
+# --- reference lemma checks: every label equation re-framed and looked up ----
+
+def ref_label_entries_by_vertex(db, n, w, chi):
+    index = {}
+    for payload in sorted(db):
+        parsed = parse_label_payload(payload, w)
+        if parsed is None:
+            continue
+        pchi, v, labels = parsed
+        if pchi != chi or len(v) > n:
+            continue
+        if len(labels) != len(dag.in_neighbors(v, n)):
+            continue
+        index.setdefault(v, []).append((payload, labels, db[payload]))
+    return index
+
+
+def ref_extract_indexed(entries, db, n, phi, chi, w):
+    labels = {dag.ROOT: phi}
+    collision = False
+    queue = [dag.ROOT]
+    while queue:
+        v = queue.pop(0)
+        if dag.is_leaf(v, n):
+            continue
+        skip_neighbors = dag.in_neighbors(v, n)[2:]
+        candidates = []
+        for payload, slot_labels, value in entries.get(v, ()):
+            if value != labels[v]:
+                continue
+            if any(slot_labels[2 + i] != labels.get(u) for i, u in enumerate(skip_neighbors)):
+                continue
+            candidates.append(slot_labels)
+        if not candidates:
+            continue
+        if len(candidates) > 1:
+            collision = True
+        chosen = candidates[0]
+        labels[dag.left(v)] = chosen[0]
+        labels[dag.right(v)] = chosen[1]
+        queue += [dag.left(v), dag.right(v)]
+    tree = set(labels)
+    for v in sorted((u for u in tree if dag.is_leaf(u, n)), key=dag.vertex_key):
+        in_labels = [labels[u] for u in dag.in_neighbors(v, n)]
+        if db.get(label_payload(chi, v, in_labels, w)) != labels[v]:
+            tree.discard(v)
+    return ExtractResult(tree=tree, labels=labels, collision=collision)
+
+
+def ref_extract(db, n, phi, chi, w):
+    return ref_extract_indexed(ref_label_entries_by_vertex(db, n, w, chi), db, n, phi, chi, w)
+
+
+def ref_consistent_path_exists(entries, n, phi, v):
+    def descend(depth, lab):
+        z = v[:depth]
+        ins = dag.in_neighbors(z, n)
+        for _, slots, value in entries.get(z, ()):
+            if value != lab[z] or any(lab.get(u, s) != s for u, s in zip(ins, slots)):
+                continue
+            if depth == n or descend(depth + 1, {**lab, **dict(zip(ins, slots))}):
+                return True
+        return False
+
+    return descend(0, {dag.ROOT: phi})
+
+
+def ref_check_extract_lemma(db, n, w, chi, phi, completeness=False):
+    entries = ref_label_entries_by_vertex(db, n, w, chi)
+    result = ref_extract_indexed(entries, db, n, phi, chi, w)
+    tree, labels = result.tree, result.labels
+    ins = {v: dag.in_neighbors(v, n) for v in tree}
+
+    def equation_holds(v):
+        if any(u not in labels for u in ins[v]):
+            return False
+        return db.get(label_payload(chi, v, [labels[u] for u in ins[v]], w)) == labels[v]
+
+    for v in tree:
+        if ins[v] and all(u in tree for u in ins[v]):
+            if not equation_holds(v):
+                return False
+    for v in (u for u in tree if dag.is_leaf(u, n)):
+        if not all(equation_holds(z) for z in dag.ancestors(v)):
+            return False
+    if completeness:
+        label_bytes(chi, w)  # a statement wider than w bits raises, as a framed query would
+        for v in dag.leaves(n):
+            if v not in tree and ref_consistent_path_exists(entries, n, phi, v):
+                return False
+    return True
+
+
+def ref_check_newpath_lemma(db, xs, us, phi, chi, n, w):
+    updated = dict(db)
+    for payload, value in zip(xs, us):
+        updated[payload] = value
+    base = ref_extract(db, n, phi, chi, w)
+    new = ref_extract(updated, n, phi, chi, w)
+    base_leaves = {v for v in base.tree if dag.is_leaf(v, n)}
+    new_leaves = {v for v in new.tree if dag.is_leaf(v, n)}
+    for v in sorted(new_leaves - base_leaves, key=dag.vertex_key):
+        found = False
+        for payload in xs:
+            if db.get(payload) == updated[payload]:
+                continue
+            if any(updated[payload] == new.labels.get(z) for z in dag.ancestors(v)):
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+def hostile_log(rng, n, w, chi):
+    """A random or mutated honest log with entries that the index must skip or
+    keep apart: another statement, a wrong arity, a vertex deeper than n, a
+    challenge frame and unframed bytes, several of them holding values that
+    collide with label entries."""
+    db = mutated_honest_log(rng, n, w, chi) if rng.random() < 0.5 else random_log(rng, n, w, chi, 12)
+    values = sorted(set(db.values())) or [0]
+    vertices = dag.all_vertices(n)
+
+    def value():
+        return rng.choice(values) if rng.random() < 0.5 else rng.getrandbits(w)
+
+    def slots(v, extra=0):
+        return [rng.getrandbits(w) for _ in range(len(dag.in_neighbors(v, n)) + extra)]
+
+    for _ in range(rng.randrange(4)):
+        v = rng.choice(vertices)
+        db[label_payload(chi ^ 1, v, slots(v), w)] = value()
+        db[label_payload(chi, v, slots(v, rng.choice((-1, 1)) if dag.in_neighbors(v, n) else 1), w)] = value()
+    deep = "".join(rng.choice("01") for _ in range(n + 1))
+    db[label_payload(chi, deep, [rng.getrandbits(w) for _ in range(rng.randrange(4))], w)] = value()
+    db[challenge_payload(chi, value(), 0, w)] = value()
+    db[b"\x00" * rng.randrange(1, 4)] = value()
+    return db
+
+
+@pytest.mark.parametrize("w", [2, 3, 8, 9])
+def test_index_checks_match_reframing_references(w):
+    rng = random.Random(f"index-{w}")
+    chi = 1
+    for trial in range(150):
+        n = 1 + trial % 2
+        db = hostile_log(rng, n, w, chi)
+        phis = sorted(set(db.values()))[:3] + [rng.getrandbits(w)]
+        for phi in phis:
+            assert extract(db, n, phi, chi, w) == ref_extract(db, n, phi, chi, w), (db, phi)
+            for completeness in (False, True):
+                assert check_extract_lemma(db, n, w, chi, phi, completeness=completeness) == \
+                    ref_check_extract_lemma(db, n, w, chi, phi, completeness), (db, phi)
+        extra = (rng.getrandbits(w),)
+        assert check_leaves_lemma(db, n, w, chi, extra) == ref_leaves_lemma(db, n, w, chi, extra)
+        leaf = rng.choice(dag.leaves(n))
+        xs = [label_payload(chi, leaf, [rng.getrandbits(w) for _ in dag.in_neighbors(leaf, n)], w),
+              rng.choice(sorted(db))]
+        us = [rng.getrandbits(w), rng.getrandbits(w)]
+        phi = rng.choice(phis)
+        assert check_newpath_lemma(db, xs, us, phi, chi, n, w) == \
+            ref_check_newpath_lemma(db, xs, us, phi, chi, n, w), (db, xs, us, phi)
+
+
+def test_colliding_logs_fail_like_the_references():
+    """The lemmas assume collision-free logs; on colliding ones the checks
+    may fail, and must fail where the references do."""
+    n, w, chi, phi = 1, 2, 1, 3
+    first = label_payload(chi, dag.ROOT, [0, 1], w)   # taken first by extraction
+    db = {
+        first: phi,
+        label_payload(chi, dag.ROOT, [2, 1], w): phi,
+        label_payload(chi, "0", [], w): 2,
+    }
+    # redefining the first root entry hands the root to the second, which
+    # gains leaf 0 although no ancestor of it is labelled with the new value
+    assert not check_newpath_lemma(db, [first], [0], phi, chi, n, w)
+    assert not ref_check_newpath_lemma(db, [first], [0], phi, chi, n, w)
+    assert not check_extract_lemma(db, n, w, chi, phi, completeness=True)
+    assert not ref_check_extract_lemma(db, n, w, chi, phi, completeness=True)
+
+
+def test_wide_statement_matches_reference():
+    n, w = 1, 2
+    db = honest_log(random.Random(47), n, w, 1)
+    for phi in range(1 << w):
+        assert extract(db, n, phi, 4, w) == ref_extract(db, n, phi, 4, w)
+        assert check_extract_lemma(db, n, w, 4, phi) == ref_check_extract_lemma(db, n, w, 4, phi)
+        with pytest.raises(ValueError):
+            check_extract_lemma(db, n, w, 4, phi, completeness=True)
