@@ -69,10 +69,11 @@ class CapacityReport:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value via the Gram matrix."""
+    """Largest singular value via the smaller Gram matrix: a^H a for a tall
+    block, a a^H for a wide one."""
     if a.size == 0:
         return 0.0
-    eigs = np.linalg.eigvalsh(a.conj().T @ a)
+    eigs = np.linalg.eigvalsh(a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T)
     return math.sqrt(max(float(eigs[-1]), 0.0))
 
 

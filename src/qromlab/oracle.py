@@ -8,6 +8,12 @@ unitaries built from the single-register transition matrix.  Both pictures
 keep one row store: only the oracle rows (function tables or databases) that
 carry amplitude are stored, and the dense tensor is built only when .vec is
 read.
+
+The oracle register changes only at a query.  A run applies the steps
+before its first query to one oracle row and builds the joint state once
+from that row's register block; a compressed query coordinate merges the
+rows of all its groups into the row store once and drops those left all
+zero.
 """
 
 from __future__ import annotations
@@ -321,21 +327,28 @@ def _basis_state(cls, domain: OracleDomain, reg_dims: tuple, keys, amplitude: fl
     return cls(domain, reg_dims, keys=np.asarray(keys, dtype=np.int64), block=block)
 
 
+def _initial_rows(cls, domain: OracleDomain, reg_dims: tuple) -> tuple:
+    """The oracle rows of the picture's initial state and the amplitude each
+    holds: the all-bot database, or every function table uniformly.  The
+    budget counts the dense dimensions."""
+    m = domain.spec.order
+    if cls is CompressedState:
+        _check_budget((m + 1,) * domain.size + reg_dims)
+        return [(m + 1) ** domain.size - 1], 1.0
+    _check_budget((m,) * domain.size + reg_dims)
+    return np.arange(m ** domain.size), m ** (-domain.size / 2.0)
+
+
 def initial_compressed_state(domain: OracleDomain, reg_dims=(1,)) -> CompressedState:
     """All-bot database joint with adversary basis state 0."""
     reg_dims = (reg_dims,) if isinstance(reg_dims, int) else tuple(reg_dims)
-    m = domain.spec.order
-    _check_budget((m + 1,) * domain.size + reg_dims)
-    return _basis_state(CompressedState, domain, reg_dims, [(m + 1) ** domain.size - 1], 1.0)
+    return _basis_state(CompressedState, domain, reg_dims, *_initial_rows(CompressedState, domain, reg_dims))
 
 
 def initial_purified_state(domain: OracleDomain, reg_dims=(1,)) -> PurifiedState:
     """Uniform superposition over all functions H, adversary at basis state 0."""
     reg_dims = (reg_dims,) if isinstance(reg_dims, int) else tuple(reg_dims)
-    m = domain.spec.order
-    _check_budget((m,) * domain.size + reg_dims)
-    return _basis_state(PurifiedState, domain, reg_dims, np.arange(m ** domain.size),
-                        m ** (-domain.size / 2.0))
+    return _basis_state(PurifiedState, domain, reg_dims, *_initial_rows(PurifiedState, domain, reg_dims))
 
 
 def comp(state: PurifiedState) -> CompressedState:
@@ -385,11 +398,12 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     """One coordinate of a parallel query against the compressed oracle.
 
     W and W-dagger act on the response register of the stored rows only.  For
-    each queried input x (and pinned input level), the stored rows are grouped
-    by their key with x blanked; each group's M+1 rows are gathered by
-    searchsorted (an absent row reads as zero), the transition for every
-    non-neutral yhat is applied on the pinned slice and scattered back, and
-    the absent group rows that came out nonzero join the stored rows."""
+    each queried input x, the stored rows are grouped by their key with x
+    blanked, and the M+1 rows of every group join the stored rows at once, in
+    one grown block.  For each queried input (and pinned input level) the
+    transition for every non-neutral yhat is applied on the pinned slice of
+    its groups, gathered and scattered back by position.  The joined rows that
+    stayed all zero are dropped again before W-dagger."""
     spec = state.domain.spec
     m = spec.order
     out_pos, targets = _query_targets(state, out_reg, x_label, in_reg)
@@ -402,28 +416,29 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     ndim = 2 + len(state.reg_dims) - (in_reg is not None)
     perm = [2 + out_pos, 1] + [a for a in range(ndim) if a not in (2 + out_pos, 1)]
     inverse = _inverse(perm)
-    for oracle_axis, pin in targets:
-        keys, block = state._rows()
+    keys, block = state._rows()
+    groups = []
+    for oracle_axis, _ in targets:
         stride = (m + 1) ** (state.n_oracle - 1 - oracle_axis)
-        group = np.unique(keys - keys // stride % (m + 1) * stride)[:, None] + stride * levels
-        pos = np.searchsorted(keys, group)
-        present = keys[np.minimum(pos, len(keys) - 1)] == group
-        rest = tuple(d for d, i in zip(state.reg_dims, pin) if isinstance(i, slice))
-        gathered = np.zeros(group.shape + rest, dtype=complex)
-        gathered[present] = block[(pos[present],) + pin]
-        gathered = np.ascontiguousarray(gathered.transpose(perm))
+        groups.append(np.unique(keys - keys // stride % (m + 1) * stride)[:, None] + stride * levels)
+    grown = np.union1d(keys, np.concatenate([group.ravel() for group in groups]))
+    stored = np.searchsorted(grown, keys)
+    rows = np.zeros((len(grown),) + state.reg_dims, dtype=complex)
+    rows[stored] = block
+    for (_, pin), group in zip(targets, groups):
+        index = (np.searchsorted(grown, group),) + pin
+        gathered = np.ascontiguousarray(rows[index].transpose(perm))
         shape = gathered.shape
         gathered = gathered.reshape(m, m + 1, -1)
         gathered[1:] = ts @ gathered[1:]
-        gathered = gathered.reshape(shape).transpose(inverse)
-        block[(pos[present],) + pin] = gathered[present]
-        fresh = (gathered != 0.0).any(axis=tuple(range(2, gathered.ndim))) & ~present
-        if fresh.any():
-            rows = np.zeros((int(fresh.sum()),) + state.reg_dims, dtype=complex)
-            rows[(slice(None),) + pin] = gathered[fresh]
-            keys = np.concatenate([keys, group[fresh]])
-            order = np.argsort(keys, kind="stable")
-            state._set_rows(keys[order], np.concatenate([block, rows])[order])
+        rows[index] = gathered.reshape(shape).transpose(inverse)
+    joined = np.ones(len(grown), dtype=bool)
+    joined[stored] = False
+    keep = ~joined
+    keep[joined] = _nonzero_rows(rows[joined])
+    if not keep.all():
+        grown, rows = grown[keep], rows[keep]
+    state._set_rows(grown, rows)
     _apply_gate(state, np.conj(w.T), (out_reg,))
 
 
@@ -587,8 +602,8 @@ def named_gate_matrix(name: str, dims, spec: GroupSpec, param: int = 0) -> np.nd
     raise ValueError(f"unknown named gate {name!r}")
 
 
-def _run_steps(state: _JointState, circuit: AdversaryCircuit) -> _JointState:
-    for step in circuit.steps:
+def _run_steps(state: _JointState, circuit: AdversaryCircuit, steps) -> _JointState:
+    for step in steps:
         if isinstance(step, GateStep):
             state.apply_register_unitary(np.asarray(step.matrix, dtype=complex), step.regs)
         elif isinstance(step, NamedGateStep):
@@ -604,15 +619,30 @@ def _run_steps(state: _JointState, circuit: AdversaryCircuit) -> _JointState:
     return state
 
 
+def _run_from(cls, circuit: AdversaryCircuit, keys, amplitude: float) -> _JointState:
+    """Run the circuit from the state whose oracle rows keys each hold
+    amplitude, with the adversary at basis state 0.
+
+    The oracle acts only at queries, so every row's register block is the
+    same until the first query: the steps before it run on one row, and the
+    joint state is built once from that row's block."""
+    steps = circuit.steps
+    first = next((i for i, s in enumerate(steps) if isinstance(s, QueryStep)), len(steps))
+    head = _run_steps(_basis_state(cls, circuit.domain, circuit.reg_dims, keys[:1], 1.0), circuit, steps[:first])
+    block = np.multiply.outer(np.full(len(keys), amplitude), head._rows()[1][0])
+    state = cls(circuit.domain, circuit.reg_dims, keys=np.asarray(keys, dtype=np.int64), block=block)
+    return _run_steps(state, circuit, steps[first:])
+
+
 def run_adversary(circuit: AdversaryCircuit, oracle: str = "compressed"):
     """Run the circuit against the chosen oracle and return the final state."""
     if oracle == "compressed":
-        state: _JointState = initial_compressed_state(circuit.domain, circuit.reg_dims)
+        cls = CompressedState
     elif oracle == "standard":
-        state = initial_purified_state(circuit.domain, circuit.reg_dims)
+        cls = PurifiedState
     else:
         raise ValueError("oracle must be 'compressed' or 'standard'")
-    return _run_steps(state, circuit)
+    return _run_from(cls, circuit, *_initial_rows(cls, circuit.domain, circuit.reg_dims))
 
 
 def zhandry_gap_check(p: float, p_prime: float, ell: int, m: int) -> bool:
@@ -666,19 +696,27 @@ def _adversary_outputs(circuit: AdversaryCircuit, values, claimed):
 
 
 def _output_columns(state: _JointState, circuit: AdversaryCircuit, relation, claimed) -> dict:
-    """The reached adversary basis states (flat indices) whose output
-    satisfies the relation, grouped by the (input, response) pairs they pin.
-    A basis state naming one input with two different responses pins none."""
-    reached = state.adversary_marginal()
-    columns = {}
-    for j, values in enumerate(np.ndindex(state.reg_dims)):
-        if reached[j] == 0.0:
-            continue
-        xs, labels, ys = _adversary_outputs(circuit, values, claimed)
+    """The reached adversary basis states (ascending flat indices) whose
+    output satisfies the relation, grouped by the (input, response) pairs
+    they pin, the groups in order of first occurrence.  A basis state naming
+    one input with two different responses pins none.  The outputs are
+    decided once per distinct tuple of output register values."""
+    reached = np.flatnonzero(state.adversary_marginal())
+    values = np.stack(np.unravel_index(reached, state.reg_dims), axis=1)
+    regs = list(circuit.output_regs) + list(circuit.y_output_regs or ())
+    # each tuple of output register values as one mixed-radix integer
+    code = values[:, regs] @ np.cumprod([1] + [state.reg_dims[r] for r in regs])[:-1]
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.full(len(first), -1)
+    pins = {}
+    for t, row in zip(order.tolist(), values[first[order]].tolist()):
+        xs, labels, ys = _adversary_outputs(circuit, row, claimed)
         pinned = {}
         if all(pinned.setdefault(x, y) == y for x, y in zip(xs, ys)) and relation(labels, ys):
-            columns.setdefault(tuple(pinned.items()), []).append(j)
-    return columns
+            group[t] = pins.setdefault(tuple(pinned.items()), len(pins))
+    group = group[inverse]
+    return {pinned: reached[group == g] for pinned, g in pins.items()}
 
 
 def _indicator(state: _JointState) -> np.ndarray:
@@ -730,7 +768,7 @@ def run_adversary_fixed_function(circuit: AdversaryCircuit, table) -> PurifiedSt
     _check_budget((m,) * circuit.domain.size + circuit.reg_dims)
     oracle_index = tuple(circuit.domain.spec.check_element(table[x]) for x in circuit.domain.inputs)
     key = np.ravel_multi_index(oracle_index, (m,) * circuit.domain.size)
-    return _run_steps(_basis_state(PurifiedState, circuit.domain, circuit.reg_dims, [key], 1.0), circuit)
+    return _run_from(PurifiedState, circuit, [key], 1.0)
 
 
 def sampled_relation_probability(circuit: AdversaryCircuit, relation, claimed,

@@ -461,3 +461,17 @@ class TestOperatorNorm:
 
     def test_empty_matrix(self):
         assert operator_norm(np.zeros((0, 0))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(3, 9), (9, 3), (5, 5), (1, 7), (7, 1), (1, 1)])
+    def test_smaller_gram_matches_numpy_norm(self, shape):
+        """Wide and tall blocks are normed through the smaller Gram matrix;
+        both agree with numpy's spectral norm."""
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            expected = np.linalg.norm(a, 2)
+            assert abs(operator_norm(a) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_empty_blocks(self, shape):
+        assert operator_norm(np.zeros(shape, dtype=complex)) == 0.0

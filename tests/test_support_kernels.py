@@ -22,6 +22,7 @@ from qromlab.oracle import (
     CompressedState,
     Database,
     GateStep,
+    NamedGateStep,
     OracleDomain,
     PhaseFlipStep,
     QueryStep,
@@ -468,6 +469,54 @@ def test_fixed_function_run_keeps_one_row(target):
     assert close(state.vec, ref.vec)
 
 
+# The query-free prefix
+
+
+def reshaped(circuit, form):
+    """The circuit with named gates before its first step ("prefix"), with
+    every step before its first query dropped ("query first"), or with its
+    queries dropped ("no query")."""
+    steps = circuit.steps
+    k = circuit.k
+    if form == "prefix":
+        steps = (NamedGateStep("prepare_uniform", (0,)),
+                 NamedGateStep("prepare_dual", (k,), param=1)) + steps
+    elif form == "query first":
+        steps = steps[next(i for i, s in enumerate(steps) if isinstance(s, QueryStep)):]
+    else:
+        steps = tuple(s for s in steps if not isinstance(s, QueryStep))
+    return AdversaryCircuit(domain=circuit.domain, reg_dims=circuit.reg_dims, steps=steps,
+                            output_regs=circuit.output_regs, y_output_regs=circuit.y_output_regs)
+
+
+@SLOW
+@given(circuits, st.integers(0, 2**16), st.sampled_from(["prefix", "query first", "no query"]))
+def test_standard_run_matches_dense(circuit, seed, form):
+    """The standard run, whose steps before the first query act on one
+    function row, equals the dense run over all M^|X| function tables."""
+    circuit = with_phase_flips(reshaped(circuit, form), seed)
+    state = run_adversary(circuit, "standard")
+    start = initial_purified_state(circuit.domain, circuit.reg_dims)
+    ref = ref_run(circuit, start, ref_standard_query_coord)
+    assert close(state.vec, ref.vec)
+    assert close(run_adversary(circuit, "compressed").vec, ref_run(circuit).vec)
+
+
+@pytest.mark.parametrize("picture, rows", [("standard", 4 ** 5), ("compressed", None)])
+def test_prefix_gates_touch_one_row(monkeypatch, picture, rows):
+    """At |X| = 5, M = 4, k = 2, every gate before the first query touches
+    one stored row; the standard run's gates after it touch all 4^5 function
+    tables."""
+    circuit = random_circuit(3, GroupSpec.bits(2), 5, 2, 1, True)
+    first = next(i for i, s in enumerate(circuit.steps) if isinstance(s, QueryStep))
+    calls = gate_rows(monkeypatch)
+    run_adversary(circuit, picture)
+    assert first == 4
+    assert all(len(keys) == 1 for keys in calls[:first])
+    if rows is not None:
+        assert all(len(keys) == rows for keys in calls[first:])
+
+
 # The support the query kernel carries
 
 
@@ -509,6 +558,30 @@ def test_query_support_is_exact(monkeypatch, spec, level):
     assert calls[0] == before
     assert after <= calls[-1] <= before | after
     assert len(after) < (spec.order + 1) ** dom.size
+
+
+@SLOW
+@given(st.integers(0, 2**16), st.sampled_from(SPECS), st.sampled_from([0.0, 0.6, 0.95]))
+def test_superposed_query_keeps_no_new_zero_row(seed, spec, zero_rows):
+    """A superposed coordinate with every input level live, each stored row
+    live on a random subset of them: it matches the dense kernel, and the
+    rows stored after it are exactly those live before or after, so no row
+    it added is all zero."""
+    rng = np.random.default_rng(seed)
+    dom = domain(3, spec)
+    state = random_state(rng, dom, (dom.size, spec.order), zero_rows)
+    flat = state.vec.reshape(-1, dom.size, spec.order)
+    cut = rng.random(flat.shape[:2]) < 0.5
+    cut[:, rng.integers(dom.size)] = False
+    cut[rng.choice(np.flatnonzero(np.abs(flat).max(axis=(1, 2))))] = False
+    flat[cut] = 0.0
+    before = support(state.vec, dom.size)
+    ref = state.copy()
+    oracle._compressed_query_coord(state, 1, in_reg=0)
+    ref_query_coord(ref, 1, in_reg=0)
+    stored = set(state._rows()[0].tolist())
+    assert close(state.vec, ref.vec)
+    assert stored == before | support(state.vec, dom.size)
 
 
 @pytest.mark.parametrize("spec", SPECS)
