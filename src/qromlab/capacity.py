@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .groups import transition_matrix
+from .groups import GroupSpec, transition_matrix
 from .oracle import Database, OracleDomain, sparse_encode
 from .properties import (
     MASK_ROWS,
@@ -27,6 +26,7 @@ from .properties import (
     DatabaseProperty,
     chain_local_family,
     collision_local_family,
+    digit_rows,
     prmg_local_family,
     truth_table,
     value_dtype,
@@ -111,10 +111,51 @@ def window_exteriors(domain: OracleDomain, xs: tuple):
 
 def exterior_values(domain: OracleDomain, xs: tuple) -> np.ndarray:
     """window_exteriors of a window of distinct inputs as an int array, one row
-    per exterior."""
-    count = (domain.spec.order + 1) ** (domain.size - len(xs)) * domain.size
-    flat = itertools.chain.from_iterable(window_exteriors(domain, xs))
-    return np.fromiter(flat, dtype=value_dtype(domain.spec), count=count).reshape(-1, domain.size)
+    per exterior: the inputs outside the window count in mixed radix."""
+    window = {domain.index(x) for x in xs}
+    others = [i for i in range(domain.size) if i not in window]
+    ext, dtype = domain.spec.order + 1, value_dtype(domain.spec)
+    values = np.full((ext ** len(others), domain.size), domain.spec.bot, dtype=dtype)
+    values[:, others] = digit_rows(np.arange(len(values)), ext, len(others), dtype)
+    return values
+
+
+def unique_rows(rows: np.ndarray) -> tuple:
+    """(first, inverse) of np.unique(rows, axis=0, return_index=True,
+    return_inverse=True) for a boolean matrix, keyed by each row's packed
+    bytes.  packbits is MSB-first and void keys compare like memcmp, so the
+    distinct rows rows[first] come out in the same order."""
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def window_blocks(spec: GroupSpec, k: int, in_mask: np.ndarray, out_mask: np.ndarray):
+    """The blocks [out_mask, in_mask] of Gamma(yhat_1) x ... x Gamma(yhat_k),
+    yielded one per yhat tuple in itertools.product order.
+
+    Entry [(o_1..o_k), (i_1..i_k)] of the Kronecker product is the product of
+    the factors' [o_j, i_j] entries, so each block is gathered from its
+    factors and multiplied left to right, in the order np.kron multiplies.
+    The (M+1)^k x (M+1)^k product is never formed, and only the partial
+    products of the current yhat tuple are kept.
+    """
+    shape = (spec.order + 1,) * k
+    ins = np.unravel_index(np.flatnonzero(in_mask), shape)
+    outs = np.unravel_index(np.flatnonzero(out_mask), shape)
+    factors = [transition_matrix(spec, yh) for yh in range(spec.order)]
+
+    def blocks(j, prefix):
+        # prefix: the product of the first j gathered factors, None for j = 0
+        for t in factors:
+            gathered = t[np.ix_(outs[j], ins[j])]
+            block = gathered if prefix is None else prefix * gathered
+            if j + 1 == k:
+                yield block
+            else:
+                yield from blocks(j + 1, block)
+    return blocks(0, None)
 
 
 def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int,
@@ -141,10 +182,7 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
         """Norms of the blocks of one (in_mask, out_mask) pair, one per yhat."""
         key = masks.tobytes()
         if key not in norms:
-            in_mask, out_mask = masks[:dim], masks[dim:]
-            gammas = (reduce(np.kron, [transition_matrix(spec, yh) for yh in yhats])
-                      for yhats in all_yhats)
-            norms[key] = [operator_norm(g[np.ix_(out_mask, in_mask)]) for g in gammas]
+            norms[key] = [operator_norm(b) for b in window_blocks(spec, k, masks[:dim], masks[dim:])]
         return norms[key]
 
     p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
@@ -152,7 +190,6 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     best_key = None
     chunk = max(1, MASK_ROWS // dim)
     for xi, xs in enumerate(windows):
-        exteriors = exterior_values(domain, xs)
         window = np.concatenate([window_view(p_table, domain, xs),
                                  window_view(pprime_table, domain, xs)], axis=1)
         for start in range(0, len(window), chunk):
@@ -160,11 +197,11 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
             live = np.flatnonzero(masks[:, :dim].any(axis=1) & masks[:, dim:].any(axis=1))
             if not len(live):
                 continue
-            pairs, pair_of = np.unique(masks[live], axis=0, return_inverse=True)
-            table = np.array([block_norms(pair) for pair in pairs])
+            first, pair_of = unique_rows(masks[live])
+            table = np.array([block_norms(pair) for pair in masks[live[first]]])
             # one event per (live exterior, yhat), in the order the per-row
             # enumeration visits them: exteriors outer, yhats inner
-            events = table[pair_of.reshape(-1)].ravel()
+            events = table[pair_of].ravel()
             # An event moves the fold below only if it exceeds the running
             # best less 1e-12, and the running best never falls more than
             # 1e-12 below the largest value seen; skipping the events under
@@ -180,13 +217,14 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
                     if value > best:
                         best = value
                     best_key = key
-                    best_xs, best_values = xs, exteriors[key[2]]
     best_witness = None
     if best_key is not None:
+        best_xs = windows[best_key[0]]
+        values = next(itertools.islice(window_exteriors(domain, best_xs), best_key[2], None))
         best_witness = {
             "xs": list(best_xs),
             "yhats": list(best_key[1]),
-            "database": sparse_encode(Database(domain, tuple(best_values.tolist()))),
+            "database": sparse_encode(Database(domain, values)),
         }
     return CapacityReport(value=best, witness=best_witness, kind="quantum")
 
@@ -348,7 +386,7 @@ def recognizability_bound(theorem: str, pprime: DatabaseProperty, k: int, domain
         families = []
         for xs in windows:
             exteriors = exterior_values(domain, xs)
-            _, first = np.unique(feature(exteriors), axis=0, return_index=True)
+            first, _ = unique_rows(feature(exteriors))
             families += [build(Database(domain, tuple(exteriors[i].tolist())), xs)
                          for i in np.sort(first)]
     else:

@@ -247,8 +247,17 @@ def window_tuples(spec: GroupSpec, k: int) -> np.ndarray:
     """Every response tuple of a k-input window, one per row, in the canonical
     mixed-radix order of the window basis (undefined index last)."""
     ext = spec.order + 1
-    grid = list(itertools.product(range(ext), repeat=k))
-    return np.array(grid, dtype=value_dtype(spec)).reshape(ext ** k, k)
+    return digit_rows(np.arange(ext ** k), ext, k, value_dtype(spec))
+
+
+def digit_rows(index: np.ndarray, ext: int, width: int, dtype) -> np.ndarray:
+    """The base-ext digits of each index, one row of width digits per index,
+    the most significant first: for index = arange(ext**width) the rows are
+    itertools.product(range(ext), repeat=width) in order."""
+    rows = np.empty((len(index), width), dtype=dtype)
+    for i in range(width):
+        rows[:, i] = index // ext ** (width - 1 - i) % ext
+    return rows
 
 
 def window_masks(p: DatabaseProperty, domain: OracleDomain, exteriors: np.ndarray, xs) -> np.ndarray:
@@ -274,9 +283,7 @@ def truth_table(p: DatabaseProperty, domain: OracleDomain) -> np.ndarray:
     table = np.empty(ext ** size, dtype=bool)
     for start in range(0, len(table), MASK_ROWS):
         index = np.arange(start, min(start + MASK_ROWS, len(table)))
-        rows = np.empty((len(index), size), dtype=value_dtype(domain.spec))
-        for i in range(size):  # mixed-radix digits, input 0 most significant
-            rows[:, i] = index // ext ** (size - 1 - i) % ext
+        rows = digit_rows(index, ext, size, value_dtype(domain.spec))
         table[start:start + len(index)] = p.holds_batch(rows, domain)
     return table.reshape((ext,) * size)
 

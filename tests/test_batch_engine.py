@@ -251,7 +251,7 @@ class TestEngineAgainstPerRow:
     ]
 
     @pytest.mark.parametrize("spec", [GroupSpec.bits(1), GroupSpec.cyclic(3)])
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("x_restrict", [None, ("11", "01", "10")])
     def test_named_transitions(self, spec, k, x_restrict):
         domain = bit_domain(spec)
@@ -279,6 +279,46 @@ class TestEngineAgainstPerRow:
         p, pprime = parse_property("!CL"), parse_property("CL|PRMG")
         report = quantum_capacity_exact(p, pprime, 2, domain)
         assert (report.value, report.witness) == per_row_quantum_capacity(p, pprime, 2, domain)
+
+
+class TestBlocksAndKeys:
+    """The engine's two kernels against the numpy calls they replace: blocks
+    gathered from their factors against the Kronecker product, and packed
+    row keys against np.unique over axis 0."""
+
+    @pytest.mark.parametrize("spec", [GroupSpec.bits(1), GroupSpec.bits(2), GroupSpec.cyclic(3)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gathered_blocks_equal_kron(self, spec, k):
+        dim = (spec.order + 1) ** k
+        rng = np.random.default_rng(dim + spec.order)
+        one_entry = np.zeros(dim, dtype=bool)
+        one_entry[rng.integers(dim)] = True
+        masks = [(np.ones(dim, dtype=bool), np.ones(dim, dtype=bool)),
+                 (one_entry, np.ones(dim, dtype=bool)), (np.ones(dim, dtype=bool), one_entry)]
+        masks += [(rng.random(dim) < 0.5, rng.random(dim) < 0.3) for _ in range(4)]
+        yhat_tuples = list(itertools.product(range(spec.order), repeat=k))
+        gammas = [reduce(np.kron, [transition_matrix(spec, y) for y in yhats]) for yhats in yhat_tuples]
+        for in_mask, out_mask in masks:
+            blocks = list(capacity_mod.window_blocks(spec, k, in_mask, out_mask))
+            assert len(blocks) == len(gammas)
+            for yhats, block, gamma in zip(yhat_tuples, blocks, gammas):
+                assert np.array_equal(block, gamma[np.ix_(out_mask, in_mask)]), yhats
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_keys_match_unique_rows(self, data):
+        width = data.draw(st.integers(1, 40).filter(lambda w: w % 8), label="width")
+        row = st.lists(st.booleans(), min_size=width, max_size=width)
+        if data.draw(st.booleans(), label="identical"):
+            rows = [data.draw(row)] * data.draw(st.integers(1, 12))
+        else:
+            rows = data.draw(st.lists(row, min_size=1, max_size=30))
+        rows = np.array(rows, dtype=bool)
+        pairs, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        got_first, got_inverse = capacity_mod.unique_rows(rows)
+        assert got_first.tolist() == first.tolist()
+        assert got_inverse.tolist() == inverse.reshape(-1).tolist()
+        assert np.array_equal(rows[got_first], pairs)
 
 
 class TestClassicalAgainstPerRow:
