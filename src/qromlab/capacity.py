@@ -24,12 +24,10 @@ from .properties import (
     MASK_ROWS,
     WINDOW_DIM_BUDGET,
     DatabaseProperty,
-    chain_local_family,
-    collision_local_family,
-    digit_rows,
-    prmg_local_family,
+    canonical_families,
+    exterior_values,
     truth_table,
-    value_dtype,
+    unique_rows,
     window_tuples,
     window_view,
 )
@@ -102,33 +100,8 @@ def _check_budget(enumerated: int) -> None:
 
 
 def window_exteriors(domain: OracleDomain, xs: tuple):
-    """The values of all databases canonicalized to undefined on the window,
-    enumerated in canonical value order on the remaining inputs."""
-    window = {domain.index(x) for x in xs}
-    ext, pinned = range(domain.spec.order + 1), (domain.spec.bot,)
-    return itertools.product(*(pinned if i in window else ext for i in range(domain.size)))
-
-
-def exterior_values(domain: OracleDomain, xs: tuple) -> np.ndarray:
-    """window_exteriors of a window of distinct inputs as an int array, one row
-    per exterior: the inputs outside the window count in mixed radix."""
-    window = {domain.index(x) for x in xs}
-    others = [i for i in range(domain.size) if i not in window]
-    ext, dtype = domain.spec.order + 1, value_dtype(domain.spec)
-    values = np.full((ext ** len(others), domain.size), domain.spec.bot, dtype=dtype)
-    values[:, others] = digit_rows(np.arange(len(values)), ext, len(others), dtype)
-    return values
-
-
-def unique_rows(rows: np.ndarray) -> tuple:
-    """(first, inverse) of np.unique(rows, axis=0, return_index=True,
-    return_inverse=True) for a boolean matrix, keyed by each row's packed
-    bytes.  packbits is MSB-first and void keys compare like memcmp, so the
-    distinct rows rows[first] come out in the same order."""
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+    """The rows of exterior_values as value tuples, one at a time."""
+    return map(tuple, map(np.ndarray.tolist, exterior_values(domain, xs)))
 
 
 def window_blocks(spec: GroupSpec, k: int, in_mask: np.ndarray, out_mask: np.ndarray):
@@ -358,40 +331,15 @@ def bound_thm_general(families) -> float:
 def recognizability_bound(theorem: str, pprime: DatabaseProperty, k: int, domain: OracleDomain,
                           x_restrict=None) -> float:
     """A recognizability bound (one of BOUND_THEOREMS) over all (window,
-    exterior) pairs, with the canonical family of the target, which must be a
-    bare PRMG, CL or CHN atom.
+    exterior) pairs, with the canonical families of the target.
 
-    A family depends on the exterior only through a few of its features (none
-    for PRMG, the exterior's value set for CL, its support for CHN), and a
-    bound is a maximum over families, so each distinct family is built and
-    evaluated once.
+    A bound is a maximum over families, so each window contributes its
+    distinct families only (properties.canonical_families).
     """
     if theorem not in BOUND_THEOREMS:
         raise ValueError(f"unknown bound source {theorem!r}")
-    windows = query_windows(domain, k, x_restrict)
-    kind, arg = pprime.atom or (None, None)
-    bot = domain.spec.bot
-    if kind == "PRMG":
-        families = [prmg_local_family(xs, domain.spec, arg) for xs in windows]
-    elif kind in ("CL", "CHN"):
-        if kind == "CL":
-            def feature(values):
-                present = np.zeros((len(values), bot + 1), dtype=bool)
-                np.put_along_axis(present, values.astype(np.intp), True, axis=1)
-                return present[:, :bot]
-            build = collision_local_family
-        else:
-            feature = lambda values: values != bot
-            build = lambda db, xs: chain_local_family(db, xs, arg)
-        families = []
-        for xs in windows:
-            exteriors = exterior_values(domain, xs)
-            first, _ = unique_rows(feature(exteriors))
-            families += [build(Database(domain, tuple(exteriors[i].tolist())), xs)
-                         for i in np.sort(first)]
-    else:
-        raise ValueError(f"no canonical family for target {pprime.name!r}: "
-                         "the bound needs a bare PRMG, CL or CHN target")
+    families = [fam for xs in query_windows(domain, k, x_restrict)
+                for fam in canonical_families(pprime, domain, xs)]
     # looked up at call time, so rebinding a module attribute reaches the call
     evaluate = (bound_thm_simple, bound_thm_tricky, bound_thm_general)
     return evaluate[BOUND_THEOREMS.index(theorem)](families)

@@ -5,8 +5,9 @@ and the lemma checkers built on it.
 Databases here are query logs: finite maps from framed oracle inputs to w-bit
 values, as exposed by the table backend.  Each check parses a log once, in
 canonical payload order, and indexes the label entries of its statement by
-vertex and slot labels; extraction, the chain length and every label equation
-read that one parse, so no equation is re-framed to be looked up.
+vertex and slot labels; extraction and the chain length read that one parse.
+The extraction lemma's check frames each equation it checks and looks it up
+in the log itself, so a fault in the index cannot hide from it.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ def _equation_holds(entries: dict, n: int, labels: dict, v: str) -> bool:
     return entries.get(v, {}).get(slots) == labels[v]
 
 
+def _logged_equation_holds(db: dict, n: int, chi: int, w: int, labels: dict, v: str) -> bool:
+    """Whether the log maps the label query of v, framed from its in-neighbour
+    labels, to v's label; an unlabelled in-neighbour fails it."""
+    slots = [labels.get(u) for u in dag.in_neighbors(v, n)]
+    return None not in slots and db.get(label_payload(chi, v, slots, w)) == labels[v]
+
+
 def db_has_collision(db: dict, w: int) -> bool:
     """A collision is two distinct defined inputs sharing a value."""
     seen: set = set()
@@ -188,15 +196,17 @@ def check_extract_lemma(db: dict, n: int, w: int, chi: int, phi: int,
     entries = _label_entries_by_vertex(_parse_log(db, w), n, chi)
     result = _extract(entries, n, phi)
     tree, labels = result.tree, result.labels
+    # every ancestor of a leaf in the tree (extraction labels an upward-closed
+    # subtree) and every vertex whose in-neighbourhood lies in the tree, each
+    # once; their equations are read from the log itself, not from the index
+    # that extraction read
+    checked = {z for v in tree if dag.is_leaf(v, n) for z in dag.ancestors(v)}
     for v in tree:
         ins = dag.in_neighbors(v, n)
         if ins and all(u in tree for u in ins):
-            if not _equation_holds(entries, n, labels, v):
-                return False
-    # extraction labels an upward-closed subtree, so this covers every ancestor
-    for v in (u for u in tree if dag.is_leaf(u, n)):
-        if not all(_equation_holds(entries, n, labels, z) for z in dag.ancestors(v)):
-            return False
+            checked.add(v)
+    if not all(_logged_equation_holds(db, n, chi, w, labels, v) for v in checked):
+        return False
     if completeness:
         label_bytes(chi, w)  # a statement wider than w bits raises, as a framed query would
         for v in dag.leaves(n):

@@ -138,11 +138,10 @@ def subset_of(p: DatabaseProperty, q: DatabaseProperty, domain: OracleDomain) ->
 @dataclass(frozen=True)
 class ChainRelation:
     """A link relation between range values y and inputs x, with its fan-in bound
-    T = max_x |{y : y relates to x}| either supplied or computed by enumeration."""
+    T = max_x |{y : y relates to x}| computed by enumeration."""
 
     kind: str  # equality | prefix | substring | custom
     fn: object = None
-    t_bound_override: int | None = None
 
     def relates(self, y: int, x, domain: OracleDomain) -> bool:
         spec = domain.spec
@@ -161,8 +160,6 @@ class ChainRelation:
         raise ValueError(f"unknown chain relation kind {self.kind!r}")
 
     def t_bound(self, domain: OracleDomain) -> int:
-        if self.t_bound_override is not None:
-            return self.t_bound_override
         if self.kind in ("equality", "prefix"):
             return 1
         best = 0
@@ -260,19 +257,6 @@ def digit_rows(index: np.ndarray, ext: int, width: int, dtype) -> np.ndarray:
     return rows
 
 
-def window_masks(p: DatabaseProperty, domain: OracleDomain, exteriors: np.ndarray, xs) -> np.ndarray:
-    """Diagonals of p|_{D|xs} for many databases D at once.
-
-    exteriors holds database values, one row per D; row i of the result marks
-    the window tuples r (in window_tuples order) with D[xs -> r] in p.
-    """
-    xs = _distinct_window(xs)
-    grid = window_tuples(domain.spec, len(xs))
-    rows = np.repeat(np.asarray(exteriors, dtype=value_dtype(domain.spec)), len(grid), axis=0)
-    rows[:, [domain.index(x) for x in xs]] = np.tile(grid, (len(exteriors), 1))
-    return p.holds_batch(rows, domain).reshape(len(exteriors), len(grid))
-
-
 def truth_table(p: DatabaseProperty, domain: OracleDomain) -> np.ndarray:
     """p on every database of the domain, shape (M+1,)*|X|: entry [v_0, ...,
     v_{|X|-1}] decides the database with value v_i at input i.
@@ -292,8 +276,9 @@ def window_view(table: np.ndarray, domain: OracleDomain, xs) -> np.ndarray:
     """A table over the databases, shape (M+1,)*|X|, read as one row per
     exterior of the window xs and one column per window tuple.
 
-    Rows come in window_exteriors order and columns in window_tuples order, so
-    the view of a truth table equals window_masks over every exterior.
+    Rows come in exterior_values order and columns in window_tuples order:
+    entry [i, j] of the view of truth_table(p) decides exterior i with the
+    window set to tuple j, the restriction p|_{D|xs} at that exterior.
     """
     xs = _distinct_window(xs)
     ext, k = domain.spec.order + 1, len(xs)
@@ -301,12 +286,36 @@ def window_view(table: np.ndarray, domain: OracleDomain, xs) -> np.ndarray:
     return moved.reshape(ext ** (table.ndim - k), ext ** k)
 
 
+def exterior_values(domain: OracleDomain, xs) -> np.ndarray:
+    """The values of all databases undefined on the window xs, one row per
+    exterior, in canonical value order on the remaining inputs: the rows of
+    window_view."""
+    window = {domain.index(x) for x in _distinct_window(xs)}
+    others = [i for i in range(domain.size) if i not in window]
+    ext, dtype = domain.spec.order + 1, value_dtype(domain.spec)
+    values = np.full((ext ** len(others), domain.size), domain.spec.bot, dtype=dtype)
+    values[:, others] = digit_rows(np.arange(len(values)), ext, len(others), dtype)
+    return values
+
+
+def unique_rows(rows: np.ndarray) -> tuple:
+    """(first, inverse) of np.unique(rows, axis=0, return_index=True,
+    return_inverse=True) for a boolean matrix, keyed by each row's packed
+    bytes.  packbits is MSB-first and void keys compare like memcmp, so the
+    distinct rows rows[first] come out in the same order."""
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 def _window_sides(db: Database, xs, *props) -> tuple:
     """The window xs, its response tuples, and per property the mask of tuples
-    r with db[xs -> r] inside it."""
+    r with db[xs -> r] inside it, each decided by holds on its own Database."""
     xs = _distinct_window(xs)
     window = [tuple(r) for r in window_tuples(db.domain.spec, len(xs)).tolist()]
-    return xs, window, [window_masks(p, db.domain, [db.values], xs)[0] for p in props]
+    updated = [db.update(xs, r) for r in window]
+    return xs, window, [[p.holds(d) for d in updated] for p in props]
 
 
 def restrict(p: DatabaseProperty, db: Database, xs) -> frozenset:
@@ -515,6 +524,33 @@ def prmg_local_family(xs, spec: GroupSpec, target: int = 0) -> LocalFamily:
     return LocalFamily(props)
 
 
+def canonical_families(pprime: DatabaseProperty, domain: OracleDomain, xs) -> list:
+    """The distinct canonical local families of the target pprime, a bare
+    PRMG, CL or CHN atom, over the exteriors of the window xs.
+
+    A family depends on the exterior only through one feature (none for PRMG,
+    the exterior's value set for CL, its support for CHN), so one family is
+    built per distinct feature, from the first exterior in view-row order that
+    has it.
+    """
+    kind, arg = pprime.atom or (None, None)
+    if kind == "PRMG":
+        return [prmg_local_family(xs, domain.spec, arg)]
+    if kind not in ("CL", "CHN"):
+        raise ValueError(f"no canonical family for target {pprime.name!r}: "
+                         "the bound needs a bare PRMG, CL or CHN target")
+    exteriors = exterior_values(domain, xs)
+    bot = domain.spec.bot
+    if kind == "CL":
+        present = np.zeros((len(exteriors), bot + 1), dtype=bool)
+        np.put_along_axis(present, exteriors.astype(np.intp), True, axis=1)
+        features, build = present[:, :bot], collision_local_family
+    else:
+        features, build = exteriors != bot, lambda db, xs: chain_local_family(db, xs, arg)
+    first, _ = unique_rows(features)
+    return [build(Database(domain, tuple(exteriors[i].tolist())), xs) for i in np.sort(first)]
+
+
 # Property strings: NAME[key=val,...] with "!" complement, "&" intersection,
 # "|" union; SIZE accepts the shorthand SIZE<=s.
 
@@ -578,7 +614,7 @@ def _parse_unary(tokens, pos):
     return _parse_atom(tokens[pos]), pos + 1
 
 
-ATOM_KEYS = {"PRMG": ("target",), "CHN": ("s", "rel", "t"), "SIZE": ("s",),
+ATOM_KEYS = {"PRMG": ("target",), "CHN": ("s", "rel"), "SIZE": ("s",),
              "CL": (), "TRUE": (), "FALSE": (), "BOT": ()}
 # the relations an atom can name; a custom relation needs a function
 CHAIN_RELATION_KINDS = ("equality", "prefix", "substring")
@@ -616,8 +652,7 @@ def _parse_atom(token: str) -> DatabaseProperty:
         rel_kind = args.get("rel", "equality")
         if rel_kind not in CHAIN_RELATION_KINDS:
             raise ValueError(f"unknown chain relation {rel_kind!r} in property atom {token!r}")
-        t_override = int(args["t"]) if "t" in args else None
-        return chn(int(args["s"]), ChainRelation(rel_kind, t_bound_override=t_override))
+        return chn(int(args["s"]), ChainRelation(rel_kind))
     if name == "TRUE":
         return true_prop()
     if name == "FALSE":

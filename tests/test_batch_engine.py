@@ -1,7 +1,8 @@
 """The batch capacity engines against the per-row enumeration they replaced.
 
 Four layers are checked: holds_batch against per-row holds on random
-property expressions, the truth-table window views against window_masks,
+property expressions, the truth-table window views against per-row window
+masks,
 both capacity engines against the per-row engines kept below as differential
 oracles, and the recognizability bounds against one family per (window,
 exterior) pair.  The full capacity reports at the enumeration-budget edge are
@@ -42,7 +43,6 @@ from qromlab.properties import (
     true_prop,
     truth_table,
     value_dtype,
-    window_masks,
     window_tuples,
     window_view,
 )
@@ -189,12 +189,12 @@ class TestHoldsBatch:
         assert (odd & prmg()).holds_batch(rows, domain).tolist() == [True, False]
         assert seen == [(0, 0, 0, 1), (2, 2, 2, 2)]
 
-    def test_window_masks_match_restrict(self):
+    def test_window_view_matches_restrict(self):
         domain = bit_domain(GroupSpec.cyclic(3))
         p = ~cl() | chn(2, EQ)
         xs = ("10", "00")
         exteriors = list(capacity_mod.window_exteriors(domain, xs))
-        masks = window_masks(p, domain, exteriors, xs)
+        masks = window_view(truth_table(p, domain), domain, xs)
         window = [tuple(r) for r in window_tuples(domain.spec, 2).tolist()]
         for values, mask in zip(exteriors, masks):
             got = frozenset(r for r, m in zip(window, mask) if m)
@@ -208,13 +208,13 @@ class TestTruthTable:
         table = truth_table(p, domain)
         assert table.shape == (domain.spec.order + 1,) * domain.size
         for xs in self.WINDOWS:
-            exteriors = list(capacity_mod.window_exteriors(domain, xs))
-            assert np.array_equal(window_view(table, domain, xs),
-                                  window_masks(p, domain, exteriors, xs)), (p.name, xs)
+            masks = [per_row_window_mask(p, Database(domain, values), xs)
+                     for values in capacity_mod.window_exteriors(domain, xs)]
+            assert np.array_equal(window_view(table, domain, xs), masks), (p.name, xs)
 
     @given(spec=st.sampled_from(SPECS[:3]), p=PROPERTIES)
     @settings(max_examples=40, deadline=None)
-    def test_view_equals_window_masks(self, spec, p):
+    def test_view_equals_per_row_masks(self, spec, p):
         self.views_match_masks(p, bit_domain(spec))
 
     @pytest.mark.parametrize("text", ["!CL|CHN[s=2]", "PRMG[target=1]&SIZE<=2", "!(PRMG|CL)"])
@@ -233,7 +233,7 @@ class TestTruthTable:
         domain = bit_domain(spec)
         for xs in self.WINDOWS:
             assert list(capacity_mod.window_exteriors(domain, xs)) == list(nested_loop_exteriors(domain, xs))
-            values = capacity_mod.exterior_values(domain, xs)
+            values = properties_mod.exterior_values(domain, xs)
             assert [tuple(r) for r in values.tolist()] == list(nested_loop_exteriors(domain, xs))
 
 
@@ -315,7 +315,7 @@ class TestBlocksAndKeys:
             rows = data.draw(st.lists(row, min_size=1, max_size=30))
         rows = np.array(rows, dtype=bool)
         pairs, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        got_first, got_inverse = capacity_mod.unique_rows(rows)
+        got_first, got_inverse = properties_mod.unique_rows(rows)
         assert got_first.tolist() == first.tolist()
         assert got_inverse.tolist() == inverse.reshape(-1).tolist()
         assert np.array_equal(rows[got_first], pairs)
@@ -365,19 +365,25 @@ class TestClassicalAgainstPerRow:
         assert report.value == value and report.witness == witness, (p.name, pprime.name)
 
 
+def per_exterior_families(pprime, domain, xs):
+    """One canonical family per exterior of the window xs."""
+    families = []
+    for values in capacity_mod.window_exteriors(domain, xs):
+        db = Database(domain, values)
+        if "PRMG" in pprime.name:
+            families.append(prmg_local_family(xs, domain.spec))
+        elif "CHN" in pprime.name:
+            rel = PREFIX if "prefix" in pprime.name else EQ
+            families.append(chain_local_family(db, xs, rel))
+        else:
+            families.append(collision_local_family(db, xs))
+    return families
+
+
 def per_pair_bound(name, pprime, k, domain):
     """One canonical family per (window, exterior) pair."""
-    families = []
-    for xs in itertools.permutations(domain.inputs, k):
-        for values in capacity_mod.window_exteriors(domain, xs):
-            db = Database(domain, values)
-            if "PRMG" in pprime.name:
-                families.append(prmg_local_family(xs, domain.spec))
-            elif "CHN" in pprime.name:
-                rel = PREFIX if "prefix" in pprime.name else EQ
-                families.append(chain_local_family(db, xs, rel))
-            else:
-                families.append(collision_local_family(db, xs))
+    families = [fam for xs in itertools.permutations(domain.inputs, k)
+                for fam in per_exterior_families(pprime, domain, xs)]
     evaluate = {"thm5.7": capacity_mod.bound_thm_simple, "thm5.9": capacity_mod.bound_thm_tricky,
                 "thm5.12": capacity_mod.bound_thm_general}[name]
     return evaluate(families)
@@ -394,6 +400,23 @@ def test_distinct_family_bound_matches_per_pair(name, p, pprime, k, spec):
     domain = bit_domain(spec)
     p, pprime = parse_property(p), parse_property(pprime)
     assert capacity_mod.recognizability_bound(name, pprime, k, domain) == per_pair_bound(name, pprime, k, domain)
+
+
+@pytest.mark.parametrize("text,k,spec", [
+    ("PRMG", 2, GroupSpec.bits(1)),
+    ("CL", 2, GroupSpec.bits(1)),
+    ("CL", 1, GroupSpec.cyclic(3)),
+    ("CHN[s=2]", 1, GroupSpec.bits(2)),
+    ("CHN[s=2,rel=prefix]", 1, GroupSpec.bits(2)),
+    ("CHN[s=2,rel=prefix]", 2, GroupSpec.bits(1)),
+])
+def test_canonical_families_cover_every_exterior(text, k, spec):
+    # a family lost to a merge of exteriors could hide the bound's maximum
+    domain = bit_domain(spec)
+    pprime = parse_property(text)
+    for xs in itertools.permutations(domain.inputs, k):
+        families = properties_mod.canonical_families(pprime, domain, xs)
+        assert set(families) == set(per_exterior_families(pprime, domain, xs)), xs
 
 
 # Full reports of the per-row engine at n=3, m=1, k=2: the values, the first
@@ -455,7 +478,7 @@ class TestHotPath:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"holds": 0, "database": 0, "families": 0}
-        holds, init, family = DatabaseProperty.holds, Database.__init__, capacity_mod.collision_local_family
+        holds, init, family = DatabaseProperty.holds, Database.__init__, properties_mod.collision_local_family
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -465,7 +488,7 @@ class TestHotPath:
 
         monkeypatch.setattr(DatabaseProperty, "holds", counted("holds", holds))
         monkeypatch.setattr(Database, "__init__", counted("database", init))
-        monkeypatch.setattr(capacity_mod, "collision_local_family", counted("families", family))
+        monkeypatch.setattr(properties_mod, "collision_local_family", counted("families", family))
         return counts
 
     def run(self, tmp_path, *extra):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qromlab import bounds, capacity
+from qromlab import bounds, properties
 from qromlab.cli import main
 from qromlab.groups import GroupSpec
 from qromlab.oracle import (AdversaryCircuit, GateStep, OracleDomain, PhaseFlipStep, QueryStep,
@@ -146,8 +146,9 @@ class TestCapacityCommand:
         ("!PRMG", "PRMG", "n=1,m=2,kind=3"),
         ("!PRMG", "PRMG", "n=1,m=1,m=2"),
         ("!PRMG", "PRMG", "n=1"),
+        ("!CHN[s=1,t=1]", "CHN[s=2,t=1]", "n=1,m=2"),
     ], ids=["misspelt-key", "repeated-key", "key-on-cl", "target-2-at-m1", "target-7-at-m1",
-            "unknown-domain-key", "repeated-domain-key", "domain-without-m"])
+            "unknown-domain-key", "repeated-domain-key", "domain-without-m", "chain-t-key"])
     def test_input_it_does_not_read_is_usage_error(self, tmp_path, p, pprime, domain):
         out = tmp_path / "cap.json"
         assert main(["capacity", "--p", p, "--pprime", pprime, "--k", "1", "--domain", domain,
@@ -184,8 +185,8 @@ class TestCapacityCommand:
 
     def test_bound_family_keeps_prmg_target(self, monkeypatch):
         families = []
-        build = capacity.prmg_local_family
-        monkeypatch.setattr(capacity, "prmg_local_family",
+        build = properties.prmg_local_family
+        monkeypatch.setattr(properties, "prmg_local_family",
                             lambda *args: families.append(build(*args)) or families[-1])
         assert main(["capacity", "--p", "!PRMG[target=1]", "--pprime", "PRMG[target=1]",
                      "--k", "1", "--domain", "n=1,m=1", "--bound", "thm5.7"]) == 0
@@ -194,8 +195,8 @@ class TestCapacityCommand:
 
     def test_bound_honours_restrict(self, tmp_path, monkeypatch):
         windows = []
-        build = capacity.collision_local_family
-        monkeypatch.setattr(capacity, "collision_local_family",
+        build = properties.collision_local_family
+        monkeypatch.setattr(properties, "collision_local_family",
                             lambda db, xs: windows.append(xs) or build(db, xs))
 
         def bound(*restrict):

@@ -3,18 +3,20 @@
 The direct DAG topology is checked against the ancestor-walk construction it
 replaced, the top-down completeness search against the exhaustive search over
 every labeling of a leaf's ancestor closure, the slot-indexed longest chain
-against the all-pairs link comparison, and the lemma checks that read label
-equations from the per-vertex index against the versions that re-frame every
-equation with `label_payload` and look it up in the log, all kept here as
-reference oracles.
+against the all-pairs link comparison, and the lemma checks that extract from
+the per-vertex index against the versions that re-frame every equation with
+`label_payload` and look it up in the log, all kept here as reference
+oracles.
 """
 
+import importlib
 import itertools
 import random
 
 import pytest
 
-from qromlab.posw import challenge_payload, dag, label_payload, parse_label_payload
+from qromlab.posw import (PoswParams, TableBackend, challenge_payload, dag, label_payload,
+                          parse_label_payload, prove)
 from qromlab.posw.backend import label_bytes
 from qromlab.properties import longest_path
 from qromlab.posw.extract import (
@@ -476,6 +478,27 @@ def test_index_checks_match_reframing_references(w):
         phi = rng.choice(phis)
         assert check_newpath_lemma(db, xs, us, phi, chi, n, w) == \
             ref_check_newpath_lemma(db, xs, us, phi, chi, n, w), (db, xs, us, phi)
+
+
+def test_extract_lemma_fails_on_a_faulty_index(monkeypatch):
+    """An index that swaps the two child slots of every entry still agrees
+    with itself, but the equations it hands extraction are not in the log."""
+    n, w, chi = 2, 8, 9
+    backend = TableBackend(w, seed=5)
+    phi = prove(chi=chi, params=PoswParams(n=n, w=w), t=1, backend=backend).phi
+    db = backend.database()
+    assert check_extract_lemma(db, n, w, chi, phi)
+    # the submodule, which the package's extract function shadows
+    extract_mod = importlib.import_module("qromlab.posw.extract")
+    build = extract_mod._label_entries_by_vertex
+
+    def swapped(log, n, chi):
+        return {v: {(s[1], s[0]) + s[2:] if len(s) > 1 else s: value for s, value in slots.items()}
+                for v, slots in build(log, n, chi).items()}
+
+    monkeypatch.setattr(extract_mod, "_label_entries_by_vertex", swapped)
+    assert extract_mod.extract(db, n, phi, chi, w).tree != set(dag.all_vertices(n))
+    assert not check_extract_lemma(db, n, w, chi, phi)
 
 
 def test_colliding_logs_fail_like_the_references():

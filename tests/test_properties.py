@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromlab.groups import GroupSpec
 from qromlab.oracle import Database, OracleDomain
@@ -22,6 +24,7 @@ from qromlab.properties import (
     false_prop,
     iter_databases,
     longest_chain_length,
+    longest_path,
     parse_property,
     prmg,
     prmg_local_family,
@@ -38,6 +41,34 @@ def domain3(m=1):
 
 
 EQ = ChainRelation("equality")
+
+
+def brute_longest_path(nodes, successors, base):
+    """Every simple path from every node, walked out with no memo: a step back
+    onto the path is a reachable cycle, inf; otherwise a path scores its
+    number of edges plus the base value of its last node."""
+    def walk(path):
+        best = len(path) - 1 + base[path[-1]]
+        for x in successors[path[-1]]:
+            best = max(best, math.inf if x in path else walk(path + [x]))
+        return best
+
+    return max((walk([x]) for x in nodes), default=0.0)
+
+
+@st.composite
+def successor_graphs(draw):
+    """Up to 7 nodes listed in a random order, random successor lists (self
+    loops and repeats allowed; only edges to larger nodes when acyclic is
+    drawn) and 0/1 base values."""
+    size = draw(st.integers(0, 7))
+    acyclic = draw(st.booleans())
+    successors = {}
+    for x in range(size):
+        targets = draw(st.lists(st.integers(0, size - 1), max_size=size))
+        successors[x] = [y for y in targets if y > x or not acyclic]
+    base = {x: draw(st.sampled_from([0.0, 1.0])) for x in range(size)}
+    return draw(st.permutations(range(size))), successors, base
 
 
 class TestStandardProperties:
@@ -107,6 +138,11 @@ class TestChains:
             lengths = [chn(s, EQ).holds(db) for s in (1, 2, 3)]
             for shorter, longer in zip(lengths, lengths[1:]):
                 assert shorter or not longer  # chn(s) <= chn(s-1)
+
+    @given(graph=successor_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_longest_path_matches_simple_path_walk(self, graph):
+        assert longest_path(*graph) == brute_longest_path(*graph)
 
     def test_t_bound(self):
         dom = domain3(m=2)
@@ -223,7 +259,7 @@ class TestLocalProperties:
 class TestChainFamily:
     def test_empty_database_no_links(self):
         dom = domain3()
-        rel = ChainRelation("custom", fn=lambda y, x: False, t_bound_override=1)
+        rel = ChainRelation("custom", fn=lambda y, x: False)
         fam = chain_local_family(Database.empty(dom), ("a",), rel)
         assert all(lp.is_constant_false for lp in fam)
 
@@ -349,12 +385,13 @@ class TestSubsetAndParse:
         assert negated.holds(Database.empty(dom))
 
     def test_parse_accepts_every_key_an_atom_reads(self):
-        for text in ("PRMG[target=1]", "CHN[s=2,rel=prefix,t=1]", "SIZE[s=1]", "SIZE<=1",
+        for text in ("PRMG[target=1]", "CHN[s=2,rel=prefix]", "SIZE[s=1]", "SIZE<=1",
                      "CL", "TRUE", "FALSE", "BOT"):
             parse_property(text)
 
     @pytest.mark.parametrize("text", [
-        "PRMG[tagret=1]", "PRMG[target=1,target=2]", "CHN[s=1,u=2]", "CHN[s=1,s=2]", "SIZE[t=1]",
+        "PRMG[tagret=1]", "PRMG[target=1,target=2]", "CHN[s=1,u=2]", "CHN[s=1,s=2]",
+        "CHN[s=2,rel=prefix,t=1]", "SIZE[t=1]",
         "SIZE<=2[s=1]", "SIZEX[s=1]", "PRMG<=1", "CL[foo=bar]", "TRUE[x=1]", "FALSE[x=1]",
         "BOT[x=1]", "!PRMG[tagret=1]&CL"])
     def test_parse_rejects_keys_an_atom_does_not_read(self, text):
