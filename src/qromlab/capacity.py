@@ -262,69 +262,44 @@ def multi_step_bound(step_capacities) -> float:
     return total
 
 
-def _one_local_weight(lp) -> float:
-    """P[U in L] under the strong-recognizability convention: trivial members
-    (constant true or false) weigh zero."""
-    if lp.locality > 1 and not lp.is_trivial:
-        raise ValueError(f"{lp.name} is not 1-local")
-    if lp.is_trivial:
-        return 0.0
-    return lp.uniform_probability()
-
-
 def bound_thm_simple(families) -> float:
     """Strong-recognizability bound for 1-local families:
-    max over families of sqrt(10 * sum_i P[U in L_i]), trivial members counting 0."""
+    max over families of sqrt(10 * sum_i w_i), w_i the weight of member i
+    (LocalProperty.weight), trivial members of any locality weighing 0."""
     best = 0.0
     for fam in families:
-        total = sum(_one_local_weight(lp) for lp in fam)
-        best = max(best, math.sqrt(10.0 * total))
+        for lp in fam:
+            if lp.locality > 1 and not lp.is_trivial:
+                raise ValueError(f"{lp.name} is not 1-local")
+        best = max(best, math.sqrt(10.0 * sum(lp.weight for lp in fam)))
     return best
 
 
 def bound_thm_tricky(families) -> float:
     """Weak-recognizability bound for 1-local families:
-    max over families of e * sum_i sqrt(10 * P[U in L_i])."""
+    max over families of e * sum_i sqrt(10 * w_i), w_i the weight of member i
+    and 1 for a constant-true member."""
     best = 0.0
     for fam in families:
         total = 0.0
         for lp in fam:
             if lp.locality > 1:
                 raise ValueError(f"{lp.name} is not 1-local")
-            weight = 1.0 if (lp.is_constant_true and lp.locality == 0) else (
-                lp.uniform_probability() if lp.locality == 1 else 0.0
-            )
-            total += math.sqrt(10.0 * weight)
+            total += math.sqrt(10.0 * (1.0 if lp.is_constant_true else lp.weight))
         best = max(best, E * total)
     return best
 
 
 def bound_thm_general(families) -> float:
     """Strong-recognizability bound for general l-local families:
-    max over families of e*l*sqrt(10 * sum_t max_{x in Supp} max_{D'} P[U in L_t|_{D'|^x}]),
-    restrictions that are trivial counting 0."""
+    max over families with l >= 1 of e * l * sqrt(10 * sum_t w_t), w_t the
+    weight of member t, max_{x in Supp} max_{D'} P[U in L_t|_{D'|^x}]."""
     best = 0.0
     for fam in families:
         ell = fam.max_locality
         if ell == 0:
             continue
-        total = 0.0
-        for lp in fam:
-            if lp.is_trivial:
-                continue
-            spec = lp.spec
-            ext = range(spec.order + 1)
-            worst = 0.0
-            for x in lp.support:
-                others = [s for s in lp.support if s != x]
-                for values in itertools.product(ext, repeat=len(others)):
-                    restricted = lp.restrict_at(x, dict(zip(others, values)))
-                    if len(restricted) in (0, spec.order + 1):
-                        continue  # trivial restriction convention
-                    weight = sum(1 for v in restricted if v != spec.bot) / spec.order
-                    worst = max(worst, weight)
-            total += worst
-        best = max(best, E * ell * math.sqrt(10.0 * total))
+        best = max(best, E * ell * math.sqrt(10.0 * sum(lp.weight for lp in fam)))
     return best
 
 
@@ -367,13 +342,20 @@ class CalculusCheck:
                 "slack": self.slack, "holds": self.holds}
 
 
+def _property_key(p: DatabaseProperty):
+    """A bare atom is decided by its name and atom, any other property by the
+    object itself: a name alone is not (every custom chain is rel=custom)."""
+    return p if p.atom is None else (p.name, p.atom)
+
+
 class _CapacityCache:
     def __init__(self, domain: OracleDomain):
         self.domain = domain
         self._cache: dict = {}
 
     def __call__(self, p: DatabaseProperty, pprime: DatabaseProperty, k: int, x_restrict=None) -> float:
-        key = (p.name, pprime.name, k, tuple(x_restrict) if x_restrict is not None else None)
+        key = (_property_key(p), _property_key(pprime), k,
+               tuple(x_restrict) if x_restrict is not None else None)
         if key not in self._cache:
             self._cache[key] = quantum_capacity_exact(p, pprime, k, self.domain, x_restrict).value
         return self._cache[key]
@@ -397,20 +379,25 @@ def verify_calculus(p: DatabaseProperty, pprime: DatabaseProperty, q: DatabasePr
     xall = tuple(dict.fromkeys(xs1 + xs2))
     cap = _CapacityCache(domain)
     checks = []
+    # each composed property is built once, so a term that recurs hits the cache
+    p_and_q, p_or_q, not_q = p & q, p | q, ~q
+    q_pprime = q & pprime
+    q_psecond = q_pprime if psecond is pprime else q & psecond
+    q_minus_pprime = q - pprime
 
     # Intersection and union rules.
-    both = cap(p & q, pprime, k, xall)
+    both = cap(p_and_q, pprime, k, xall)
     cp = cap(p, pprime, k, xall)
     cq = cap(q, pprime, k, xall)
-    cunion = cap(p | q, pprime, k, xall)
+    cunion = cap(p_or_q, pprime, k, xall)
     checks.append(CalculusCheck("shrink-intersection", both, min(cp, cq)))
     checks.append(CalculusCheck("shrink-union-lower", max(cp, cq), cunion))
     checks.append(CalculusCheck("shrink-union-upper", cunion, cp + cq))
 
     # Monotonicity under containment, on the guaranteed containment p <= p|q.
-    checks.append(CalculusCheck("subset-monotone", cp, cap(p | q, pprime, k, xall)))
+    checks.append(CalculusCheck("subset-monotone", cp, cap(p_or_q, pprime, k, xall)))
     checks.append(CalculusCheck("subset-monotone-mirrored", cap(pprime, p, k, xall),
-                                cap(pprime, p | q, k, xall)))
+                                cap(pprime, p_or_q, k, xall)))
 
     # Symmetry (exact equality, both directions of the inequality).
     fwd = cap(p, pprime, k, xall)
@@ -422,26 +409,27 @@ def verify_calculus(p: DatabaseProperty, pprime: DatabaseProperty, q: DatabasePr
     lhs1 = cap(p, psecond, k, xall)
     checks.append(CalculusCheck(
         "split-target", lhs1,
-        cap(p, psecond - q, k, xall) + cap(p, q & psecond, k, xall)))
-    lhs2 = cap(p, q & psecond, k, xall)
+        cap(p, psecond - q, k, xall) + cap(p, q_psecond, k, xall)))
+    lhs2 = cap(p, q_psecond, k, xall)
     checks.append(CalculusCheck(
         "split-arity", lhs2,
-        cap(p, ~q, k1, xall) + cap(p, q & pprime, k1, xall) + cap(q - pprime, q & psecond, k2, xall)))
+        cap(p, not_q, k1, xall) + cap(p, q_pprime, k1, xall) + cap(q_minus_pprime, q_psecond, k2, xall)))
     checks.append(CalculusCheck(
         "split-inputs", lhs2,
-        cap(p, ~q, k, xs1) + cap(p, q & pprime, k, xs1) + cap(q - pprime, q & psecond, k, xs2)))
+        cap(p, not_q, k, xs1) + cap(p, q_pprime, k, xs1) + cap(q_minus_pprime, q_psecond, k, xs2)))
 
-    # Recursive parallel conditioning with h = 2 stages; not-p0 = p & q
-    # guarantees the containment the recursion needs.
-    not_p0 = p & q
-    p1, p2 = pprime, pprime | psecond
+    # Recursive parallel conditioning with h = 2 stages, p1 = pprime and
+    # p2 = pprime | psecond; not-p0 = p & q guarantees the containment the
+    # recursion needs.
+    not_p0, p2 = p_and_q, pprime | psecond
+    q_p2, q_minus_p0 = q & p2, q - (~not_p0)
     lhs3 = cap(not_p0, p2, k, xall)
     checks.append(CalculusCheck(
         "parallel-conditioning-arity", lhs3,
-        cap(not_p0, ~q, k1, xall) + cap(not_p0, ~q, k, xall)
-        + cap(q - (~not_p0), q & p1, k1, xall) + cap(q - p1, q & p2, k2, xall)))
+        cap(not_p0, not_q, k1, xall) + cap(not_p0, not_q, k, xall)
+        + cap(q_minus_p0, q_pprime, k1, xall) + cap(q_minus_pprime, q_p2, k2, xall)))
     checks.append(CalculusCheck(
         "parallel-conditioning-inputs", lhs3,
-        cap(not_p0, ~q, k, xs1) + cap(not_p0, ~q, k, xall)
-        + cap(q - (~not_p0), q & p1, k, xs1) + cap(q - p1, q & p2, k, xs2)))
+        cap(not_p0, not_q, k, xs1) + cap(not_p0, not_q, k, xall)
+        + cap(q_minus_p0, q_pprime, k, xs1) + cap(q_minus_pprime, q_p2, k, xs2)))
     return checks

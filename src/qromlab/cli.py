@@ -140,6 +140,9 @@ def _build_circuit(desc: dict) -> oracle_mod.AdversaryCircuit:
                                                   step.get("param", 0)))
         elif stype == "gate":
             matrix = np.array([[complex(re, im) for re, im in row] for row in step["matrix"]])
+            if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]
+                    or np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max() > 1e-9):
+                raise ValueError(f"gate matrix of shape {matrix.shape} is not square and unitary")
             steps.append(oracle_mod.GateStep(matrix, tuple(step["regs"])))
         elif stype == "phase_flip":
             flips = {tuple(v) for v in step["values"]}
@@ -163,11 +166,14 @@ def _build_circuit(desc: dict) -> oracle_mod.AdversaryCircuit:
 
 def _cmd_simulate(args) -> int:
     desc = json.loads(Path(args.circuit).read_text())
-    circuit = _build_circuit(desc)
-    rel = desc.get("relation", {"kind": "preimage", "target": 0})
-    if rel.get("kind", "preimage") != "preimage":
-        raise ValueError("only preimage-style relations are supported in circuit files")
-    target = int(rel.get("target", 0))
+    try:  # a file of the wrong shape, such as "regs": 5, is a usage error
+        circuit = _build_circuit(desc)
+        rel = dict(desc.get("relation", {"kind": "preimage", "target": 0}))
+        if rel.get("kind", "preimage") != "preimage":
+            raise ValueError("only preimage-style relations are supported in circuit files")
+        target = int(rel.get("target", 0))
+    except TypeError as exc:
+        raise ValueError(f"malformed circuit file: {exc}") from exc
     relation = lambda xs, ys: all(y == target for y in ys)
     claimed = lambda xs: (target,) * len(xs)
     ell = len(circuit.output_regs)

@@ -396,24 +396,24 @@ class LocalProperty:
         pos = [xs.index(x) for x in self.support]
         return tuple(r[i] for i in pos) in self.members
 
-    def uniform_probability(self) -> float:
-        """P[U in L] for a 1-local property: mass of the members inside Y."""
-        if self.locality != 1:
-            raise ValueError("uniform probability is defined for 1-local properties")
-        return sum(1 for (v,) in self.members if v != self.spec.bot) / self.spec.order
+    @property
+    def weight(self) -> float:
+        """The largest P[U in L|_{D'|^x}] over support positions x and
+        assignments D' of the other positions, a trivial restriction (empty,
+        or all M+1 values) counting 0; a 0-local property weighs 0.
 
-    def restrict_at(self, x, assignment: dict) -> frozenset:
-        """L|_{D'|^x} as a subset of Y u {bot}: fix all support positions except x
-        per the assignment and collect the accepted values at x."""
-        if x not in self.support:
-            raise ValueError("restriction point must lie in the support")
-        i = self.support.index(x)
-        out = set()
-        for v in range(self.spec.order + 1):
-            probe = tuple(assignment[s] if s != x else v for s in self.support)
-            if probe in self.members:
-                out.add(v)
-        return frozenset(out)
+        Members are grouped on the tuple with position x removed: an
+        assignment that no member has restricts to the empty set, and a group
+        of M+1 members to every value, so only the smaller groups count, each
+        with its non-bot values at x over M."""
+        best = 0
+        for i in range(self.locality):
+            groups: dict = {}
+            for m in self.members:
+                groups.setdefault(m[:i] + m[i + 1:], []).append(m[i])
+            best = max([best] + [sum(v != self.spec.bot for v in at_x)
+                                 for at_x in groups.values() if len(at_x) <= self.spec.order])
+        return best / self.spec.order
 
     def check_bot_monotone(self) -> bool:
         """Executable validator for the locality definition's second condition."""

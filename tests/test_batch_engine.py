@@ -471,6 +471,31 @@ def test_non_vacuous_reports_pinned(tmp_path, argv, sha256, expected):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+# Sub-second reports of each bound, 2-local CL weights among them, pinned to
+# the SHA-256 of their bytes.
+BOUND_REPORTS = [
+    (["--p", "!CL", "--pprime", "CL", "--k", "2", "--domain", "n=2,m=2", "--kind", "cyclic",
+      "--bound", "thm5.12"],
+     "086a356376dbaec0348041915ea8ae6814bd55f6ee4f53476d64b5a80ddc73e4"),
+    (["--p", "!PRMG", "--pprime", "PRMG", "--k", "2", "--domain", "n=2,m=2", "--kind", "cyclic",
+      "--bound", "thm5.7"],
+     "68c4314be39f5a4cf587f6fbc38676e14b3ec8664be06b31b6902dca22bb2544"),
+    (["--p", "!CHN[s=1]", "--pprime", "CHN[s=2]", "--k", "1", "--domain", "n=2,m=2", "--kind", "cyclic",
+      "--bound", "thm5.9"],
+     "d3faf7aa91487a520e7ee7c1326e26b2f6104341f0674b03e748dd5a28f9ae94"),
+    (["--p", "!CL", "--pprime", "CL", "--k", "2", "--domain", "n=1,m=4", "--bound", "thm5.12"],
+     "2684833e2bf1e372ee24d81b10f8eb720bf671c1265eceed9870e70b35319e3c"),
+]
+
+
+@pytest.mark.parametrize("argv,sha256", BOUND_REPORTS,
+                         ids=["cl-cyclic-thm5.12", "prmg-cyclic-thm5.7", "chn-cyclic-thm5.9", "cl-m4-thm5.12"])
+def test_bound_reports_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "report.json"
+    assert cli.main(["capacity", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestHotPath:
     """The budget-edge jobs decide properties only through truth tables and
     build a Database only for the witness and for each distinct family."""

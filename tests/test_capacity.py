@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qromlab import capacity as capacity_mod
 from qromlab.capacity import (
     bound_thm_general,
     bound_thm_simple,
@@ -257,6 +258,149 @@ class TestBoundEvaluators:
             bound_thm_simple([LocalFamily((pair,))])
 
 
+# The per-assignment definitions the weight replaced: the restriction of a
+# local property at one support position, and the bound evaluators built on it.
+
+
+def restrict_at(lp, x, assignment):
+    """L|_{D'|^x} as a subset of Y u {bot}: fix all support positions except x
+    per the assignment and collect the accepted values at x."""
+    out = set()
+    for v in range(lp.spec.order + 1):
+        probe = tuple(assignment[s] if s != x else v for s in lp.support)
+        if probe in lp.members:
+            out.add(v)
+    return frozenset(out)
+
+
+def restriction_weight(lp):
+    """max over x in Supp and assignments D' of P[U in L|_{D'|^x}], trivial
+    restrictions counting 0, by enumerating every assignment."""
+    spec = lp.spec
+    worst = 0.0
+    for x in lp.support:
+        others = [s for s in lp.support if s != x]
+        for values in itertools.product(range(spec.order + 1), repeat=len(others)):
+            restricted = restrict_at(lp, x, dict(zip(others, values)))
+            if len(restricted) in (0, spec.order + 1):
+                continue
+            worst = max(worst, sum(1 for v in restricted if v != spec.bot) / spec.order)
+    return worst
+
+
+def uniform_probability(lp):
+    return sum(1 for (v,) in lp.members if v != lp.spec.bot) / lp.spec.order
+
+
+def one_local_weight(lp):
+    if lp.locality > 1 and not lp.is_trivial:
+        raise ValueError(f"{lp.name} is not 1-local")
+    return 0.0 if lp.is_trivial else uniform_probability(lp)
+
+
+def reference_thm_simple(families):
+    best = 0.0
+    for fam in families:
+        total = sum(one_local_weight(lp) for lp in fam)
+        best = max(best, math.sqrt(10.0 * total))
+    return best
+
+
+def reference_thm_tricky(families):
+    best = 0.0
+    for fam in families:
+        total = 0.0
+        for lp in fam:
+            if lp.locality > 1:
+                raise ValueError(f"{lp.name} is not 1-local")
+            weight = 1.0 if (lp.is_constant_true and lp.locality == 0) else (
+                uniform_probability(lp) if lp.locality == 1 else 0.0
+            )
+            total += math.sqrt(10.0 * weight)
+        best = max(best, E * total)
+    return best
+
+
+def reference_thm_general(families):
+    best = 0.0
+    for fam in families:
+        ell = fam.max_locality
+        if ell == 0:
+            continue
+        total = 0.0
+        for lp in fam:
+            if not lp.is_trivial:
+                total += restriction_weight(lp)
+        best = max(best, E * ell * math.sqrt(10.0 * total))
+    return best
+
+
+WEIGHT_SPECS = (GroupSpec.bits(1), GroupSpec.bits(2), GroupSpec.cyclic(3))
+
+
+def bot_closure(members, spec):
+    """The least bot-monotone superset: a member with bot at position i
+    brings every range value at i."""
+    closed, todo = set(), list(members)
+    while todo:
+        m = todo.pop()
+        if m not in closed:
+            closed.add(m)
+            todo += [m[:i] + (y,) + m[i + 1:] for i, v in enumerate(m) if v == spec.bot
+                     for y in spec.elements()]
+    return frozenset(closed)
+
+
+@st.composite
+def local_properties(draw, spec, support, monotone=True):
+    """A local property on support: constant true, constant false, or a
+    random member set, closed to be bot-monotone when monotone is set."""
+    kind = draw(st.sampled_from(("random", "random", "true", "false")))
+    if kind != "random":
+        return LocalProperty.constant(kind == "true", spec, support=support)
+    tuples = list(itertools.product(range(spec.order + 1), repeat=len(support)))
+    members = draw(st.sets(st.sampled_from(tuples)))
+    return LocalProperty(support, bot_closure(members, spec) if monotone else frozenset(members), spec)
+
+
+@st.composite
+def local_families(draw, spec, max_ell):
+    supports = draw(st.lists(st.permutations(("a", "b", "c", "d")).flatmap(
+        lambda order: st.integers(0, max_ell).map(lambda ell: tuple(order[:ell]))),
+        unique=True, max_size=4))
+    return LocalFamily(tuple(draw(local_properties(spec, support)) for support in supports))
+
+
+def outcome(evaluate, families):
+    try:
+        return evaluate(families)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestWeightAgainstRestrictions:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_weight_is_the_largest_restriction_probability(self, data):
+        spec = data.draw(st.sampled_from(WEIGHT_SPECS))
+        support = ("a", "b", "c")[:data.draw(st.integers(0, 3))]
+        # the weight is defined, and counted, for members that are not
+        # bot-monotone too, where a restriction may hold bot without Y
+        lp = data.draw(local_properties(spec, support, monotone=data.draw(st.booleans())))
+        assert lp.weight == restriction_weight(lp)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_evaluators_equal_the_restriction_definitions(self, data):
+        spec = data.draw(st.sampled_from(WEIGHT_SPECS))
+        max_ell = data.draw(st.integers(1, 3))
+        families = data.draw(st.lists(local_families(spec, max_ell), max_size=3))
+        for evaluate, reference in ((bound_thm_simple, reference_thm_simple),
+                                    (bound_thm_tricky, reference_thm_tricky),
+                                    (bound_thm_general, reference_thm_general)):
+            assert outcome(evaluate, families) == outcome(reference, families)
+
+
 class TestExactAgainstRecognizabilityBounds:
     def test_chain_capacity_below_tricky_bound(self):
         dom = make_domain(3)
@@ -337,6 +481,32 @@ class TestCalculus:
                 assert c.holds, (p.name, pprime.name, q.name, c.rule, c.lhs, c.rhs)
             count += 1
         assert count >= 20
+
+    def test_properties_sharing_a_name_are_kept_apart(self):
+        # both custom relations are named rel=custom; only the first relates
+        dom = make_domain(2)
+        always = ChainRelation("custom", fn=lambda y, x: True)
+        never = ChainRelation("custom", fn=lambda y, x: False)
+        p, pprime, psecond = ~chn(1, always), chn(1, always), chn(1, never)
+        assert pprime.name == psecond.name
+        checks = verify_calculus(p, pprime, pprime, 2, (1, 1), (("a", "b"), ("a", "b")), dom,
+                                 psecond=psecond)
+        lhs = {c.rule: c.lhs for c in checks}
+        assert lhs["symmetry-forward"] == pytest.approx(1.0)
+        assert lhs["split-target"] == quantum_capacity_exact(p, psecond, 2, dom, ("a", "b")).value == 0.0
+
+    def test_repeated_terms_computed_once(self, monkeypatch):
+        # p and q are two parses of one atom, and composed terms recur
+        calls = []
+        engine = capacity_mod.quantum_capacity_exact
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(capacity_mod, "quantum_capacity_exact", counted)
+        verify_calculus(prmg(), cl(), prmg(), 2, (1, 1), (("a", "b"), ("b", "c")), make_domain(3))
+        assert len(calls) == 21
 
     def test_bad_split_rejected(self):
         dom = make_domain(2)

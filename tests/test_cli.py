@@ -292,13 +292,25 @@ class TestSimulateCommand:
         assert abs(record["p"] - p) <= 1e-12
         assert abs(record["p_prime"] - p_prime) <= 1e-12
 
-    @pytest.mark.parametrize("change", [
-        {"steps": [{"type": "swap", "regs": [0, 1]}]},
-        {"relation": {"kind": "collision"}},
-    ], ids=["unknown-step-type", "non-preimage-relation"])
-    def test_unsupported_circuit_file_exit_2(self, tmp_path, change):
-        circuit = {"domain": "n=1,m=1", "registers": [2, 2], "output_regs": [0],
-                   "steps": [{"type": "query", "in_regs": [0], "out_regs": [1]}], **change}
+    QUERY = {"type": "query", "in_regs": [0], "out_regs": [1]}
+    BASE = {"domain": "n=1,m=1", "registers": [2, 2], "output_regs": [0], "steps": [QUERY]}
+
+    @pytest.mark.parametrize("circuit", [
+        {**BASE, "steps": [{"type": "swap", "regs": [0, 1]}]},
+        {**BASE, "relation": {"kind": "collision"}},
+        # [[1, 1], [0, 1]], entries as [re, im] pairs
+        {**BASE, "steps": [{"type": "gate", "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]],
+                            "regs": [0]}, QUERY]},
+        {**BASE, "steps": [{"type": "gate", "matrix": [[1]], "regs": [0]}, QUERY]},
+        {**BASE, "steps": [{"type": "gate", "matrix": [[[1, 0], [0, 0]]], "regs": [0]}, QUERY]},
+        {**BASE, "steps": [{"type": "named", "name": "prepare_uniform", "regs": 5}, QUERY]},
+        {**BASE, "relation": 5},
+        {**BASE, "relation": {"kind": "preimage", "target": [0]}},
+        [1, 2],
+    ], ids=["unknown-step-type", "non-preimage-relation", "non-unitary-gate", "bare-number-entries",
+            "non-square-gate", "regs-not-a-list", "relation-not-an-object", "target-not-a-number",
+            "not-an-object"])
+    def test_unsupported_circuit_file_exit_2(self, tmp_path, circuit):
         path = tmp_path / "circuit.json"
         path.write_text(json.dumps(circuit))
         out = tmp_path / "report.json"

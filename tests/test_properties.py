@@ -242,18 +242,23 @@ class TestLocalProperties:
         with pytest.raises(ValueError):
             LocalFamily((a, b))
 
-    def test_uniform_probability_and_triviality(self):
+    def test_weight_and_triviality(self):
         spec = GroupSpec.bits(1)
         lp = LocalProperty.one_local("a", (0,), spec)
-        assert lp.uniform_probability() == pytest.approx(0.5)
-        assert LocalProperty.constant(True, spec, support=("a",)).is_constant_true
+        assert lp.weight == 0.5
+        assert LocalProperty.one_local("a", (0, spec.bot), spec).weight == 0.5
+        true = LocalProperty.constant(True, spec, support=("a",))
+        assert true.is_constant_true and true.weight == 0.0
         assert LocalProperty.constant(False, spec).is_constant_false
 
-    def test_restrict_at(self):
-        spec = GroupSpec.bits(1)
+    def test_weight_of_diagonal(self):
+        # each defined value at b restricts a to that one value; b = bot
+        # restricts it to the empty set, which counts 0
+        spec = GroupSpec.bits(2)
         diag = LocalProperty(("a", "b"), frozenset((y, y) for y in spec.elements()), spec)
-        assert diag.restrict_at("a", {"b": 1}) == frozenset({1})
-        assert diag.restrict_at("a", {"b": spec.bot}) == frozenset()
+        assert diag.weight == 0.25
+        pairs = LocalProperty(("a", "b"), frozenset({(0, 0), (1, 0), (2, 3)}), spec)
+        assert pairs.weight == 0.5
 
 
 class TestChainFamily:
