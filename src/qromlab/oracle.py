@@ -5,9 +5,9 @@ oracle input (dimension M for the purified oracle, M+1 for the compressed one,
 index M encoding "not yet defined") followed by one axis per adversary
 register.  Everything is exact linear algebra at desk scale; queries are the
 unitaries built from the single-register transition matrix.  Both pictures
-keep one row store: only the oracle rows (function tables or databases) that
-carry amplitude are stored, and the dense tensor is built only when .vec is
-read.
+keep one row store, which is the whole state: only the oracle rows (function
+tables or databases) that carry amplitude are stored.  from_dense builds a
+state from a dense tensor, and .vec is a fresh read-only dense copy.
 
 The oracle register changes only at a query.  A run applies the steps
 before its first query to one oracle row and builds the joint state once
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,12 +46,15 @@ class OracleDomain:
 
     inputs: tuple
     spec: GroupSpec
+    _position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.inputs) == 0:
             raise ValueError("oracle domain must contain at least one input")
-        if len(set(self.inputs)) != len(self.inputs):
+        position = dict(zip(self.inputs, range(len(self.inputs))))
+        if len(position) != len(self.inputs):
             raise ValueError("oracle domain inputs must be distinct")
+        object.__setattr__(self, "_position", position)
 
     @classmethod
     def of_bit_inputs(cls, n: int, spec: GroupSpec) -> "OracleDomain":
@@ -64,8 +67,8 @@ class OracleDomain:
 
     def index(self, x) -> int:
         try:
-            return self.inputs.index(x)
-        except ValueError:
+            return self._position[x]
+        except KeyError:
             raise KeyError(f"input {x!r} not in oracle domain") from None
 
 
@@ -132,12 +135,24 @@ def sparse_decode(domain: OracleDomain, pairs) -> Database:
 
 
 def _check_budget(dims) -> None:
+    """Refuse a state whose dense dimensions multiply out above the amplitude
+    budget, at the first partial product that does."""
     budget = amplitude_budget()
     total = 1
     for d in dims:
         total *= d
-    if total > budget:
-        raise BudgetExceeded(f"state of {total} amplitudes exceeds budget {budget}")
+        if total > budget:
+            raise BudgetExceeded(f"state exceeds the amplitude budget of {budget} (QROMLAB_BUDGET)")
+
+
+def _check_registers(reg_dims, regs) -> tuple:
+    """regs as a tuple; ValueError unless they name distinct registers of reg_dims."""
+    regs = tuple(regs)
+    if not all(0 <= r < len(reg_dims) for r in regs):
+        raise ValueError(f"registers {regs} name one outside its reg_dims {tuple(reg_dims)}")
+    if len(set(regs)) != len(regs):
+        raise ValueError(f"registers {regs} name one register twice")
+    return regs
 
 
 def _apply_axis(vec: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
@@ -155,7 +170,7 @@ def _inverse(perm: list) -> list:
 def _apply_gate(state: "_JointState", mat: np.ndarray, regs) -> None:
     """Apply mat to the joint space of the registers regs on every stored
     oracle row of the state, in place."""
-    _, block = state._rows()
+    block = state.block
     axes = [1 + r for r in regs]
     perm = [a for a in range(block.ndim) if a not in axes] + axes
     moved = block.transpose(perm)
@@ -173,21 +188,26 @@ class _JointState:
     """The joint state of oracle and adversary; the two oracle pictures differ
     only in oracle_dim, the levels of one oracle axis.
 
-    The state stores only the oracle rows that hold amplitude: sorted int64
-    keys (the mixed-radix oracle index, one digit per input) and a
-    (rows, *reg_dims) complex block, on which every kernel works.  Reading
-    .vec materialises the dense tensor and makes it authoritative, so writes
-    through it count; assigning .vec replaces the state; the next kernel
-    re-derives the keys from it once.  pruned_mass accumulates the squared
-    norm prune drops."""
+    The state is its row store, the oracle rows that hold amplitude: sorted
+    int64 keys (the mixed-radix oracle index, one digit per input) and a
+    C-contiguous (rows, *reg_dims) complex block, on which every kernel works.
+    from_dense builds a state from a dense tensor; .vec is a fresh read-only
+    dense copy.  pruned_mass accumulates the squared norm prune drops."""
 
-    def __init__(self, domain: OracleDomain, reg_dims, vec: np.ndarray = None, keys=None, block=None):
+    def __init__(self, domain: OracleDomain, reg_dims, keys: np.ndarray, block: np.ndarray):
         self.domain = domain
         self.reg_dims = tuple(reg_dims)
-        self.vec = vec
-        if vec is None:
-            self._keys, self._block = keys, block
+        self.keys, self.block = keys, block
         self.pruned_mass = 0.0
+
+    @classmethod
+    def from_dense(cls, domain: OracleDomain, reg_dims, vec: np.ndarray):
+        """The state of the dense joint tensor vec, in any memory order: a copy
+        of its oracle rows that hold a nonzero amplitude."""
+        reg_dims = tuple(reg_dims)
+        flat = np.ascontiguousarray(vec, dtype=complex).reshape((-1,) + reg_dims)
+        keys = np.flatnonzero(_nonzero_rows(flat))
+        return cls(domain, reg_dims, keys, flat[keys])
 
     @property
     def n_oracle(self) -> int:
@@ -208,40 +228,20 @@ class _JointState:
 
     @property
     def vec(self) -> np.ndarray:
-        if self._dense is None:
-            dense = np.zeros((self.oracle_dim ** self.n_oracle,) + self.reg_dims, dtype=complex)
-            dense[self._keys] = self._block
-            self._dense = dense.reshape(self.dims)
-            self._keys = self._block = None
-        return self._dense
-
-    @vec.setter
-    def vec(self, value: np.ndarray) -> None:
-        self._dense = value
-        self._keys = self._block = None
-
-    def _rows(self):
-        """The stored rows' keys and block."""
-        if self._dense is not None:
-            flat = np.ascontiguousarray(self._dense, dtype=complex).reshape((-1,) + self.reg_dims)
-            self._keys = np.flatnonzero(_nonzero_rows(flat))
-            self._block = flat[self._keys]
-            self._dense = None
-        return self._keys, self._block
-
-    def _set_rows(self, keys: np.ndarray, block: np.ndarray) -> None:
-        self._keys, self._block = keys, block
+        """A fresh, read-only copy of the dense joint tensor."""
+        dense = np.zeros((self.oracle_dim ** self.n_oracle,) + self.reg_dims, dtype=complex)
+        dense[self.keys] = self.block
+        dense = dense.reshape(self.dims)
+        dense.setflags(write=False)
+        return dense
 
     def copy(self):
-        if self._dense is not None:
-            new = type(self)(self.domain, self.reg_dims, self._dense.copy())
-        else:
-            new = type(self)(self.domain, self.reg_dims, keys=self._keys.copy(), block=self._block.copy())
+        new = type(self)(self.domain, self.reg_dims, self.keys.copy(), self.block.copy())
         new.pruned_mass = self.pruned_mass
         return new
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._rows()[1].ravel()))
+        return float(np.linalg.norm(self.block.ravel()))
 
     def _row_digits(self, keys) -> np.ndarray:
         """The oracle value of each of the given rows, shape (rows, |X|)."""
@@ -250,18 +250,18 @@ class _JointState:
     def prune(self) -> None:
         """Zero every amplitude below PRUNE_TOL, adding its squared norm to
         pruned_mass, and stop storing the rows left all zero."""
-        keys, block = self._rows()
+        keys, block = self.keys, self.block
         small = (np.abs(block) < PRUNE_TOL) & (block != 0.0)
         if small.any():
             self.pruned_mass += float(np.sum(np.abs(block[small]) ** 2))
             block[small] = 0.0
         live = _nonzero_rows(block)
         if not live.all():
-            self._set_rows(keys[live], block[live])
+            self.keys, self.block = keys[live], block[live]
 
     def apply_register_unitary(self, mat: np.ndarray, regs) -> None:
         """Apply a unitary to the joint space of the given adversary registers."""
-        regs = tuple(regs)
+        regs = _check_registers(self.reg_dims, regs)
         dim = 1
         for r in regs:
             dim *= self.reg_dims[r]
@@ -271,18 +271,17 @@ class _JointState:
 
     def apply_phase_flip(self, regs, predicate) -> None:
         """Multiply by -1 every basis branch whose register values satisfy predicate."""
-        regs = tuple(regs)
+        regs = _check_registers(self.reg_dims, regs)
         dims = [self.reg_dims[r] for r in regs]
         sign = np.ones(self.reg_dims)
         for values in itertools.product(*(range(d) for d in dims)):
             if predicate(*values):
                 sign[_fixed_index(sign.ndim, dict(zip(regs, values)))] *= -1.0
-        _, block = self._rows()
-        block *= sign
+        self.block *= sign
 
     def adversary_marginal(self) -> np.ndarray:
         """Probability over joint adversary basis states (oracle traced out)."""
-        return (np.abs(self._rows()[1]) ** 2).sum(axis=0).ravel()
+        return (np.abs(self.block) ** 2).sum(axis=0).ravel()
 
 
 class PurifiedState(_JointState):
@@ -304,9 +303,8 @@ class CompressedState(_JointState):
 
     def _database_marginal(self):
         """(oracle values, probability) of each stored row."""
-        keys, block = self._rows()
-        probs = (np.abs(block) ** 2).sum(axis=tuple(range(1, block.ndim)))
-        return self._row_digits(keys), probs
+        probs = (np.abs(self.block) ** 2).sum(axis=tuple(range(1, self.block.ndim)))
+        return self._row_digits(self.keys), probs
 
     def database_distribution(self) -> dict:
         digits, probs = self._database_marginal()
@@ -324,7 +322,7 @@ def _basis_state(cls, domain: OracleDomain, reg_dims: tuple, keys, amplitude: fl
     adversary at basis state 0."""
     block = np.zeros((len(keys),) + reg_dims, dtype=complex)
     block[(slice(None),) + (0,) * len(reg_dims)] = amplitude
-    return cls(domain, reg_dims, keys=np.asarray(keys, dtype=np.int64), block=block)
+    return cls(domain, reg_dims, np.asarray(keys, dtype=np.int64), block)
 
 
 def _initial_rows(cls, domain: OracleDomain, reg_dims: tuple) -> tuple:
@@ -362,7 +360,7 @@ def comp(state: PurifiedState) -> CompressedState:
     cm = comp_matrix(state.domain.spec)
     for axis in range(state.n_oracle):
         vec = _apply_axis(vec, cm, axis)
-    return CompressedState(state.domain, state.reg_dims, vec)
+    return CompressedState.from_dense(state.domain, state.reg_dims, vec)
 
 
 def comp_dagger(state: CompressedState) -> PurifiedState:
@@ -372,8 +370,7 @@ def comp_dagger(state: CompressedState) -> PurifiedState:
     for axis in range(state.n_oracle):
         vec = _apply_axis(vec, cm, axis)
     m = state.domain.spec.order
-    vec = vec[(slice(0, m),) * state.n_oracle]
-    return PurifiedState(state.domain, state.reg_dims, np.ascontiguousarray(vec))
+    return PurifiedState.from_dense(state.domain, state.reg_dims, vec[(slice(0, m),) * state.n_oracle])
 
 
 def _query_targets(state: _JointState, out_reg: int, x_label, in_reg):
@@ -416,7 +413,7 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     ndim = 2 + len(state.reg_dims) - (in_reg is not None)
     perm = [2 + out_pos, 1] + [a for a in range(ndim) if a not in (2 + out_pos, 1)]
     inverse = _inverse(perm)
-    keys, block = state._rows()
+    keys = state.keys
     groups = []
     for oracle_axis, _ in targets:
         stride = (m + 1) ** (state.n_oracle - 1 - oracle_axis)
@@ -424,7 +421,7 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     grown = np.union1d(keys, np.concatenate([group.ravel() for group in groups]))
     stored = np.searchsorted(grown, keys)
     rows = np.zeros((len(grown),) + state.reg_dims, dtype=complex)
-    rows[stored] = block
+    rows[stored] = state.block
     for (_, pin), group in zip(targets, groups):
         index = (np.searchsorted(grown, group),) + pin
         gathered = np.ascontiguousarray(rows[index].transpose(perm))
@@ -438,7 +435,7 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     keep[joined] = _nonzero_rows(rows[joined])
     if not keep.all():
         grown, rows = grown[keep], rows[keep]
-    state._set_rows(grown, rows)
+    state.keys, state.block = grown, rows
     _apply_gate(state, np.conj(w.T), (out_reg,))
 
 
@@ -451,7 +448,7 @@ def _standard_query_coord(state: PurifiedState, out_reg: int, x_label=None, in_r
     spec = state.domain.spec
     m = spec.order
     out_pos, targets = _query_targets(state, out_reg, x_label, in_reg)
-    keys, block = state._rows()
+    keys, block = state.keys, state.block
     for oracle_axis, pin in targets:
         digits = keys // m ** (state.n_oracle - 1 - oracle_axis) % m
         for h in range(1, m):
@@ -469,7 +466,7 @@ def apply_parallel_query(state: _JointState, xs, out_regs) -> _JointState:
     """Apply the oracle of the state's picture, cO on a CompressedState or the
     standard oracle O on a PurifiedState, to the k pairwise-distinct inputs
     xs, with responses in the given group-valued registers; a new state."""
-    xs, out_regs = tuple(xs), tuple(out_regs)
+    xs, out_regs = tuple(xs), _check_registers(state.reg_dims, out_regs)
     _check_distinct(xs)
     if len(xs) != len(out_regs):
         raise ValueError("one response register per queried input is required")
@@ -523,8 +520,8 @@ class AdversaryCircuit:
     reg_dims lists the adversary registers; query steps must all have the same
     arity k.  output_regs name the registers measured as the final x-output.
     Each query step gives either classical inputs xs or input registers
-    in_regs, one per response register; a malformed step or a register index
-    outside reg_dims raises ValueError.
+    in_regs, one per response register; a malformed step, a register index
+    outside reg_dims or a step naming one register twice raises ValueError.
     """
 
     domain: OracleDomain
@@ -546,11 +543,11 @@ class AdversaryCircuit:
                 raise ValueError("a query step's input and response registers must differ")
             if s.xs is not None:
                 _check_distinct(s.xs)
-        named = [self.output_regs, self.y_output_regs or ()]
-        named += [(*s.out_regs, *(s.in_regs or ())) if isinstance(s, QueryStep) else getattr(s, "regs", ())
-                  for s in self.steps]
-        if not all(0 <= r < len(self.reg_dims) for regs in named for r in regs):
-            raise ValueError("circuit names a register outside its reg_dims")
+        # the output registers may name one register twice
+        _check_registers(self.reg_dims, {*self.output_regs, *(self.y_output_regs or ())})
+        for s in self.steps:
+            _check_registers(self.reg_dims, (*s.out_regs, *(s.in_regs or ())) if isinstance(s, QueryStep)
+                             else getattr(s, "regs", ()))
 
     @property
     def k(self) -> int:
@@ -629,8 +626,8 @@ def _run_from(cls, circuit: AdversaryCircuit, keys, amplitude: float) -> _JointS
     steps = circuit.steps
     first = next((i for i, s in enumerate(steps) if isinstance(s, QueryStep)), len(steps))
     head = _run_steps(_basis_state(cls, circuit.domain, circuit.reg_dims, keys[:1], 1.0), circuit, steps[:first])
-    block = np.multiply.outer(np.full(len(keys), amplitude), head._rows()[1][0])
-    state = cls(circuit.domain, circuit.reg_dims, keys=np.asarray(keys, dtype=np.int64), block=block)
+    block = np.multiply.outer(np.full(len(keys), amplitude), head.block[0])
+    state = cls(circuit.domain, circuit.reg_dims, np.asarray(keys, dtype=np.int64), block)
     return _run_steps(state, circuit, steps[first:])
 
 
@@ -734,7 +731,7 @@ def _fold(state: _JointState, columns: dict, weights: np.ndarray) -> float:
     weights give the probability that the oracle holds y at every pinned x;
     comp_matrix rows give it for the purified oracle behind a compressed
     state."""
-    keys, block = state._rows()
+    keys, block = state.keys, state.block
     amps = block.reshape(len(keys), math.prod(state.reg_dims))
     digits = state._row_digits(keys)
     strides = state.oracle_dim ** np.arange(state.n_oracle - 1, -1, -1)

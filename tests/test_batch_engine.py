@@ -496,6 +496,34 @@ def test_bound_reports_pinned(tmp_path, argv, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+# The simulate reports of a one-query Grover circuit file, exact and with 200
+# seeded shots, pinned to the SHA-256 of their bytes.
+GROVER_CIRCUIT = {
+    "domain": "n=2,m=1",
+    "registers": [4, 2],
+    "steps": [
+        {"type": "named", "name": "prepare_uniform", "regs": [0]},
+        {"type": "named", "name": "prepare_dual", "regs": [1], "param": 1},
+        {"type": "query", "in_regs": [0], "out_regs": [1]},
+        {"type": "named", "name": "reflect_mean", "regs": [0]},
+    ],
+    "output_regs": [0],
+    "relation": {"kind": "preimage", "target": 0},
+}
+SIMULATE_REPORTS = [
+    ([], [], "16b536819bcd3e06f0b94ae48a9226386915e6819598ac80854db5c643ec1aeb"),
+    (["--seed", "4"], ["--shots", "200"], "69ffc8d3202df883dbe0faf34ca8fdb35f8b806a511485d904ebc9a06b3fc676"),
+]
+
+
+@pytest.mark.parametrize("seed,shots,sha256", SIMULATE_REPORTS, ids=["grover-exact", "grover-shots"])
+def test_simulate_reports_pinned(tmp_path, seed, shots, sha256):
+    circuit, out = tmp_path / "circuit.json", tmp_path / "report.json"
+    circuit.write_text(json.dumps(GROVER_CIRCUIT))
+    assert cli.main([*seed, "simulate", "--circuit", str(circuit), *shots, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 class TestHotPath:
     """The budget-edge jobs decide properties only through truth tables and
     build a Database only for the witness and for each distinct family."""

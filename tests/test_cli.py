@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,28 @@ class TestReportCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "a,b"
         assert len(lines) == 3
+
+
+class TestLargeDomainRefusals:
+    """A domain far past the budgets exits 2 within seconds, in time linear
+    in |X|, with a short message naming the budget it exceeds."""
+
+    @pytest.mark.parametrize("n", [12, 18])
+    def test_simulate(self, tmp_path, capsys, n):
+        circuit = {"domain": f"n={n},m=1", "registers": [2], "output_regs": [0],
+                   "steps": [{"type": "query", "xs": ["0" * n], "out_regs": [0]}]}
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(circuit))
+        start = time.perf_counter()
+        assert main(["simulate", "--circuit", str(path)]) == 2
+        assert time.perf_counter() - start < 10.0
+        assert capsys.readouterr().err == f"error: state exceeds the amplitude budget of {1 << 24} (QROMLAB_BUDGET)\n"
+
+    def test_capacity(self, capsys):
+        start = time.perf_counter()
+        assert main(["capacity", "--p", "PRMG", "--pprime", "PRMG", "--k", "1", "--domain", "n=18,m=1"]) == 2
+        assert time.perf_counter() - start < 10.0
+        assert capsys.readouterr().err == "error: capacity enumeration exceeds the budget\n"
 
 
 class TestUsageErrors:

@@ -18,6 +18,7 @@ from qromlab.oracle import (
     NamedGateStep,
     OracleDomain,
     PhaseFlipStep,
+    PurifiedState,
     QueryStep,
     apply_parallel_query,
     comp,
@@ -40,9 +41,9 @@ def bit_domain(n, m=1, kind="bits"):
 
 
 def randomize(state, rng):
-    v = rng.normal(size=state.vec.shape) + 1j * rng.normal(size=state.vec.shape)
-    state.vec = v / np.linalg.norm(v)
-    return state
+    """A normalised random state of the same picture, domain and registers."""
+    v = rng.normal(size=state.dims) + 1j * rng.normal(size=state.dims)
+    return type(state).from_dense(state.domain, state.reg_dims, v / np.linalg.norm(v))
 
 
 def random_unitary(dim, rng):
@@ -98,6 +99,45 @@ class TestInitialStates:
         with pytest.raises(BudgetExceeded):
             initial_compressed_state(dom, (2,))
 
+    @pytest.mark.parametrize("make", [initial_compressed_state, initial_purified_state])
+    def test_budget_message_names_the_budget(self, make):
+        # 3^(2^14) amplitudes: a product with more digits than Python prints
+        with pytest.raises(BudgetExceeded) as info:
+            make(bit_domain(14), (2,))
+        assert str(info.value) == f"state exceeds the amplitude budget of {1 << 24} (QROMLAB_BUDGET)"
+
+
+class TestRegisterIndices:
+    """The state refuses a register index outside reg_dims, a negative one
+    among them, or one named twice, and stays as it was."""
+
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    @staticmethod
+    def state():
+        return randomize(initial_purified_state(bit_domain(1), (2, 2)), np.random.default_rng(1))
+
+    @pytest.mark.parametrize("regs", [(-1,), (2,), (1, 1)])
+    def test_gate(self, regs):
+        state = self.state()
+        before = state.vec
+        with pytest.raises(ValueError, match="register"):
+            state.apply_register_unitary(self.X if len(regs) == 1 else np.kron(self.X, self.X), regs)
+        assert np.array_equal(state.vec, before)
+
+    @pytest.mark.parametrize("regs", [(-1,), (2,), (1, 1)])
+    def test_phase_flip(self, regs):
+        state = self.state()
+        before = state.vec
+        with pytest.raises(ValueError, match="register"):
+            state.apply_phase_flip(regs, lambda *values: values[0] == 1)
+        assert np.array_equal(state.vec, before)
+
+    @pytest.mark.parametrize("xs, out_regs", [(("0",), (5,)), (("0",), (-1,)), (("0", "1"), (1, 1))])
+    def test_parallel_query(self, xs, out_regs):
+        with pytest.raises(ValueError, match="register"):
+            apply_parallel_query(self.state(), xs, out_regs)
+
 
 class TestComp:
     def test_comp_of_uniform_is_all_bot(self):
@@ -118,8 +158,7 @@ class TestComp:
         # |X|=1, M=2: comp of the Fourier state H-hat = 1 is the same vector,
         # seen as the dual-basis database with that single nonzero component.
         dom = OracleDomain(("x",), GroupSpec.bits(1))
-        ps = initial_purified_state(dom, (1,))
-        ps.vec[:, 0] = [1 / math.sqrt(2), -1 / math.sqrt(2)]
+        ps = PurifiedState.from_dense(dom, (1,), np.array([[1 / math.sqrt(2)], [-1 / math.sqrt(2)]]))
         cs = comp(ps)
         assert cs.vec[0, 0] == pytest.approx(1 / math.sqrt(2))
         assert cs.vec[1, 0] == pytest.approx(-1 / math.sqrt(2))
@@ -129,17 +168,17 @@ class TestComp:
 class TestStandardQuery:
     def test_zero_branch_unchanged(self):
         dom = bit_domain(1)
-        ps = initial_purified_state(dom, (2,))
-        ps.vec[:] = 0
-        ps.vec[(0, 0) + (0,)] = 1.0  # H == 0 everywhere, response register 0
+        vec = np.zeros((2, 2, 2))
+        vec[(0, 0) + (0,)] = 1.0  # H == 0 everywhere, response register 0
+        ps = PurifiedState.from_dense(dom, (2,), vec)
         out = apply_parallel_query(ps, ("0",), (0,))
         assert np.max(np.abs(out.vec - ps.vec)) <= 1e-12
 
     def test_xor_semantics_per_branch(self):
         dom = bit_domain(1)
-        ps = initial_purified_state(dom, (2,))
-        ps.vec[:] = 0
-        ps.vec[(1, 0) + (1,)] = 1.0  # H('0')=1, H('1')=0, response register 1
+        vec = np.zeros((2, 2, 2))
+        vec[(1, 0) + (1,)] = 1.0  # H('0')=1, H('1')=0, response register 1
+        ps = PurifiedState.from_dense(dom, (2,), vec)
         out = apply_parallel_query(ps, ("0",), (0,))
         assert out.vec[(1, 0) + (0,)] == pytest.approx(1.0)
 
@@ -186,6 +225,15 @@ class TestMalformedQuerySteps:
         with pytest.raises(ValueError, match="outside its reg_dims"):
             AdversaryCircuit(domain=bit_domain(2), reg_dims=(4, 2), steps=steps,
                              output_regs=output_regs)
+
+    @pytest.mark.parametrize("step", [
+        GateStep(np.eye(4), (0, 0)),
+        PhaseFlipStep((1, 1), lambda a, b: a == 1),
+        QueryStep(out_regs=(1, 1), xs=("00", "01")),
+    ])
+    def test_register_named_twice(self, step):
+        with pytest.raises(ValueError, match="twice"):
+            AdversaryCircuit(domain=bit_domain(2), reg_dims=(4, 2), steps=(step,))
 
 
 class TestParallelQuery:

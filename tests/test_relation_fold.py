@@ -32,9 +32,10 @@ def reference_success(state, circuit, relation, claimed) -> float:
     """Per-amplitude loop: add |amp|^2 for every branch whose oracle values at
     the output inputs equal the output responses and whose outputs satisfy
     the relation."""
+    vec = state.vec  # each read of .vec builds a fresh tensor
     total = 0.0
-    for index in np.ndindex(state.vec.shape):
-        amp = state.vec[index]
+    for index in np.ndindex(vec.shape):
+        amp = vec[index]
         if amp == 0.0:
             continue
         values = index[state.n_oracle:]
