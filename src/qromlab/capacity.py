@@ -76,22 +76,31 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def query_windows(domain: OracleDomain, k: int, x_restrict=None) -> list:
-    """Every k-parallel query window, as the k-permutations of x_restrict (all
-    inputs by default) in itertools order.
+    """Every k-parallel query window, as the k-permutations of window_pool in
+    itertools order."""
+    return list(itertools.permutations(window_pool(domain, k, x_restrict), k))
+
+
+def window_pool(domain: OracleDomain, k: int, x_restrict=None) -> tuple:
+    """The inputs the k-parallel query windows are drawn from: x_restrict,
+    all inputs by default.
 
     Raises KeyError for a pool input outside the domain. Raises ValueError
     when the pool names an input twice, unless 1 <= k <= |pool|, and when the
     windows alone exceed the enumeration budget.
     """
-    pool = tuple(domain.inputs if x_restrict is None else x_restrict)
-    for x in pool:
-        domain.index(x)
-    if len(set(pool)) != len(pool):
-        raise ValueError("the window pool names an input twice")
+    if x_restrict is None:
+        pool = domain.inputs  # distinct inputs of the domain, by construction
+    else:
+        pool = tuple(x_restrict)
+        for x in pool:
+            domain.index(x)
+        if len(set(pool)) != len(pool):
+            raise ValueError("the window pool names an input twice")
     if not 1 <= k <= len(pool):
         raise ValueError("parallelism must satisfy 1 <= k <= |X_restrict|")
     _check_budget(math.perm(len(pool), k))
-    return list(itertools.permutations(pool, k))
+    return pool
 
 
 def _check_budget(enumerated: int) -> None:
@@ -142,10 +151,12 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     pair is normed once per yhat.
     """
     spec = domain.spec
-    windows = query_windows(domain, k, x_restrict)
+    pool = window_pool(domain, k, x_restrict)
     if (spec.order + 1) ** k > WINDOW_DIM_BUDGET:
         raise ValueError("window dimension exceeds the exact-computation budget")
-    _check_budget(len(windows) * spec.order ** k * (spec.order + 1) ** (domain.size - k))
+    # refused from the pool size, before a window is listed
+    _check_budget(math.perm(len(pool), k) * spec.order ** k * (spec.order + 1) ** (domain.size - k))
+    windows = query_windows(domain, k, pool)
 
     all_yhats = list(itertools.product(range(spec.order), repeat=k))
     dim = (spec.order + 1) ** k
@@ -213,8 +224,9 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     with the 0/1 matrix of draws, reading both truth tables once.
     """
     spec = domain.spec
-    windows = query_windows(domain, k, x_restrict)
-    _check_budget(len(windows) * spec.order ** k * (spec.order + 1) ** domain.size)
+    pool = window_pool(domain, k, x_restrict)
+    _check_budget(math.perm(len(pool), k) * spec.order ** k * (spec.order + 1) ** domain.size)
+    windows = query_windows(domain, k, pool)
     p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
     ext = spec.order + 1
     outcomes = float(spec.order) ** (window_tuples(spec, k) == spec.bot).sum(axis=1)

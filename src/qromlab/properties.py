@@ -8,6 +8,7 @@ that treats the undefined symbol as no more informative than any group value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -138,7 +139,7 @@ def subset_of(p: DatabaseProperty, q: DatabaseProperty, domain: OracleDomain) ->
 @dataclass(frozen=True)
 class ChainRelation:
     """A link relation between range values y and inputs x, with its fan-in bound
-    T = max_x |{y : y relates to x}| computed by enumeration."""
+    T = max_x |{y : y relates to x}| read from its relation table."""
 
     kind: str  # equality | prefix | substring | custom
     fn: object = None
@@ -160,12 +161,17 @@ class ChainRelation:
         raise ValueError(f"unknown chain relation kind {self.kind!r}")
 
     def t_bound(self, domain: OracleDomain) -> int:
-        if self.kind in ("equality", "prefix"):
-            return 1
-        best = 0
-        for x in domain.inputs:
-            best = max(best, sum(1 for y in domain.spec.elements() if self.relates(y, x, domain)))
-        return max(best, 1)
+        table = relation_table(self, domain)
+        return max([sum(i in row for row in table) for i in range(domain.size)] + [1])
+
+
+@functools.lru_cache(maxsize=64)
+def relation_table(rel: ChainRelation, domain: OracleDomain) -> tuple:
+    """The relation over the domain, one row per range value y: the frozenset
+    of the positions of the inputs y relates to, each pair decided by one
+    relates call."""
+    return tuple(frozenset(i for i, x in enumerate(domain.inputs) if rel.relates(y, x, domain))
+                 for y in domain.spec.elements())
 
 
 def longest_path(nodes, successors, base) -> float:
@@ -204,15 +210,13 @@ def longest_chain_length(db: Database, rel: ChainRelation) -> float:
     link); the final element may be any domain input.  A cycle in the support
     graph yields chains of every length, reported as inf.
     """
-    domain = db.domain
-    support = db.support()
-    successors = {}
-    free_hop = {}
-    for x in support:
-        y = db.value(x)
-        successors[x] = [x2 for x2 in support if rel.relates(y, x2, domain)]
-        free_hop[x] = 1.0 if any(rel.relates(y, x2, domain) for x2 in domain.inputs) else 0.0
-    return longest_path(support, successors, free_hop)
+    table = relation_table(rel, db.domain)
+    bot = db.domain.spec.bot
+    # positions stand for inputs; a support value's table row holds its links
+    support = [i for i, y in enumerate(db.values) if y != bot]
+    links = {i: table[db.values[i]] for i in support}
+    return longest_path(support, {i: [j for j in support if j in links[i]] for i in support},
+                        {i: 1.0 if links[i] else 0.0 for i in support})
 
 
 def chn(s: int, rel: ChainRelation) -> DatabaseProperty:
@@ -290,11 +294,17 @@ def exterior_values(domain: OracleDomain, xs) -> np.ndarray:
     """The values of all databases undefined on the window xs, one row per
     exterior, in canonical value order on the remaining inputs: the rows of
     window_view."""
+    ext, width = domain.spec.order + 1, domain.size - len(_distinct_window(xs))
+    return _around_window(domain, xs, digit_rows(np.arange(ext ** width), ext, width, value_dtype(domain.spec)))
+
+
+def _around_window(domain: OracleDomain, xs, rows: np.ndarray) -> np.ndarray:
+    """Database values undefined on the window xs, one row per row of rows,
+    which gives the values of the other inputs in domain order."""
     window = {domain.index(x) for x in _distinct_window(xs)}
     others = [i for i in range(domain.size) if i not in window]
-    ext, dtype = domain.spec.order + 1, value_dtype(domain.spec)
-    values = np.full((ext ** len(others), domain.size), domain.spec.bot, dtype=dtype)
-    values[:, others] = digit_rows(np.arange(len(values)), ext, len(others), dtype)
+    values = np.full((len(rows), domain.size), domain.spec.bot, dtype=rows.dtype)
+    values[:, others] = rows
     return values
 
 
@@ -489,10 +499,8 @@ def chain_local_family(db: Database, xs, rel: ChainRelation) -> LocalFamily:
     range value relating to some defined or queried input."""
     xs = _distinct_window(xs)
     domain = db.domain
-    anchors = set(db.support()) | set(xs)
-    values = frozenset(
-        y for y in domain.spec.elements() if any(rel.relates(y, x, domain) for x in anchors)
-    )
+    anchors = [domain.index(x) for x in db.support() + xs]
+    values = frozenset(y for y, row in enumerate(relation_table(rel, domain)) if not row.isdisjoint(anchors))
     props = tuple(
         LocalProperty.one_local(x, values, domain.spec, name=f"CHN_L{i}") for i, x in enumerate(xs)
     )
@@ -531,7 +539,7 @@ def canonical_families(pprime: DatabaseProperty, domain: OracleDomain, xs) -> li
     A family depends on the exterior only through one feature (none for PRMG,
     the exterior's value set for CL, its support for CHN), so one family is
     built per distinct feature, from the first exterior in view-row order that
-    has it.
+    has it (_first_exteriors, the same for every window of its width).
     """
     kind, arg = pprime.atom or (None, None)
     if kind == "PRMG":
@@ -539,16 +547,34 @@ def canonical_families(pprime: DatabaseProperty, domain: OracleDomain, xs) -> li
     if kind not in ("CL", "CHN"):
         raise ValueError(f"no canonical family for target {pprime.name!r}: "
                          "the bound needs a bare PRMG, CL or CHN target")
-    exteriors = exterior_values(domain, xs)
+    build = collision_local_family if kind == "CL" else lambda db, xs: chain_local_family(db, xs, arg)
+    exteriors = _around_window(domain, xs, _first_exteriors(kind, domain, len(_distinct_window(xs))))
+    return [build(Database(domain, tuple(values)), xs) for values in exteriors.tolist()]
+
+
+@functools.lru_cache(maxsize=64)
+def _first_exteriors(kind: str, domain: OracleDomain, k: int) -> np.ndarray:
+    """Per distinct CL or CHN feature of the exteriors of a k-input window,
+    the values on the |X| - k other inputs of the first exterior in view-row
+    order that has it; read-only.
+
+    Every k-input window's exteriors are the same value rows around it, and
+    the window's own inputs are undefined in each, so both features, and
+    where they first occur, are those of the window of the last k inputs.
+    """
+    width = domain.size - k
+    exteriors = exterior_values(domain, domain.inputs[width:])
     bot = domain.spec.bot
     if kind == "CL":
         present = np.zeros((len(exteriors), bot + 1), dtype=bool)
         np.put_along_axis(present, exteriors.astype(np.intp), True, axis=1)
-        features, build = present[:, :bot], collision_local_family
+        features = present[:, :bot]
     else:
-        features, build = exteriors != bot, lambda db, xs: chain_local_family(db, xs, arg)
+        features = exteriors != bot
     first, _ = unique_rows(features)
-    return [build(Database(domain, tuple(exteriors[i].tolist())), xs) for i in np.sort(first)]
+    rows = exteriors[np.sort(first), :width]
+    rows.flags.writeable = False
+    return rows
 
 
 # Property strings: NAME[key=val,...] with "!" complement, "&" intersection,

@@ -34,6 +34,7 @@ from qromlab.properties import (
     cl,
     collision_local_family,
     empty_db_prop,
+    exterior_values,
     false_prop,
     parse_property,
     prmg,
@@ -42,6 +43,7 @@ from qromlab.properties import (
     size_at_most,
     true_prop,
     truth_table,
+    unique_rows,
     value_dtype,
     window_tuples,
     window_view,
@@ -419,6 +421,51 @@ def test_canonical_families_cover_every_exterior(text, k, spec):
         assert set(families) == set(per_exterior_families(pprime, domain, xs)), xs
 
 
+def per_window_families(pprime, domain, xs):
+    """canonical_families from the features of the window's own exteriors:
+    exterior_values and unique_rows per window."""
+    kind, arg = pprime.atom
+    if kind == "PRMG":
+        return [prmg_local_family(xs, domain.spec, arg)]
+    exteriors = exterior_values(domain, xs)
+    bot = domain.spec.bot
+    if kind == "CL":
+        present = np.zeros((len(exteriors), bot + 1), dtype=bool)
+        np.put_along_axis(present, exteriors.astype(np.intp), True, axis=1)
+        features, build = present[:, :bot], collision_local_family
+    else:
+        features, build = exteriors != bot, lambda db, xs: chain_local_family(db, xs, arg)
+    first, _ = unique_rows(features)
+    return [build(Database(domain, tuple(exteriors[i].tolist())), xs) for i in np.sort(first)]
+
+
+FAMILY_TARGETS = ["PRMG", "PRMG[target=1]", "CL", "CHN[s=2]", "CHN[s=2,rel=prefix]", "CHN[s=1,rel=substring]"]
+
+
+@pytest.mark.parametrize("pool", [None, ("11", "00", "10")], ids=["all-inputs", "restricted"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("spec", [GroupSpec.bits(1), GroupSpec.cyclic(3)], ids=["bits1", "cyclic3"])
+@pytest.mark.parametrize("text", FAMILY_TARGETS)
+def test_canonical_families_match_per_window_features(text, spec, k, pool):
+    # the features are derived once per window width; every window must
+    # still get the families, in the order, of its own exteriors
+    domain, pprime = bit_domain(spec), parse_property(text)
+    for xs in capacity_mod.query_windows(domain, k, pool):
+        assert properties_mod.canonical_families(pprime, domain, xs) == per_window_families(pprime, domain, xs), xs
+
+
+@pytest.mark.parametrize("text", FAMILY_TARGETS)
+def test_canonical_families_of_windows_without_exterior(text):
+    domain, pprime = bit_domain(GroupSpec.cyclic(3), n=1), parse_property(text)
+    for xs in capacity_mod.query_windows(domain, 2):
+        assert properties_mod.canonical_families(pprime, domain, xs) == per_window_families(pprime, domain, xs), xs
+
+
+def test_first_exteriors_are_read_only():
+    with pytest.raises(ValueError):
+        properties_mod._first_exteriors("CL", bit_domain(GroupSpec.bits(1)), 1)[0, 0] = 0
+
+
 # Full reports of the per-row engine at n=3, m=1, k=2: the values, the first
 # maximising witnesses, the bounds, and the SHA-256 of the report bytes.
 N3_REPORTS = [
@@ -472,7 +519,8 @@ def test_non_vacuous_reports_pinned(tmp_path, argv, sha256, expected):
 
 
 # Sub-second reports of each bound, 2-local CL weights among them, pinned to
-# the SHA-256 of their bytes.
+# the SHA-256 of their bytes; the substring one is the only report of that
+# relation.
 BOUND_REPORTS = [
     (["--p", "!CL", "--pprime", "CL", "--k", "2", "--domain", "n=2,m=2", "--kind", "cyclic",
       "--bound", "thm5.12"],
@@ -485,11 +533,15 @@ BOUND_REPORTS = [
      "d3faf7aa91487a520e7ee7c1326e26b2f6104341f0674b03e748dd5a28f9ae94"),
     (["--p", "!CL", "--pprime", "CL", "--k", "2", "--domain", "n=1,m=4", "--bound", "thm5.12"],
      "2684833e2bf1e372ee24d81b10f8eb720bf671c1265eceed9870e70b35319e3c"),
+    (["--p", "!CHN[s=1,rel=substring]", "--pprime", "CHN[s=2,rel=substring]", "--k", "1",
+      "--domain", "n=3,m=1", "--bound", "thm5.9"],
+     "ea436a8b63d58bb501b142b0229ba962c065d7a11f4c661dd85483568f062964"),
 ]
 
 
 @pytest.mark.parametrize("argv,sha256", BOUND_REPORTS,
-                         ids=["cl-cyclic-thm5.12", "prmg-cyclic-thm5.7", "chn-cyclic-thm5.9", "cl-m4-thm5.12"])
+                         ids=["cl-cyclic-thm5.12", "prmg-cyclic-thm5.7", "chn-cyclic-thm5.9", "cl-m4-thm5.12",
+                              "chn-substring-thm5.9"])
 def test_bound_reports_pinned(tmp_path, argv, sha256):
     out = tmp_path / "report.json"
     assert cli.main(["capacity", *argv, "--out", str(out)]) == 0

@@ -29,10 +29,12 @@ from qromlab.properties import (
     prmg,
     prmg_local_family,
     projector,
+    relation_table,
     restrict,
     size_at_most,
     subset_of,
     true_prop,
+    truth_table,
 )
 
 
@@ -159,6 +161,79 @@ class TestChains:
         pre = ChainRelation("prefix")
         assert pre.relates(0, "01", dom)
         assert not pre.relates(1, "01", dom)
+
+
+def per_pair_longest_chain_length(db, rel):
+    """longest_chain_length read from the relation itself: one relates call
+    per (support value, input) pair, with the inputs as the graph's nodes."""
+    domain = db.domain
+    support = db.support()
+    successors, free_hop = {}, {}
+    for x in support:
+        y = db.value(x)
+        successors[x] = [x2 for x2 in support if rel.relates(y, x2, domain)]
+        free_hop[x] = 1.0 if any(rel.relates(y, x2, domain) for x2 in domain.inputs) else 0.0
+    return longest_path(support, successors, free_hop)
+
+
+CHAIN_SPECS = (GroupSpec.bits(1), GroupSpec.bits(2), GroupSpec.bits(3), GroupSpec.cyclic(3), GroupSpec.cyclic(5))
+
+
+@st.composite
+def chain_domains(draw, specs=CHAIN_SPECS, max_n=3):
+    """A domain of 2 to 2^max_n bit-string inputs over a bit or cyclic group,
+    and a relation of each kind; a custom relation relates a drawn set of
+    (value, input) pairs."""
+    spec = draw(st.sampled_from(specs))
+    domain = OracleDomain.of_bit_inputs(draw(st.integers(1, max_n)), spec)
+    kind = draw(st.sampled_from(("equality", "prefix", "substring", "custom")))
+    if kind != "custom":
+        return domain, ChainRelation(kind)
+    pairs = draw(st.frozensets(st.tuples(st.sampled_from(spec.elements()), st.sampled_from(domain.inputs))))
+    return domain, ChainRelation("custom", fn=lambda y, x: (y, x) in pairs)
+
+
+class TestRelationTable:
+    """Every chain decision reads relation_table; the references below call
+    relates once per pair instead."""
+
+    @given(case=chain_domains(), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_longest_chain_matches_per_pair_relates(self, case, data):
+        # values are drawn mostly from the group, so support cycles and
+        # free hops to undefined inputs are both common
+        domain, rel = case
+        values = data.draw(st.lists(st.integers(0, domain.spec.bot), min_size=domain.size,
+                                    max_size=domain.size))
+        db = Database(domain, tuple(values))
+        assert longest_chain_length(db, rel) == per_pair_longest_chain_length(db, rel)
+
+    @given(case=chain_domains(specs=CHAIN_SPECS[:2] + CHAIN_SPECS[3:4], max_n=2))
+    @settings(max_examples=40, deadline=None)
+    def test_chain_truth_tables_match_per_pair_relates(self, case):
+        domain, rel = case
+        lengths = np.array([per_pair_longest_chain_length(db, rel) for db in iter_databases(domain)])
+        for s in (1, 2, 3):
+            assert np.array_equal(truth_table(chn(s, rel), domain).ravel(), lengths >= s), s
+
+    @given(case=chain_domains())
+    @settings(max_examples=100, deadline=None)
+    def test_table_rows_are_the_related_positions(self, case):
+        domain, rel = case
+        table = relation_table(rel, domain)
+        assert table == tuple(frozenset(i for i, x in enumerate(domain.inputs) if rel.relates(y, x, domain))
+                              for y in domain.spec.elements())
+        fan_in = max(sum(rel.relates(y, x, domain) for y in domain.spec.elements()) for x in domain.inputs)
+        assert rel.t_bound(domain) == max(fan_in, 1)
+
+    def test_cycle_and_free_hop_through_a_custom_relation(self):
+        dom = domain3(m=2)
+        # 0 relates to b, 1 to a: a <-> b is a support cycle; 2 relates to
+        # the undefined c only, a free final hop
+        rel = ChainRelation("custom", fn=lambda y, x: (y, x) in {(0, "b"), (1, "a"), (2, "c")})
+        assert math.isinf(longest_chain_length(Database.from_entries(dom, {"a": 0, "b": 1}), rel))
+        assert longest_chain_length(Database.from_entries(dom, {"a": 0, "b": 2}), rel) == 2
+        assert longest_chain_length(Database.from_entries(dom, {"a": 3}), rel) == 0
 
 
 class TestRestrict:
