@@ -108,6 +108,27 @@ def _check_budget(enumerated: int) -> None:
         raise ValueError("capacity enumeration exceeds the budget")
 
 
+def check_enumeration(pool: int, k: int, order: int, exterior: int) -> None:
+    """Refuse a job that enumerates more than the budget: perm(pool, k)
+    windows, each with order^k yhat tuples and (order + 1)^exterior
+    exteriors.
+
+    Only sizes are read, so a domain can be refused before it is built.  As
+    in oracle._check_budget, the product grows factor by factor and is
+    refused at the first partial product above the budget, so (M+1)^|X| is
+    never formed.  The exterior factors come first, so a pool too small for
+    k (a zero factor, which window_pool refuses) cannot hide a domain over
+    the budget."""
+    # cap factors of 2 or more exceed the budget, so no run is taken longer
+    cap = ENUMERATION_BUDGET.bit_length()
+    total = 1
+    for factor in itertools.chain(itertools.repeat(order + 1, min(exterior, cap)),
+                                  itertools.repeat(order, min(k, cap)),
+                                  range(pool, pool - min(k, cap), -1)):
+        total *= factor
+        _check_budget(total)
+
+
 def window_exteriors(domain: OracleDomain, xs: tuple):
     """The rows of exterior_values as value tuples, one at a time."""
     return map(tuple, map(np.ndarray.tolist, exterior_values(domain, xs)))
@@ -155,7 +176,7 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     if (spec.order + 1) ** k > WINDOW_DIM_BUDGET:
         raise ValueError("window dimension exceeds the exact-computation budget")
     # refused from the pool size, before a window is listed
-    _check_budget(math.perm(len(pool), k) * spec.order ** k * (spec.order + 1) ** (domain.size - k))
+    check_enumeration(len(pool), k, spec.order, domain.size - k)
     windows = query_windows(domain, k, pool)
 
     all_yhats = list(itertools.product(range(spec.order), repeat=k))
@@ -225,7 +246,7 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     """
     spec = domain.spec
     pool = window_pool(domain, k, x_restrict)
-    _check_budget(math.perm(len(pool), k) * spec.order ** k * (spec.order + 1) ** domain.size)
+    check_enumeration(len(pool), k, spec.order, domain.size)
     windows = query_windows(domain, k, pool)
     p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
     ext = spec.order + 1

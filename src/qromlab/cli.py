@@ -37,7 +37,8 @@ def _write_out(path: str | None, payload, csv_records=None) -> None:
         p.write_text(render_json(payload))
 
 
-def _parse_domain(text: str, kind: str) -> oracle_mod.OracleDomain:
+def _domain_bits(text: str) -> tuple:
+    """(n, m) of a --domain string n=<input bits>,m=<range bits>."""
     params = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
@@ -47,21 +48,29 @@ def _parse_domain(text: str, kind: str) -> oracle_mod.OracleDomain:
         params[key] = int(value)
     if "n" not in params or "m" not in params:
         raise ValueError("domain must specify n=<input bits>,m=<range bits>")
-    if kind == "cyclic":
-        spec = GroupSpec.cyclic(1 << params["m"])
-    else:
-        spec = GroupSpec.bits(params["m"])
-    return oracle_mod.OracleDomain.of_bit_inputs(params["n"], spec)
+    return params["n"], params["m"]
+
+
+def _parse_domain(text: str, kind: str) -> oracle_mod.OracleDomain:
+    n, m = _domain_bits(text)
+    spec = GroupSpec.cyclic(1 << m) if kind == "cyclic" else GroupSpec.bits(m)
+    return oracle_mod.OracleDomain.of_bit_inputs(n, spec)
 
 
 # capacity subcommand
 
 
 def _cmd_capacity(args) -> int:
+    n, m = _domain_bits(args.domain)
+    restrict = None if args.restrict is None else args.restrict.split(",")
+    # refused from the --domain string, before its 2^n inputs are listed; it
+    # counts the quantum engine's (M+1)^(|X|-k) exteriors, fewer than the
+    # classical engine's (M+1)^|X|, so it refuses no job an engine would run
+    capacity_mod.check_enumeration(1 << n if restrict is None else len(restrict), args.k,
+                                   1 << m, (1 << n) - args.k)
     domain = _parse_domain(args.domain, args.kind)
     p = parse_property(args.p)
     pprime = parse_property(args.pprime)
-    restrict = None if args.restrict is None else args.restrict.split(",")
     if args.classical:
         report = capacity_mod.classical_capacity_exact(p, pprime, args.k, domain, restrict)
     else:
@@ -205,6 +214,14 @@ def _posw_backend(kind: str, w: int, seed: int):
     return posw_mod.CryptoBackend(w)
 
 
+def _report_oracle_work(command: str, backend) -> None:
+    """One stderr line: the oracle invocations of the run and the bytes it
+    framed, both read from the backend's query trace."""
+    trace = backend.trace
+    print(f"posw {command}: {sum(e.invocations for e in trace)} oracle invocations, "
+          f"{sum(len(e.payload) for e in trace)} bytes framed", file=sys.stderr)
+
+
 def _cmd_posw_prove(args) -> int:
     params = posw_mod.PoswParams(n=args.n, w=args.w)
     chi = args.seed % (1 << args.w) if args.chi is None else int(args.chi, 16)
@@ -215,6 +232,7 @@ def _cmd_posw_prove(args) -> int:
     labels = sum(1 for e in backend.trace if e.kind == "label")
     print(f"proof written: {len(blob)} bytes, chi={chi:0{(args.w + 3) // 4}x}, "
           f"{labels} label queries + 1 challenge query")
+    _report_oracle_work("prove", backend)
     return 0
 
 
@@ -229,6 +247,7 @@ def _cmd_posw_verify(args) -> int:
     backend = _posw_backend("crypto", proof.w, args.seed)
     result = posw_mod.verify(int(args.chi, 16), params, proof.t, proof, backend)
     print("accept" if result.accepted else f"reject ({result.reason})")
+    _report_oracle_work("verify", backend)
     return 0 if result.accepted else 1
 
 

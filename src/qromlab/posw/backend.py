@@ -13,8 +13,9 @@ from SHA-256 in counter mode and exposes nothing.
 verifier build those frames from label bytes encoded once per label (the
 prover keeps per-depth child labels and skip-edge bodies for its root path,
 the verifier builds an opening's skip bodies once, top down), so no label is
-re-encoded for every query it feeds; callers holding int labels frame them
-with `label_payload`.
+re-encoded for every query it feeds, and frame each vertex from its depth and
+index behind `depth_prefixes`, so no vertex string is parsed per query;
+callers holding int labels frame them with `label_payload`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ def encode_vertex(v: str) -> bytes:
         raise ValueError("vertex too deep to encode")
     packed = int(v, 2).to_bytes((len(v) + 7) // 8, "big") if v else b""
     return bytes([len(v)]) + packed
+
+
+def depth_prefixes(head: bytes, n: int) -> list:
+    """head followed by the depth byte of encode_vertex, for each depth 0..n.
+
+    The vertex at depth d whose bits read as the number j frames as
+    prefixes[d] + j.to_bytes((d + 7) // 8, "big"), byte for byte head +
+    encode_vertex(v), so a caller that knows each vertex's depth and index
+    parses no vertex string per query.  A depth past 255 raises
+    encode_vertex's ValueError."""
+    return [head + encode_vertex("0" * d)[:1] for d in range(n + 1)]
 
 
 def label_payload(chi: int, v: str, in_labels, w: int) -> bytes:

@@ -77,16 +77,29 @@ def authentication_path(v: str, n: int) -> list:
     return [v[:i] + b for i in range(n) for b in "01"]
 
 
+def _subtree_order(k: int) -> list:
+    """Post-order of a depth-k tree, each vertex relative to its root: the
+    left subtree's, then the right subtree's, then the root."""
+    order = [""]
+    for _ in range(k):
+        order = ["0" + s for s in order] + ["1" + s for s in order]
+        order.append("")
+    return order
+
+
 def prover_order(n: int) -> list:
     """Post-order evaluation sequence: every vertex appears after all of its
-    in-neighbors, starting with the leftmost leaf."""
+    in-neighbors, starting with the leftmost leaf.
+
+    It is the post-order of the top n - n//2 levels with each of their
+    deepest vertices expanded into the post-order of the depth-n//2 subtree
+    it roots, so no vertex string is built twice at the bottom levels."""
+    top = n - n // 2
+    below = _subtree_order(n // 2)
     order: list = []
-
-    def walk(v: str) -> None:
-        if not is_leaf(v, n):
-            walk(left(v))
-            walk(right(v))
-        order.append(v)
-
-    walk(ROOT)
+    for u in _subtree_order(top):
+        if len(u) == top:
+            order += [u + s for s in below]
+        else:
+            order.append(u)
     return order

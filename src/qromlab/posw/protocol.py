@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from . import dag
-from .backend import LABEL_TAG, RoBackend, encode_vertex, label_bytes, label_from_bytes
+from .backend import LABEL_TAG, RoBackend, depth_prefixes, label_bytes, label_from_bytes
 
 MAGIC = b"QPSW"
 VERSION = 1
@@ -66,12 +66,16 @@ def compute_labeling(chi: int, params: PoswParams, backend: RoBackend) -> dict:
     An internal vertex at depth d frames left[d+1] + right[d+1] + skip[d], a
     leaf frames skip[n].  Labelling a left child p0 at depth d hands
     skip(p1) = skip(p) + label(p0) to its right sibling and that sibling's
-    left spine, which costs amortised O(1) per vertex."""
+    left spine, which costs amortised O(1) per vertex.  Post-order visits
+    each depth's vertices in index order, so a per-depth counter gives the
+    index each vertex is framed from."""
     if backend.w != params.w:
         raise ValueError("backend width does not match parameters")
     n, w = params.n, params.w
     nbytes, bound = (w + 7) // 8, 1 << w
-    head = LABEL_TAG + label_bytes(chi, w)
+    prefixes = depth_prefixes(LABEL_TAG + label_bytes(chi, w), n)
+    widths = [(d + 7) // 8 for d in range(n + 1)]
+    index = [0] * (n + 1)
     query = backend.label_query
     labels: dict = {}
     left = [b""] * (n + 1)
@@ -79,8 +83,10 @@ def compute_labeling(chi: int, params: PoswParams, backend: RoBackend) -> dict:
     skip = [b""] * (n + 1)
     for v in dag.prover_order(n):
         d = len(v)
+        j = index[d]
+        index[d] = j + 1
         body = skip[n] if d == n else left[d + 1] + right[d + 1] + skip[d]
-        label = query(v, head + encode_vertex(v) + body)
+        label = query(v, prefixes[d] + j.to_bytes(widths[d], "big") + body)
         # a preloaded table oracle can hold any value, so check as label_bytes does
         if not 0 <= label < bound:
             raise ValueError(f"label {label} does not fit in {w} bits")
@@ -88,11 +94,11 @@ def compute_labeling(chi: int, params: PoswParams, backend: RoBackend) -> dict:
         if not d:
             break  # the root is labelled last
         data = label.to_bytes(nbytes, "big")
-        if v[-1] == "0":
+        if j & 1:
+            right[d] = data
+        else:
             left[d] = data
             skip[d:] = [skip[d - 1] + data] * (n + 1 - d)
-        else:
-            right[d] = data
     return labels
 
 
@@ -128,29 +134,37 @@ def verify(chi: int, params: PoswParams, t: int, proof: PoswProof, backend: RoBa
     nbytes, bound = (w + 7) // 8, 1 << w
     challenge = derive_challenge(chi, proof.phi, t, n, backend)
     head = LABEL_TAG + label_bytes(chi, w)
+    prefixes = None
     for i, v in enumerate(challenge):
-        path = dag.authentication_path(v, n)
         opening = proof.tau[i]
         if len(opening) != 2 * n:
             return VerifyResult(False, f"malformed: opening {i} has wrong length")
         if any(not 0 <= l < bound for l in opening):
             return VerifyResult(False, f"malformed: opening {i} label out of range")
-        labels = dict(zip(path, opening))
-        labels[dag.ROOT] = proof.phi
-        # the root is no vertex's in-neighbour, so phi is compared, never framed
-        enc = {u: l.to_bytes(nbytes, "big") for u, l in zip(path, opening)}
+        if prefixes is None:
+            # built at the first query, where a depth past 255 first raises
+            prefixes = depth_prefixes(head, n)
+        # position 2(d-1) + b of the opening holds the depth-d vertex on the
+        # leaf's authentication path whose last bit is b
+        enc = [l.to_bytes(nbytes, "big") for l in opening]
         # the leaf's in-neighbours are its skip sources, and those of its
         # depth-d ancestor are the ones no longer than d: build every
         # ancestor's skip body once, top down.  Every in-neighbour of an
-        # ancestor lies on the authentication path, so enc holds them all.
+        # ancestor lies on the authentication path, so enc holds them all;
+        # a skip source at depth d is a left child, at position 2(d-1).
         skip = [b""] * (n + 1)
         for x in dag.in_neighbors(v, n):
             d = len(x)
-            skip[d:] = [skip[d - 1] + enc[x]] * (n + 1 - d)
-        for u in dag.ancestors(v):
-            d = len(u)
-            body = skip[n] if d == n else enc[u + "0"] + enc[u + "1"] + skip[d]
-            if labels[u] != backend.label_query(u, head + encode_vertex(u) + body):
+            skip[d:] = [skip[d - 1] + enc[2 * d - 2]] * (n + 1 - d)
+        leaf = int(v, 2)
+        for d in range(n, -1, -1):
+            j = leaf >> (n - d)
+            body = skip[n] if d == n else enc[2 * d] + enc[2 * d + 1] + skip[d]
+            # the root is no vertex's in-neighbour, so phi is compared, never framed
+            label = opening[2 * d - 2 + (j & 1)] if d else proof.phi
+            u = v[:d]
+            payload = prefixes[d] + j.to_bytes((d + 7) // 8, "big") + body
+            if label != backend.label_query(u, payload):
                 return VerifyResult(False, f"inconsistent at {u or 'root'}")
     return VerifyResult(True)
 

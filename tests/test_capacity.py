@@ -595,6 +595,20 @@ class TestQueryWindows:
             WINDOW_USERS[user](k, make_domain(2), pool)
 
 
+@given(st.integers(1, 40), st.integers(1, 30), st.integers(1, 16), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_enumeration_check_matches_the_exact_product(pool, k, order, exterior):
+    """The capped, factor-by-factor check refuses exactly the jobs whose
+    exact product exceeds the budget, for every pool that admits k."""
+    k = min(k, pool)
+    exact = math.perm(pool, k) * order ** k * (order + 1) ** exterior
+    if exact > capacity_mod.ENUMERATION_BUDGET:
+        with pytest.raises(ValueError, match="capacity enumeration exceeds the budget"):
+            capacity_mod.check_enumeration(pool, k, order, exterior)
+    else:
+        capacity_mod.check_enumeration(pool, k, order, exterior)
+
+
 class TestCalculusOnArbitraryProperties:
     """The calculus inequalities are property-agnostic; hammer them with
     unstructured random subsets of the database space."""

@@ -349,6 +349,36 @@ class TestPoswCommands:
         assert rc == 0
         assert "accept" in capsys.readouterr().out
 
+    def test_oracle_work_on_stderr(self, tmp_path, capsys):
+        """prove and verify each print one stderr line: the oracle
+        invocations and framed bytes of a backend trace of the same run."""
+        from qromlab import posw
+
+        def work(command, backend):
+            trace = backend.trace
+            return (f"posw {command}: {sum(e.invocations for e in trace)} oracle invocations, "
+                    f"{sum(len(e.payload) for e in trace)} bytes framed\n")
+
+        params, chi, t = posw.PoswParams(n=3, w=8), 0xAB, 3
+        prover = posw.CryptoBackend(8)
+        proof = posw.prove(chi, params, t, prover)
+        verifier = posw.CryptoBackend(8)
+        assert posw.verify(chi, params, t, proof, verifier).accepted
+        # t * n = 9 challenge bits take two 8-bit oracle outputs, so
+        # invocations outnumber trace entries
+        assert sum(e.invocations for e in prover.trace) == len(prover.trace) + 1
+
+        path = tmp_path / "proof.bin"
+        assert main(["posw", "prove", "--n", "3", "--t", "3", "--w", "8",
+                     "--chi", "ab", "--out", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == work("prove", prover)
+        assert captured.out.startswith("proof written: ")
+        assert path.read_bytes() == posw.serialize_proof(proof)
+        assert main(["posw", "verify", "--in", str(path), "--chi", "ab"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("accept\n", work("verify", verifier))
+
     def test_corrupted_proof_rejected(self, tmp_path, capsys):
         proof = tmp_path / "proof.bin"
         main(["posw", "prove", "--n", "2", "--t", "1", "--w", "64",
@@ -450,6 +480,18 @@ class TestLargeDomainRefusals:
         start = time.perf_counter()
         assert main(["capacity", "--p", "PRMG", "--pprime", "PRMG", "--k", "1", "--domain", "n=18,m=1"]) == 2
         assert time.perf_counter() - start < 10.0
+        assert capsys.readouterr().err == "error: capacity enumeration exceeds the budget\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--classical"],
+                                       ["--restrict", "0" * 20 + ",1" + "0" * 19]])
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_capacity_refused_before_the_domain_is_built(self, capsys, monkeypatch, n, flags):
+        def unbuilt(*args):
+            raise AssertionError("the domain was built")
+
+        monkeypatch.setattr(OracleDomain, "of_bit_inputs", unbuilt)
+        assert main(["capacity", "--p", "PRMG", "--pprime", "PRMG", "--k", "1",
+                     "--domain", f"n={n},m=1", *flags]) == 2
         assert capsys.readouterr().err == "error: capacity enumeration exceeds the budget\n"
 
 

@@ -2,13 +2,15 @@
 
 The prover and verifier frame every label query from label bytes encoded once
 (the prover keeps per-depth child labels and skip-edge bodies for its root
-path, the verifier builds an opening's skip bodies once, top down).  The
-int-framed prover and verifier loop they replaced, which framed each query
-with `label_payload` from int labels, are kept here as the reference: every
-query must keep the same vertex, payload bytes, freshness and order, and
-every proof and verdict must be equal.  The crypto backend's counter-mode
-`while` loop is kept as the reference for its one-pass evaluation, and the
-per-field label-frame parser for the one-pass `parse_label_payload`.
+path, the verifier builds an opening's skip bodies once, top down) and from
+each vertex's depth and index.  The int-framed prover and verifier loop they
+replaced, which framed each query with `label_payload` from int labels and
+vertex strings, are kept here as the reference: every query must keep the
+same vertex, payload bytes, freshness and order, and every proof and verdict
+must be equal; depths 9 and 10 are run because their indices take two bytes.
+The crypto backend's counter-mode `while` loop is kept as the reference for
+its one-pass evaluation, and the per-field label-frame parser for the one-pass
+`parse_label_payload`.
 """
 
 import dataclasses
@@ -34,7 +36,7 @@ from qromlab.posw import (
     prove,
     verify,
 )
-from qromlab.posw.backend import LABEL_TAG
+from qromlab.posw.backend import LABEL_TAG, depth_prefixes, encode_vertex
 
 WIDTHS = (8, 13, 16, 255, 256, 512)
 
@@ -126,9 +128,13 @@ def assert_verify_matches(chi, params, t, proof, kind, seed):
 
 # --- honest runs --------------------------------------------------------------
 
+# (n, w): every width at depths with one-byte vertex indices, two widths past them
+HONEST_CASES = [(n, w) for n in range(1, 7) for w in WIDTHS] + [
+    (n, w) for n in (9, 10) for w in (8, 256)]
+
+
 @pytest.mark.parametrize("kind", ["table", "crypto"])
-@pytest.mark.parametrize("w", WIDTHS)
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n,w", HONEST_CASES)
 def test_prove_and_verify_match_reference(kind, w, n):
     rng = random.Random(f"{kind}-{w}-{n}")
     params = PoswParams(n=n, w=w)
@@ -265,6 +271,43 @@ def test_every_single_tamper_matches_reference(kind, w, t, n):
     for bad in single_tampers(proof):
         rejected += not assert_verify_matches(chi, params, t, bad, kind, seed).accepted
     assert rejected
+
+
+@pytest.mark.parametrize("kind", ["table", "crypto"])
+@pytest.mark.parametrize("w", [8, 256])
+@pytest.mark.parametrize("n", [9, 10])
+def test_single_tampers_past_one_byte_indices(kind, w, n):
+    """A sample of the single tamperings, at depths whose vertex indices take
+    two bytes: opening positions 0 and 1 (the root's children), n (mid-path)
+    and 2n - 1 (depth n) of both openings, then phi."""
+    params, chi, seed = PoswParams(n=n, w=w), 5, 13
+    proof = prove(chi, params, 2, make_backend(kind, w, seed))
+    tampers = list(single_tampers(proof))
+    picked = [tampers[i * 2 * n + j] for i in range(2) for j in (0, 1, n, 2 * n - 1)]
+    for bad in picked + tampers[-1:]:
+        assert not assert_verify_matches(chi, params, 2, bad, kind, seed).accepted
+
+
+@st.composite
+def depth_indices(draw):
+    d = draw(st.integers(0, 255))
+    return d, draw(st.integers(0, (1 << d) - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(depth_indices(), st.binary(max_size=40))
+def test_index_form_equals_encode_vertex(vertex, head):
+    d, j = vertex
+    v = format(j, f"0{d}b") if d else ""
+    assert depth_prefixes(head, d)[d] + j.to_bytes((d + 7) // 8, "big") == head + encode_vertex(v)
+
+
+def test_index_form_refuses_depth_256_as_encode_vertex_does():
+    with pytest.raises(ValueError) as by_index:
+        depth_prefixes(b"", 256)
+    with pytest.raises(ValueError) as by_string:
+        encode_vertex("0" * 256)
+    assert str(by_index.value) == str(by_string.value)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1,12 +1,12 @@
 """Differential tests for the indexed PoSW analysis path.
 
 The direct DAG topology is checked against the ancestor-walk construction it
-replaced, the top-down completeness search against the exhaustive search over
-every labeling of a leaf's ancestor closure, the slot-indexed longest chain
-against the all-pairs link comparison, and the lemma checks that extract from
-the per-vertex index against the versions that re-frame every equation with
-`label_payload` and look it up in the log, all kept here as reference
-oracles.
+replaced, the two-level prover order against the recursive walk, the top-down
+completeness search against the exhaustive search over every labeling of a
+leaf's ancestor closure, the slot-indexed longest chain against the all-pairs
+link comparison, and the lemma checks that extract from the per-vertex index
+against the versions that re-frame every equation with `label_payload` and
+look it up in the log, all kept here as reference oracles.
 """
 
 import importlib
@@ -69,6 +69,20 @@ def ref_in_neighbors(v, n):
         key=dag.vertex_key,
     )
     return children + skips
+
+
+def ref_prover_order(n):
+    """The recursive post-order walk the two-level construction replaced."""
+    order = []
+
+    def walk(v):
+        if len(v) != n:
+            walk(v + "0")
+            walk(v + "1")
+        order.append(v)
+
+    walk(dag.ROOT)
+    return order
 
 
 def ref_authentication_path(v, n):
@@ -234,6 +248,12 @@ def test_topology_matches_reference(n):
         assert dag.ancestors(v) == ref_ancestors(v)
     for v in dag.leaves(n):
         assert dag.authentication_path(v, n) == ref_authentication_path(v, n)
+
+
+@pytest.mark.parametrize("n", range(0, 14))
+def test_prover_order_matches_reference(n):
+    """Odd and even depths split their levels differently."""
+    assert dag.prover_order(n) == ref_prover_order(n)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
