@@ -8,8 +8,10 @@ forms appear only in consistency sweeps in the tests.  Values are clamped to
 from __future__ import annotations
 
 import math
+import sys
 
 E = math.e
+FLOAT_EXP_MAX = sys.float_info.max_exp - 1  # the largest e with 2.0 ** e finite
 
 
 def _finish(raw: float, clamp: bool) -> float:
@@ -68,7 +70,11 @@ def posw_bound(q: int, k: int, w: int, n: int, t: int, clamp: bool = True) -> fl
         raise ValueError("the protocol requires w >= t * n")
     mw = 2.0 ** w
     term_col, term_chain = posw_sqrt_step(q, k, w, n)
-    term_challenge = E * k * math.sqrt(10.0 * ((q + 2) / 2.0 ** (n + 1)) ** t)
+    try:
+        challenge_mass = ((q + 2) / 2.0 ** (n + 1)) ** t
+    except OverflowError:  # past the largest float: the bound is vacuous
+        challenge_mass = math.inf
+    term_challenge = E * k * math.sqrt(10.0 * challenge_mass)
     root = q * (term_col + term_chain + term_challenge) + math.sqrt((t * (n + 1) + 1) / mw)
     return _finish(root * root, clamp)
 
@@ -96,6 +102,13 @@ def _check(**named) -> None:
     for name, value in named.items():
         if value < 0:
             raise ValueError(f"parameter {name} must be nonnegative")
+        if value > sys.float_info.max:
+            raise ValueError(f"parameter {name} exceeds the largest float, about 2^{FLOAT_EXP_MAX + 1}")
+    # 2^w and 2^(n+1) are evaluated in floating point
+    for name, limit in (("w", FLOAT_EXP_MAX), ("n", FLOAT_EXP_MAX - 1)):
+        if named.get(name, 0) > limit:
+            raise ValueError(f"parameter {name} must be at most {limit}: "
+                             "a power of two in the bound exceeds the largest float")
     for name in ("k", "m", "t", "gamma", "w", "n"):
         if name in named and named[name] < 1:
             raise ValueError(f"parameter {name} must be positive")

@@ -52,6 +52,8 @@ def _domain_bits(text: str) -> tuple:
 
 
 def _parse_domain(text: str, kind: str) -> oracle_mod.OracleDomain:
+    if kind not in ("bits", "cyclic"):
+        raise ValueError(f"domain kind {kind!r} is neither 'bits' nor 'cyclic'")
     n, m = _domain_bits(text)
     spec = GroupSpec.cyclic(1 << m) if kind == "cyclic" else GroupSpec.bits(m)
     return oracle_mod.OracleDomain.of_bit_inputs(n, spec)
@@ -223,6 +225,10 @@ def _report_oracle_work(command: str, backend) -> None:
 
 
 def _cmd_posw_prove(args) -> int:
+    if not 1 <= args.t <= posw_mod.MAX_CHALLENGES:
+        # refused before the labeling: the proof header holds t in 16 bits
+        raise ValueError(f"--t {args.t} is outside 1..{posw_mod.MAX_CHALLENGES}, "
+                         "the challenge counts a proof file can hold")
     params = posw_mod.PoswParams(n=args.n, w=args.w)
     chi = args.seed % (1 << args.w) if args.chi is None else int(args.chi, 16)
     backend = _posw_backend(args.backend, args.w, args.seed)
@@ -310,6 +316,8 @@ def _cmd_lemmas(args) -> int:
 def _cmd_report(args) -> int:
     payload = json.loads(Path(args.infile).read_text())
     records = payload if isinstance(payload, list) else [payload]
+    if not all(isinstance(r, dict) for r in records):
+        raise ValueError("every report record must be a JSON object")
     Path(args.out).write_text(render_csv(records))
     print(f"wrote {len(records)} records to {args.out}")
     return 0

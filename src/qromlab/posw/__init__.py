@@ -22,6 +22,7 @@ from .extract import (
     path_to_chain,
 )
 from .protocol import (
+    MAX_CHALLENGES,
     PoswParams,
     PoswProof,
     VerifyResult,
@@ -36,6 +37,7 @@ from .protocol import (
 __all__ = [
     "CryptoBackend",
     "ExtractResult",
+    "MAX_CHALLENGES",
     "PoswParams",
     "PoswProof",
     "RoBackend",

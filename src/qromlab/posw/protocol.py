@@ -18,6 +18,7 @@ from .backend import LABEL_TAG, RoBackend, depth_prefixes, label_bytes, label_fr
 
 MAGIC = b"QPSW"
 VERSION = 1
+MAX_CHALLENGES = 0xFFFF  # the largest t the header holds
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,9 @@ def verify(chi: int, params: PoswParams, t: int, proof: PoswProof, backend: RoBa
 
 
 def serialize_proof(proof: PoswProof) -> bytes:
-    nb = (proof.w + 7) // 8
+    for field, value, limit in (("n", proof.n, 0xFF), ("t", proof.t, MAX_CHALLENGES), ("w", proof.w, 0xFFFF)):
+        if not 0 <= value <= limit:
+            raise ValueError(f"proof header cannot hold {field}={value}: it takes 0..{limit}")
     out = bytearray()
     out += MAGIC
     out += struct.pack(">BBHH", VERSION, proof.n, proof.t, proof.w)

@@ -25,45 +25,50 @@ WINDOW_DIM_BUDGET = 4096  # largest dense (M+1)^k window space
 class DatabaseProperty:
     """Named decidable subset of the databases over some oracle domain.
 
-    batch, when given, decides many databases at once: it maps an int array of
-    value rows, shape (N, |X|), and the domain to N booleans.  Without it
-    holds_batch falls back to holds, one row at a time.  atom is (NAME,
-    parameter) for a bare PRMG, CL or CHN atom, the ones with a canonical
-    local family, such as ("PRMG", 0), and None otherwise.
+    A property has exactly one decider.  batch decides many databases at
+    once: it maps an int array of value rows, shape (N, |X|), and the domain
+    to N booleans, and holds decides the one-row batch.  pred decides one
+    Database, for the properties with no batch (CHN[s>=1] and custom
+    predicates); holds_batch then lifts it through holds, one row at a time.
+    atom is (NAME, parameter) for a bare PRMG, CL or CHN atom, the ones with
+    a canonical local family, such as ("PRMG", 0), and None otherwise.
     """
 
-    def __init__(self, name: str, pred, batch=None, atom=None):
+    def __init__(self, name: str, pred=None, batch=None, atom=None):
+        if (pred is None) == (batch is None):
+            raise ValueError("a database property takes exactly one of pred and batch")
         self.name = name
         self._pred = pred
         self._batch = batch
         self.atom = atom
 
     def holds(self, db: Database) -> bool:
-        return bool(self._pred(db))
+        if self._batch is None:
+            return bool(self._pred(db))
+        return bool(self._batch(np.array([db.values]), db.domain)[0])
 
     def holds_batch(self, values, domain: OracleDomain) -> np.ndarray:
         """holds for every row of an int array of database values, shape (N, |X|)."""
         values = np.asarray(values)
-        if self._batch is not None:
-            return np.asarray(self._batch(values, domain), dtype=bool)
-        return np.fromiter((self.holds(Database(domain, tuple(row))) for row in values.tolist()),
-                           dtype=bool, count=len(values))
+        if self._batch is None:
+            return np.fromiter((self.holds(Database(domain, tuple(row))) for row in values.tolist()),
+                               dtype=bool, count=len(values))
+        return np.asarray(self._batch(values, domain), dtype=bool)
 
     def __and__(self, other: "DatabaseProperty") -> "DatabaseProperty":
-        return DatabaseProperty(f"({self.name}&{other.name})", lambda db: self.holds(db) and other.holds(db),
-                                lambda v, d: self.holds_batch(v, d) & other.holds_batch(v, d))
+        return DatabaseProperty(f"({self.name}&{other.name})",
+                                batch=lambda v, d: self.holds_batch(v, d) & other.holds_batch(v, d))
 
     def __or__(self, other: "DatabaseProperty") -> "DatabaseProperty":
-        return DatabaseProperty(f"({self.name}|{other.name})", lambda db: self.holds(db) or other.holds(db),
-                                lambda v, d: self.holds_batch(v, d) | other.holds_batch(v, d))
+        return DatabaseProperty(f"({self.name}|{other.name})",
+                                batch=lambda v, d: self.holds_batch(v, d) | other.holds_batch(v, d))
 
     def __invert__(self) -> "DatabaseProperty":
-        return DatabaseProperty(f"!{self.name}", lambda db: not self.holds(db),
-                                lambda v, d: ~self.holds_batch(v, d))
+        return DatabaseProperty(f"!{self.name}", batch=lambda v, d: ~self.holds_batch(v, d))
 
     def __sub__(self, other: "DatabaseProperty") -> "DatabaseProperty":
-        return DatabaseProperty(f"({self.name}\\{other.name})", lambda db: self.holds(db) and not other.holds(db),
-                                lambda v, d: self.holds_batch(v, d) & ~other.holds_batch(v, d))
+        return DatabaseProperty(f"({self.name}\\{other.name})",
+                                batch=lambda v, d: self.holds_batch(v, d) & ~other.holds_batch(v, d))
 
     def __repr__(self):
         return f"DatabaseProperty({self.name})"
@@ -74,53 +79,41 @@ def _all_true(values: np.ndarray, domain: OracleDomain) -> np.ndarray:
 
 
 def true_prop() -> DatabaseProperty:
-    return DatabaseProperty("TRUE", lambda db: True, _all_true)
+    return DatabaseProperty("TRUE", batch=_all_true)
 
 
 def false_prop() -> DatabaseProperty:
-    return DatabaseProperty("FALSE", lambda db: False, lambda v, d: np.zeros(len(v), dtype=bool))
+    return DatabaseProperty("FALSE", batch=lambda v, d: np.zeros(len(v), dtype=bool))
 
 
 def empty_db_prop() -> DatabaseProperty:
     """The property holding exactly for the all-undefined database."""
-    return DatabaseProperty("BOT", lambda db: db.support_size() == 0,
-                            lambda v, d: (v == d.spec.bot).all(axis=1))
+    return DatabaseProperty("BOT", batch=lambda v, d: (v == d.spec.bot).all(axis=1))
 
 
 def prmg(target: int = 0) -> DatabaseProperty:
     """Some input maps to target; deciding it on a range without target raises
     ValueError."""
     name = "PRMG" if target == 0 else f"PRMG[{target}]"
-    return DatabaseProperty(name, lambda db: db.domain.spec.check_element(target) in db.values,
-                            lambda v, d: (v == d.spec.check_element(target)).any(axis=1),
+    return DatabaseProperty(name, batch=lambda v, d: (v == d.spec.check_element(target)).any(axis=1),
                             atom=("PRMG", target))
 
 
 def cl() -> DatabaseProperty:
-    def has_collision(db: Database) -> bool:
-        seen = set()
-        bot = db.domain.spec.bot
-        for v in db.values:
-            if v == bot:
-                continue
-            if v in seen:
-                return True
-            seen.add(v)
-        return False
-
+    """Two defined inputs share a value: after a row sort, equal neighbours
+    other than the undefined index."""
     def has_collision_batch(values: np.ndarray, domain: OracleDomain) -> np.ndarray:
         ordered = np.sort(values, axis=1)
         repeat = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != domain.spec.bot)
         return repeat.any(axis=1)
 
-    return DatabaseProperty("CL", has_collision, has_collision_batch, atom=("CL", None))
+    return DatabaseProperty("CL", batch=has_collision_batch, atom=("CL", None))
 
 
 def size_at_most(s: int) -> DatabaseProperty:
     if s < 0:
         raise ValueError("size bound must be nonnegative")
-    return DatabaseProperty(f"SIZE<={s}", lambda db: db.support_size() <= s,
-                            lambda v, d: (v != d.spec.bot).sum(axis=1) <= s)
+    return DatabaseProperty(f"SIZE<={s}", batch=lambda v, d: (v != d.spec.bot).sum(axis=1) <= s)
 
 
 def iter_databases(domain: OracleDomain):
@@ -223,8 +216,7 @@ def chn(s: int, rel: ChainRelation) -> DatabaseProperty:
     if s < 0:
         raise ValueError("chain length must be nonnegative")
     if s == 0:
-        return DatabaseProperty(f"CHN[s=0,rel={rel.kind}]", lambda db: True, _all_true,
-                                atom=("CHN", rel))
+        return DatabaseProperty(f"CHN[s=0,rel={rel.kind}]", batch=_all_true, atom=("CHN", rel))
     return DatabaseProperty(f"CHN[s={s},rel={rel.kind}]", lambda db: longest_chain_length(db, rel) >= s,
                             atom=("CHN", rel))
 
@@ -547,7 +539,7 @@ def canonical_families(pprime: DatabaseProperty, domain: OracleDomain, xs) -> li
     if kind not in ("CL", "CHN"):
         raise ValueError(f"no canonical family for target {pprime.name!r}: "
                          "the bound needs a bare PRMG, CL or CHN target")
-    build = collision_local_family if kind == "CL" else lambda db, xs: chain_local_family(db, xs, arg)
+    build = collision_local_family if kind == "CL" else functools.partial(chain_local_family, rel=arg)
     exteriors = _around_window(domain, xs, _first_exteriors(kind, domain, len(_distinct_window(xs))))
     return [build(Database(domain, tuple(values)), xs) for values in exteriors.tolist()]
 

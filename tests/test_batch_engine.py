@@ -1,11 +1,10 @@
 """The batch capacity engines against the per-row enumeration they replaced.
 
-Four layers are checked: holds_batch against per-row holds on random
-property expressions, the truth-table window views against per-row window
-masks,
-both capacity engines against the per-row engines kept below as differential
-oracles, and the recognizability bounds against one family per (window,
-exterior) pair.  The full capacity reports at the enumeration-budget edge are
+Four layers are checked: holds_batch against the per-row definitions of
+the atoms kept below, on random property expressions, the truth-table window
+views against per-row window masks, both capacity engines against the
+per-row engines kept below as differential oracles, and the
+recognizability bounds against one family per (window, exterior) pair.  The full capacity reports at the enumeration-budget edge are
 pinned to the values of the per-row engine, and the hot path is pinned to
 make no per-database holds call.
 """
@@ -53,24 +52,61 @@ EQ = ChainRelation("equality")
 PREFIX = ChainRelation("prefix")
 SPECS = (GroupSpec.bits(1), GroupSpec.bits(2), GroupSpec.cyclic(3), GroupSpec.cyclic(4))
 
-ATOMS = (
-    [prmg(), prmg(1), cl(), empty_db_prop(), true_prop(), false_prop()]
-    + [size_at_most(s) for s in range(5)]
-    + [chn(s, rel) for s in range(4) for rel in (EQ, PREFIX)]
+# the per-row definitions of the atoms, kept as the reference their batches
+# are checked against
+
+
+def defined_values(db):
+    return [v for v in db.values if v != db.domain.spec.bot]
+
+
+def preimage_of(target):
+    return lambda db: db.domain.spec.check_element(target) in db.values
+
+
+def has_collision(db):
+    values = defined_values(db)
+    return len(set(values)) < len(values)
+
+
+def size_at_most_def(s):
+    return lambda db: len(defined_values(db)) <= s
+
+
+def chain_of(s, rel):
+    return lambda db: properties_mod.longest_chain_length(db, rel) >= s
+
+
+# (property, per-row definition) pairs
+DEFINED_ATOMS = (
+    [(prmg(), preimage_of(0)), (prmg(1), preimage_of(1)), (cl(), has_collision),
+     (empty_db_prop(), lambda db: not defined_values(db)), (true_prop(), lambda db: True),
+     (false_prop(), lambda db: False)]
+    + [(size_at_most(s), size_at_most_def(s)) for s in range(5)]
+    + [(chn(s, rel), chain_of(s, rel)) for s in range(4) for rel in (EQ, PREFIX)]
 )
+
+
+def _complement(pair):
+    p, defn = pair
+    return ~p, lambda db: not defn(db)
 
 
 def _combine(parts):
-    left, op, right = parts
-    return {"&": left & right, "|": left | right, "-": left - right}[op]
+    (left, left_defn), op, (right, right_defn) = parts
+    defn = {"&": lambda db: left_defn(db) and right_defn(db),
+            "|": lambda db: left_defn(db) or right_defn(db),
+            "-": lambda db: left_defn(db) and not right_defn(db)}[op]
+    return {"&": left & right, "|": left | right, "-": left - right}[op], defn
 
 
-PROPERTIES = st.recursive(
-    st.sampled_from(ATOMS),
-    lambda inner: st.one_of(inner.map(lambda p: ~p),
+DEFINED_PROPERTIES = st.recursive(
+    st.sampled_from(DEFINED_ATOMS),
+    lambda inner: st.one_of(inner.map(_complement),
                             st.tuples(inner, st.sampled_from("&|-"), inner).map(_combine)),
     max_leaves=6,
 )
+PROPERTIES = DEFINED_PROPERTIES.map(lambda pair: pair[0])
 
 
 def bit_domain(spec, n=2):
@@ -161,29 +197,50 @@ def nested_loop_exteriors(domain, xs):
 class TestHoldsBatch:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_row_holds(self, data):
+    def test_matches_per_row_definitions(self, data):
         spec = data.draw(st.sampled_from(SPECS))
         domain = bit_domain(spec)
-        p = data.draw(PROPERTIES)
+        p, defn = data.draw(DEFINED_PROPERTIES)
         rows = data.draw(st.lists(st.lists(st.integers(0, spec.bot), min_size=domain.size,
                                            max_size=domain.size), max_size=20))
         rows.append([spec.bot] * domain.size)
         dtype = data.draw(st.sampled_from([value_dtype(spec), np.int64]))
         got = p.holds_batch(np.array(rows, dtype=dtype), domain)
-        want = [p.holds(Database(domain, tuple(r))) for r in rows]
+        want = [defn(Database(domain, tuple(r))) for r in rows]
         assert got.dtype == bool and got.tolist() == want, p.name
 
-    def test_parsed_expressions(self):
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_holds_is_the_one_row_batch(self, data):
+        spec = data.draw(st.sampled_from(SPECS))
+        domain = bit_domain(spec)
+        p = data.draw(PROPERTIES)
+        row = data.draw(st.lists(st.integers(0, spec.bot), min_size=domain.size, max_size=domain.size))
+        db = Database(domain, tuple(row))
+        assert p.holds(db) == p.holds_batch([db.values], domain)[0], p.name
+
+    PARSED = [
+        ("!(PRMG|CL)&SIZE<=2",
+         lambda db: not (preimage_of(0)(db) or has_collision(db)) and size_at_most_def(2)(db)),
+        ("PRMG[target=1]|BOT", lambda db: preimage_of(1)(db) or not defined_values(db)),
+        ("!CHN[s=1]", lambda db: not chain_of(1, EQ)(db)),
+        ("TRUE&!FALSE", lambda db: True),
+    ]
+
+    @pytest.mark.parametrize("text, defn", PARSED, ids=[text for text, _ in PARSED])
+    def test_parsed_expressions(self, text, defn):
         domain = bit_domain(GroupSpec.bits(1))
         rows = np.array(list(itertools.product(range(3), repeat=domain.size)))
-        for text in ("!(PRMG|CL)&SIZE<=2", "PRMG[target=1]|BOT", "!CHN[s=1]", "TRUE&!FALSE"):
-            p = parse_property(text)
-            want = [p.holds(Database(domain, tuple(r))) for r in rows.tolist()]
-            assert p.holds_batch(rows, domain).tolist() == want
+        want = [defn(Database(domain, tuple(r))) for r in rows.tolist()]
+        assert parse_property(text).holds_batch(rows, domain).tolist() == want
+
+    @pytest.mark.parametrize("deciders", [{}, {"pred": lambda db: True, "batch": properties_mod._all_true}],
+                             ids=["neither", "both"])
+    def test_exactly_one_decider(self, deciders):
+        with pytest.raises(ValueError, match="exactly one of pred and batch"):
+            DatabaseProperty("P", **deciders)
 
     def test_custom_predicate_falls_back_to_holds(self):
-        from qromlab.properties import DatabaseProperty
-
         domain = bit_domain(GroupSpec.bits(1))
         seen = []
         odd = DatabaseProperty("ODD", lambda db: seen.append(db.values) or sum(db.values) % 2 == 1)

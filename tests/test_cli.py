@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qromlab import bounds, properties
+from qromlab import cli as cli_mod
 from qromlab.cli import main
 from qromlab.groups import GroupSpec
 from qromlab.oracle import (AdversaryCircuit, GateStep, OracleDomain, PhaseFlipStep, QueryStep,
@@ -85,6 +86,46 @@ class TestBoundsCommand:
     def test_posw_bound_requires_wide_labels(self):
         assert main(["bounds", "--problem", "posw", "--q", "4", "--w", "8",
                      "--n", "20", "--t", "10"]) == 2
+
+    @pytest.mark.parametrize("flags, parameter", [
+        (["--problem", "preimage", "--m-bits", "1100"], "m"),
+        (["--problem", "preimage", "--m-bits", "1024"], "m"),
+        (["--problem", "collision", "--m-bits", "1024"], "m"),
+        (["--problem", "gencol", "--m-bits", "1024"], "m"),
+        (["--problem", "chain", "--m-bits", "1024"], "m"),
+        (["--problem", "preimage", "--k", str(10 ** 400)], "k"),
+        (["--problem", "posw", "--w", "2000", "--n", "2", "--t", "2"], "w"),
+        (["--problem", "posw", "--w", "1023", "--n", "1023", "--t", "1"], "n"),
+    ])
+    def test_float_overflow_is_a_usage_error(self, tmp_path, capsys, flags, parameter):
+        out = tmp_path / "table.json"
+        assert main(["bounds", "--q", "1", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parameter {parameter} ") and "largest float" in err
+        assert not out.exists()
+
+    # the widest ranges whose powers of two a float holds
+    @pytest.mark.parametrize("flags, sha256", [
+        (["--problem", "preimage", "--m-bits", "1023"],
+         "d367decde62180a1e5166f5e0d9553e1017cb29b1aa86d527ac016f791a9f602"),
+        (["--problem", "collision", "--m-bits", "1023"],
+         "d33160e27f5aee33956800697d9af8959ce5f6e594fb33408900cac0290840ae"),
+        (["--problem", "gencol", "--m-bits", "1023"],
+         "177e86d1926e7567351f4ae4864c2aab161eed9c01d609bf46e8dda2ba5551fa"),
+        (["--problem", "chain", "--m-bits", "1023"],
+         "2ec7bcf50c4cfeaa3261133f5498a400c48dc660a9d4ef4f220ae9e04ca6f66e"),
+        (["--problem", "posw", "--w", "1023", "--n", "30", "--t", "30"],
+         "01d0670c2ff3cf1ae20f28bb6f62cc7d26df25e4054cd5d5feb4ad1d0f7edbce"),
+    ])
+    def test_widest_float_range_pinned(self, tmp_path, flags, sha256):
+        out = tmp_path / "table.json"
+        assert main(["bounds", "--q", "1", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_posw_challenge_mass_past_the_float_range_is_vacuous(self):
+        # ((q + 2) / 4) ** 100 overflows a float; the bound is then 1
+        assert bounds.posw_bound(10 ** 6, 1, 1000, 1, 100) == 1.0
+        assert bounds.posw_bound(10 ** 6, 1, 1000, 1, 100, clamp=False) == float("inf")
 
 
 class TestCapacityCommand:
@@ -308,9 +349,10 @@ class TestSimulateCommand:
         {**BASE, "relation": 5},
         {**BASE, "relation": {"kind": "preimage", "target": [0]}},
         [1, 2],
+        {**BASE, "kind": "foo"},
     ], ids=["unknown-step-type", "non-preimage-relation", "non-unitary-gate", "bare-number-entries",
             "non-square-gate", "regs-not-a-list", "relation-not-an-object", "target-not-a-number",
-            "not-an-object"])
+            "not-an-object", "unknown-domain-kind"])
     def test_unsupported_circuit_file_exit_2(self, tmp_path, circuit):
         path = tmp_path / "circuit.json"
         path.write_text(json.dumps(circuit))
@@ -388,6 +430,18 @@ class TestPoswCommands:
         proof.write_bytes(bytes(data))
         assert main(["posw", "verify", "--in", str(proof), "--chi", "ab"]) == 1
 
+    @pytest.mark.parametrize("t", ["70000", "0"])
+    def test_prove_refuses_a_challenge_count_the_header_cannot_hold(self, tmp_path, capsys,
+                                                                   monkeypatch, t):
+        def unreached(*args):
+            raise AssertionError("the prover ran")
+
+        monkeypatch.setattr(cli_mod.posw_mod, "prove", unreached)
+        proof = tmp_path / "proof.bin"
+        assert main(["posw", "prove", "--n", "1", "--t", t, "--w", "256", "--out", str(proof)]) == 2
+        assert capsys.readouterr().err == f"error: --t {t} is outside 1..65535, the challenge counts a proof file can hold\n"
+        assert not proof.exists()
+
     def test_table_backend_verify_is_usage_error(self, tmp_path, capsys):
         proof = tmp_path / "proof.bin"
         main(["posw", "prove", "--n", "1", "--t", "1", "--w", "16",
@@ -409,8 +463,6 @@ class TestPoswCommands:
 
     @pytest.mark.parametrize("suite", ["leaves", "newpath", "extract"])
     def test_lemma_counts_on_stderr(self, tmp_path, capsys, monkeypatch, suite):
-        import qromlab.cli as cli_mod
-
         collisions = []
         has_collision = cli_mod.posw_mod.db_has_collision
 
@@ -459,6 +511,15 @@ class TestReportCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "a,b"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("text", ["5", '[{"a": 1}, [2]]', '["a"]'])
+    def test_records_that_are_not_objects_exit_2(self, tmp_path, capsys, text):
+        src = tmp_path / "records.json"
+        src.write_text(text)
+        out = tmp_path / "records.csv"
+        assert main(["report", "--in", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: every report record must be a JSON object\n"
+        assert not out.exists()
 
 
 class TestLargeDomainRefusals:

@@ -256,6 +256,13 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             deserialize_proof(bytes(mangled))
 
+    @pytest.mark.parametrize("field, value", [("t", 70000), ("n", 256), ("w", 1 << 16), ("t", -1)])
+    def test_header_refuses_fields_it_cannot_hold(self, field, value):
+        proof = {"n": 1, "t": 1, "w": 8, "phi": 0, "tau": ((0, 0),)}
+        proof[field] = value
+        with pytest.raises(ValueError, match=f"proof header cannot hold {field}={value}"):
+            serialize_proof(PoswProof(**proof))
+
 
 class TestSoundnessSmoke:
     def test_every_single_bit_corruption_rejected(self):
