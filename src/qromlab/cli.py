@@ -230,6 +230,10 @@ def _cmd_posw_prove(args) -> int:
         raise ValueError(f"--t {args.t} is outside 1..{posw_mod.MAX_CHALLENGES}, "
                          "the challenge counts a proof file can hold")
     params = posw_mod.PoswParams(n=args.n, w=args.w)
+    # the prover labels, and keeps, every vertex of the DAG
+    if params.vertex_count > capacity_mod.ENUMERATION_BUDGET:
+        raise ValueError(f"--n {params.n} labels {params.vertex_count} vertices, "
+                         f"more than the enumeration budget of {capacity_mod.ENUMERATION_BUDGET}")
     chi = args.seed % (1 << args.w) if args.chi is None else int(args.chi, 16)
     backend = _posw_backend(args.backend, args.w, args.seed)
     proof = posw_mod.prove(chi, params, args.t, backend)

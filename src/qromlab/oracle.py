@@ -251,11 +251,14 @@ class _JointState:
         """Zero every amplitude below PRUNE_TOL, adding its squared norm to
         pruned_mass, and stop storing the rows left all zero."""
         keys, block = self.keys, self.block
-        small = (np.abs(block) < PRUNE_TOL) & (block != 0.0)
+        mag = np.abs(block)
+        below = mag < PRUNE_TOL
+        small = below & (mag > 0.0)
         if small.any():
-            self.pruned_mass += float(np.sum(np.abs(block[small]) ** 2))
+            self.pruned_mass += float(np.sum(mag[small] ** 2))
             block[small] = 0.0
-        live = _nonzero_rows(block)
+        # a NaN is not below the tolerance, so it keeps its row
+        live = ~below.reshape(len(keys), math.prod(self.reg_dims)).all(axis=1)
         if not live.all():
             self.keys, self.block = keys[live], block[live]
 
@@ -397,10 +400,13 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     W and W-dagger act on the response register of the stored rows only.  For
     each queried input x, the stored rows are grouped by their key with x
     blanked, and the M+1 rows of every group join the stored rows at once, in
-    one grown block.  For each queried input (and pinned input level) the
-    transition for every non-neutral yhat is applied on the pinned slice of
-    its groups, gathered and scattered back by position.  The joined rows that
-    stayed all zero are dropped again before W-dagger."""
+    one grown block.  The groups of every queried input are gathered at once,
+    each at its input's level of the input register (all levels for a
+    classical input); the transition for every non-neutral yhat is applied to
+    them and they are scattered back by position.  Each input reads and
+    writes only its own (row, input level) slice, so one gather does what one
+    per input would.  The joined rows that stayed all zero are dropped again
+    before W-dagger."""
     spec = state.domain.spec
     m = spec.order
     out_pos, targets = _query_targets(state, out_reg, x_label, in_reg)
@@ -412,27 +418,33 @@ def _compressed_query_coord(state: CompressedState, out_reg: int, x_label=None, 
     # register is pinned); perm brings it to (response, level, group, rest).
     ndim = 2 + len(state.reg_dims) - (in_reg is not None)
     perm = [2 + out_pos, 1] + [a for a in range(ndim) if a not in (2 + out_pos, 1)]
-    inverse = _inverse(perm)
     keys = state.keys
-    groups = []
-    for oracle_axis, _ in targets:
-        stride = (m + 1) ** (state.n_oracle - 1 - oracle_axis)
-        groups.append(np.unique(keys - keys // stride % (m + 1) * stride)[:, None] + stride * levels)
-    grown = np.union1d(keys, np.concatenate([group.ravel() for group in groups]))
+    # every stored key with each queried input blanked, tagged by the input
+    # so that one unique lists the groups of every input, input by input
+    axes = np.array([oracle_axis for oracle_axis, _ in targets])
+    strides = (m + 1) ** (state.n_oracle - 1 - axes)[:, None]
+    size = (m + 1) ** state.n_oracle
+    tagged = np.unique(keys - keys // strides % (m + 1) * strides + np.arange(len(axes))[:, None] * size)
+    target = tagged // size
+    groups = (tagged - target * size)[:, None] + strides[target] * levels
+    # every stored row lies in its own group along each queried input
+    grown = np.unique(groups)
     stored = np.searchsorted(grown, keys)
     rows = np.zeros((len(grown),) + state.reg_dims, dtype=complex)
     rows[stored] = state.block
-    for (_, pin), group in zip(targets, groups):
-        index = (np.searchsorted(grown, group),) + pin
-        gathered = np.ascontiguousarray(rows[index].transpose(perm))
-        shape = gathered.shape
-        gathered = gathered.reshape(m, m + 1, -1)
-        gathered[1:] = ts @ gathered[1:]
-        rows[index] = gathered.reshape(shape).transpose(inverse)
-    joined = np.ones(len(grown), dtype=bool)
-    joined[stored] = False
-    keep = ~joined
-    keep[joined] = _nonzero_rows(rows[joined])
+    index = np.searchsorted(grown, groups)
+    if in_reg is None:
+        view, index = rows, (index,)
+    else:
+        # the input register's axis next to the rows, each group at its level
+        view, index = np.moveaxis(rows, 1 + in_reg, 1), (index, axes[target, None])
+    gathered = np.ascontiguousarray(view[index].transpose(perm))
+    shape = gathered.shape
+    gathered = gathered.reshape(m, m + 1, -1)
+    gathered[1:] = ts @ gathered[1:]
+    view[index] = gathered.reshape(shape).transpose(_inverse(perm))
+    keep = _nonzero_rows(rows)
+    keep[stored] = True
     if not keep.all():
         grown, rows = grown[keep], rows[keep]
     state.keys, state.block = grown, rows
@@ -671,9 +683,8 @@ def relation_probabilities(circuit: AdversaryCircuit, relation, claimed=None):
         raise ValueError("either claimed responses or y output registers are required")
     state = run_adversary(circuit, "compressed")
     columns = _output_columns(state, circuit, relation, claimed)
-    spec = circuit.domain.spec
-    p = _fold(state, columns, comp_matrix(spec)[: spec.order])
-    p_prime = _fold(state, columns, _indicator(state))
+    p = _fold(state, columns)
+    p_prime = _matching_mass(state, columns)
     return p, p_prime
 
 
@@ -716,44 +727,60 @@ def _output_columns(state: _JointState, circuit: AdversaryCircuit, relation, cla
     return {pinned: reached[group == g] for pinned, g in pins.items()}
 
 
-def _indicator(state: _JointState) -> np.ndarray:
-    """Weights comparing a pinned response y with the oracle value directly."""
-    return np.eye(state.domain.spec.order, state.oracle_dim)
-
-
-def _fold(state: _JointState, columns: dict, weights: np.ndarray) -> float:
-    """Success probability of the columns under per-row weights.
+def _fold(state: CompressedState, columns: dict) -> float:
+    """Success probability of the columns for the purified oracle behind a
+    compressed state.
 
     For each group of columns pinning the same (x, y) pairs, every stored row
-    is weighted by the product of weights[y, its value at x] over the pairs,
-    the weighted rows that agree off the pinned inputs are added up, and the
-    squared magnitudes are summed over the group's columns.  Indicator
-    weights give the probability that the oracle holds y at every pinned x;
-    comp_matrix rows give it for the purified oracle behind a compressed
-    state."""
+    is weighted by the product of comp_matrix[y, its value at x] over the
+    pairs, the weighted rows that agree off the pinned inputs are added up,
+    and the squared magnitudes are summed over the group's columns.  Rows
+    that agree off the pinned inputs are made adjacent by one stable sort of
+    their blanked keys and added by one reduceat, in their stored order; no
+    comp_matrix entry is zero, so every row takes part."""
     keys, block = state.keys, state.block
+    weights = comp_matrix(state.domain.spec)
     amps = block.reshape(len(keys), math.prod(state.reg_dims))
     digits = state._row_digits(keys)
     strides = state.oracle_dim ** np.arange(state.n_oracle - 1, -1, -1)
     total = 0.0
+    if len(keys) == 0:
+        return total
     for pinned, js in columns.items():
         xs = [x for x, _ in pinned]
         w = np.ones(len(keys))
         for x, y in pinned:
             w = w * weights[y, digits[:, x]]
-        live = np.flatnonzero(w)
-        rest = keys[live] - digits[live][:, xs] @ strides[xs]
-        heads, groups = np.unique(rest, return_inverse=True)
-        folded = np.zeros((len(heads), len(js)), dtype=complex)
-        np.add.at(folded, groups, w[live, None] * amps[np.ix_(live, js)])
+        rest = keys - digits[:, xs] @ strides[xs]
+        order = np.argsort(rest, kind="stable")
+        rest = rest[order]
+        starts = np.flatnonzero(np.concatenate(([True], rest[1:] != rest[:-1])))
+        folded = np.add.reduceat(w[order, None] * amps[:, js][order], starts, axis=0)
         total += float(np.sum(np.abs(folded) ** 2))
+    return total
+
+
+def _matching_mass(state: _JointState, columns: dict) -> float:
+    """Probability that the state's oracle holds y at every pinned x of a
+    group of columns, summed over the groups: the squared norm of each
+    group's columns on the stored rows whose digits equal the group's ys at
+    its xs.  Such rows differ off the pinned inputs, so no two of them add
+    up, and a bot digit never equals a response."""
+    amps = state.block.reshape(len(state.keys), math.prod(state.reg_dims))
+    digits = state._row_digits(state.keys)
+    total = 0.0
+    for pinned, js in columns.items():
+        xs, ys = zip(*pinned)
+        match = np.flatnonzero((digits[:, xs] == ys).all(axis=1))
+        sub = amps[np.ix_(match, js)]
+        total += float(np.vdot(sub, sub).real)
     return total
 
 
 def _success_probability(state: _JointState, circuit: AdversaryCircuit, relation, claimed) -> float:
     """Probability that the state's oracle maps each output input to its
     output response and the relation holds."""
-    return _fold(state, _output_columns(state, circuit, relation, claimed), _indicator(state))
+    return _matching_mass(state, _output_columns(state, circuit, relation, claimed))
 
 
 def run_adversary_fixed_function(circuit: AdversaryCircuit, table) -> PurifiedState:

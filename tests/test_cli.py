@@ -442,6 +442,24 @@ class TestPoswCommands:
         assert capsys.readouterr().err == f"error: --t {t} is outside 1..65535, the challenge counts a proof file can hold\n"
         assert not proof.exists()
 
+    def test_prove_refuses_a_dag_above_the_enumeration_budget(self, tmp_path, capsys, monkeypatch):
+        """n = 22 has 2^23 - 1 vertices, above the 2^22 budget: refused before
+        the first oracle query; n = 21 (2^22 - 1 vertices) reaches the prover."""
+        class Reached(Exception):
+            pass
+
+        def prover(*args):
+            raise Reached
+
+        monkeypatch.setattr(cli_mod.posw_mod, "prove", prover)
+        proof = tmp_path / "proof.bin"
+        assert main(["posw", "prove", "--n", "22", "--t", "1", "--w", "256", "--out", str(proof)]) == 2
+        assert capsys.readouterr().err == ("error: --n 22 labels 8388607 vertices, "
+                                           "more than the enumeration budget of 4194304\n")
+        assert not proof.exists()
+        with pytest.raises(Reached):
+            main(["posw", "prove", "--n", "21", "--t", "1", "--w", "256", "--out", str(proof)])
+
     def test_table_backend_verify_is_usage_error(self, tmp_path, capsys):
         proof = tmp_path / "proof.bin"
         main(["posw", "prove", "--n", "1", "--t", "1", "--w", "16",

@@ -6,6 +6,11 @@ fold under test reads both p and p' off one compressed run instead; both must
 give the same p and p' on every circuit shape, including explicit response
 registers and outputs that name one input twice.  p must also match the
 purified oracle's own readout, which the fold no longer runs.
+
+The second reference is the first one-run readout: for every group of
+columns, np.unique over the row keys with the pinned inputs blanked and
+np.add.at of the weighted rows, with indicator weights for p'.  The sorted
+fold behind p and the masked norm behind p' must match it on every state.
 """
 
 import numpy as np
@@ -14,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qromlab import oracle
-from qromlab.groups import GroupSpec
+from qromlab.groups import GroupSpec, comp_matrix
 from qromlab.oracle import (
     AdversaryCircuit,
+    CompressedState,
     GateStep,
     OracleDomain,
     QueryStep,
@@ -48,6 +54,36 @@ def reference_success(state, circuit, relation, claimed) -> float:
         if all(index[x] == y for x, y in zip(xs, ys)) and relation(labels, ys):
             total += abs(amp) ** 2
     return total
+
+
+def reference_fold(state, columns, weights) -> float:
+    """Per-group fold: weight every stored row by weights[y, its value at x]
+    over the group's pins, add up the weighted rows that agree off the pinned
+    inputs (np.unique, np.add.at), and sum the squared magnitudes over the
+    group's columns."""
+    keys, block = state.keys, state.block
+    amps = block.reshape(len(keys), int(np.prod(state.reg_dims)))
+    digits = state._row_digits(keys)
+    strides = state.oracle_dim ** np.arange(state.n_oracle - 1, -1, -1)
+    total = 0.0
+    for pinned, js in columns.items():
+        xs = [x for x, _ in pinned]
+        w = np.ones(len(keys))
+        for x, y in pinned:
+            w = w * weights[y, digits[:, x]]
+        live = np.flatnonzero(w)
+        rest = keys[live] - digits[live][:, xs] @ strides[xs]
+        heads, groups = np.unique(rest, return_inverse=True)
+        folded = np.zeros((len(heads), len(js)), dtype=complex)
+        np.add.at(folded, groups, w[live, None] * amps[np.ix_(live, js)])
+        total += float(np.sum(np.abs(folded) ** 2))
+    return total
+
+
+def indicator(state):
+    """Weights comparing a pinned response y with the oracle value itself; a
+    bot digit matches no response."""
+    return np.eye(state.domain.spec.order, state.oracle_dim)
 
 
 def reference_probabilities(circuit, relation, claimed=None):
@@ -170,6 +206,63 @@ def test_compressed_p_matches_purified_readout(seed, spec, k, rounds, y_outputs,
     standard = run_adversary(circuit, "standard")
     expected = oracle._success_probability(standard, circuit, relation, None if y_outputs else claimed)
     assert abs(p - expected) <= TOL
+
+
+SCORINGS = [
+    (preimage, claimed_zero),
+    (first_label_matters, lambda labels: tuple(len(x) % 2 for x in labels)),
+    (lambda labels, ys: True, lambda labels: tuple(range(len(labels)))),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), spec=st.sampled_from(SPECS + [GroupSpec.cyclic(4)]),
+       k=st.integers(1, 2), rounds=st.integers(1, 2), y_outputs=st.booleans(),
+       scoring=st.integers(0, 2))
+def test_readout_matches_the_per_group_fold(seed, spec, k, rounds, y_outputs, scoring):
+    """p and p' of one compressed run, and the masked norm on the standard
+    run, equal the per-group fold; with k = 2 some outputs name one input
+    twice."""
+    dom = domain(3 if k == 1 else 2, spec)
+    circuit = random_circuit(seed, dom, k, rounds, y_outputs=y_outputs)
+    relation, claimed = SCORINGS[scoring]
+    claimed = None if y_outputs else claimed
+    p, p_prime = relation_probabilities(circuit, relation, claimed)
+    for picture in ("compressed", "standard"):
+        state = run_adversary(circuit, picture)
+        columns = oracle._output_columns(state, circuit, relation, claimed)
+        mass = reference_fold(state, columns, indicator(state))
+        assert abs(oracle._matching_mass(state, columns) - mass) <= TOL
+        if picture == "compressed":
+            folded = reference_fold(state, columns, comp_matrix(spec)[: spec.order])
+            assert abs(oracle._fold(state, columns) - folded) <= TOL
+            assert abs(p - folded) <= TOL and abs(p_prime - mass) <= TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), spec=st.sampled_from(SPECS), zero_rows=st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+def test_fold_on_sparse_states(seed, spec, zero_rows):
+    """On a random compressed state whose stored rows are a random subset,
+    possibly none, the fold and the masked norm equal the per-group fold with
+    comp_matrix and indicator weights for random pins of one or two inputs;
+    a group that no stored row matches adds 0 to the masked norm."""
+    rng = np.random.default_rng(seed)
+    dom = domain(3, spec)
+    reg_dims = (2, 3)
+    size = (spec.order + 1) ** dom.size
+    keys = np.flatnonzero(rng.random(size) >= zero_rows)
+    block = rng.normal(size=(len(keys),) + reg_dims) + 1j * rng.normal(size=(len(keys),) + reg_dims)
+    state = CompressedState(dom, reg_dims, keys, block / max(np.linalg.norm(block), 1.0))
+    columns = {}
+    for _ in range(4):
+        xs = rng.permutation(dom.size)[: rng.integers(1, 3)]
+        pinned = tuple((int(x), int(rng.integers(spec.order))) for x in sorted(xs))
+        columns[pinned] = np.sort(rng.choice(6, size=rng.integers(1, 7), replace=False))
+    folded = reference_fold(state, columns, comp_matrix(spec)[: spec.order])
+    assert abs(oracle._fold(state, columns) - folded) <= TOL
+    assert abs(oracle._matching_mass(state, columns) - reference_fold(state, columns, indicator(state))) <= TOL
+    if len(keys) == 0:
+        assert oracle._fold(state, columns) == oracle._matching_mass(state, columns) == 0.0
 
 
 def test_one_compressed_run(monkeypatch):

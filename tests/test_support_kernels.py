@@ -607,6 +607,33 @@ def test_superposed_query_keeps_no_new_zero_row(seed, spec, zero_rows):
     assert stored == before | support(state.vec, dom.size)
 
 
+@pytest.mark.parametrize("size", [4, 5])
+def test_two_register_query_with_uneven_groups(size):
+    """k = 2 at |X| = 4 and 5 with the cyclic M = 4 range: a classical query
+    defines two inputs first, so the group sets of the next query's input
+    levels differ in size; that in-register query and a last classical one
+    match the dense kernels."""
+    spec = GroupSpec.cyclic(4)
+    rng = np.random.default_rng(size)
+    dom = domain(size, spec)
+    reg_dims = (size, size, 4, 4)
+
+    def gates():
+        return [GateStep(random_unitary(rng, size * 4), (0, 2)), GateStep(random_unitary(rng, size * 4), (1, 3))]
+
+    prefix = [GateStep(random_unitary(rng, size), (0,)), GateStep(random_unitary(rng, size), (1,)),
+              GateStep(random_unitary(rng, 4), (2,)), GateStep(random_unitary(rng, 4), (3,)),
+              QueryStep(out_regs=(2, 3), xs=(dom.inputs[0], dom.inputs[2])), *gates()]
+    rest = [QueryStep(out_regs=(2, 3), in_regs=(0, 1)), *gates(),
+            QueryStep(out_regs=(3, 2), xs=(dom.inputs[size - 1], dom.inputs[0])), *gates()]
+    before = run_adversary(AdversaryCircuit(dom, reg_dims, tuple(prefix)), "compressed")
+    strides = 5 ** np.arange(size - 1, -1, -1)
+    groups = [len(np.unique(before.keys - before.keys // stride % 5 * stride)) for stride in strides]
+    assert len(set(groups)) > 1
+    circuit = AdversaryCircuit(dom, reg_dims, tuple(prefix + rest))
+    assert close(run_adversary(circuit, "compressed").vec, ref_run(circuit))
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_query_support_from_empty_database(monkeypatch, spec):
     dom = domain(3, spec)
@@ -638,6 +665,74 @@ def test_prune_counts_planted_mass(make):
     state.prune()
     assert state.pruned_mass == pytest.approx(1e-30, rel=1e-12)
     assert state.copy().pruned_mass == state.pruned_mass
+
+
+def ref_prune_rows(keys, block):
+    """Two-pass prune of a row store: zero the amplitudes below PRUNE_TOL,
+    then drop the rows left all zero.  The new keys, block and pruned mass."""
+    block = block.copy()
+    small = (np.abs(block) < PRUNE_TOL) & (block != 0.0)
+    mass = float(np.sum(np.abs(block[small]) ** 2))
+    block[small] = 0.0
+    live = np.array([row.any() for row in block], dtype=bool)
+    return keys[live], block[live], mass
+
+
+EDGE_AMPLITUDES = (0.0, PRUNE_TOL, np.nextafter(PRUNE_TOL, 0.0), 1e-15, -1e-15j, 0.5)
+
+
+@SLOW
+@given(st.integers(0, 2**16), st.sampled_from([initial_compressed_state, initial_purified_state]),
+       st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0))
+def test_prune_matches_two_pass_reference(seed, make, live_share, edge_share):
+    """prune on row stores whose amplitudes mix random values with ones at,
+    just under and well under PRUNE_TOL, and exact zeros: the same keys,
+    block and pruned mass as the two-pass reference, including stores with
+    no row and stores whose rows are all zero."""
+    rng = np.random.default_rng(seed)
+    dom = domain(2, GroupSpec.cyclic(3))
+    reg_dims = (2, 3)
+    start = make(dom, reg_dims)
+    keys = np.flatnonzero(rng.random(start.oracle_dim ** dom.size) < live_share)
+    shape = (len(keys),) + reg_dims
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    edge = rng.random(shape) < edge_share
+    block[edge] = rng.choice(EDGE_AMPLITUDES, size=int(edge.sum()))
+    state = type(start)(dom, reg_dims, keys, block.copy())
+    ref_keys, ref_block, ref_mass = ref_prune_rows(keys, block)
+    state.prune()
+    assert np.array_equal(state.keys, ref_keys) and np.array_equal(state.block, ref_block)
+    assert state.pruned_mass == pytest.approx(ref_mass, rel=1e-15, abs=0.0)
+    assert state.block.shape == (len(state.keys),) + reg_dims
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_prune_of_an_all_zero_store(rows):
+    """A store of all-zero rows, or of no row, ends with no row and adds no
+    pruned mass."""
+    dom = domain(2, GroupSpec.bits(1))
+    state = CompressedState(dom, (2, 3), np.arange(rows), np.zeros((rows, 2, 3), dtype=complex))
+    state.prune()
+    assert len(state.keys) == 0 and state.block.shape == (0, 2, 3)
+    assert state.pruned_mass == 0.0
+
+
+@pytest.mark.parametrize("value", [0.0, PRUNE_TOL / 2, np.nan])
+def test_prune_of_a_row_with_one_entry(value):
+    """A row whose one entry is zero or below PRUNE_TOL is dropped; a NaN is
+    not below it and keeps its row, as in the two-pass reference."""
+    dom = domain(2, GroupSpec.bits(1))
+    keys = np.array([0, 5])
+    block = np.zeros((2, 2), dtype=complex)
+    block[0, 1] = 1.0
+    block[1, 0] = value
+    state = CompressedState(dom, (2,), keys, block.copy())
+    state.prune()
+    ref_keys, ref_block, ref_mass = ref_prune_rows(keys, block)
+    assert np.array_equal(state.keys, ref_keys)
+    assert np.array_equal(state.block, ref_block, equal_nan=True)
+    assert state.pruned_mass == ref_mass
+    assert len(state.keys) == (2 if np.isnan(value) else 1)
 
 
 def test_query_carries_pruned_mass():
