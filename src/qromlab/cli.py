@@ -219,9 +219,9 @@ def _posw_backend(kind: str, w: int, seed: int):
 def _report_oracle_work(command: str, backend) -> None:
     """One stderr line: the oracle invocations of the run and the bytes it
     framed, both read from the backend's query trace."""
-    trace = backend.trace
-    print(f"posw {command}: {sum(e.invocations for e in trace)} oracle invocations, "
-          f"{sum(len(e.payload) for e in trace)} bytes framed", file=sys.stderr)
+    _, invocations, framed = backend.oracle_work()
+    print(f"posw {command}: {invocations} oracle invocations, {framed} bytes framed",
+          file=sys.stderr)
 
 
 def _cmd_posw_prove(args) -> int:
@@ -239,7 +239,7 @@ def _cmd_posw_prove(args) -> int:
     proof = posw_mod.prove(chi, params, args.t, backend)
     blob = posw_mod.serialize_proof(proof)
     Path(args.out).write_bytes(blob)
-    labels = sum(1 for e in backend.trace if e.kind == "label")
+    labels = backend.oracle_work()[0]
     print(f"proof written: {len(blob)} bytes, chi={chi:0{(args.w + 3) // 4}x}, "
           f"{labels} label queries + 1 challenge query")
     _report_oracle_work("prove", backend)

@@ -16,6 +16,11 @@ the verifier builds an opening's skip bodies once, top down), so no label is
 re-encoded for every query it feeds, and frame each vertex from its depth and
 index behind `depth_prefixes`, so no vertex string is parsed per query;
 callers holding int labels frame them with `label_payload`.
+
+A backend records each logical query in flat columns (vertex, payload, fresh
+flag, and the invocation count of each challenge query), not as an object per
+query: `trace` builds the TraceEntry list on read and keeps it until
+`reset_trace`, and `oracle_work` counts from the columns without building it.
 """
 
 from __future__ import annotations
@@ -121,13 +126,18 @@ class TraceEntry:
 
 
 class RoBackend:
-    """Shared query plumbing: framing, the query trace, and w-bit outputs."""
+    """Shared query plumbing: framing, the query trace, and w-bit outputs.
+
+    The trace is held as columns, one slot per logical query: the vertex
+    (None for a challenge query), the framed payload and the fresh flag, plus
+    the invocation count of each challenge query keyed by its slot.  `trace`
+    turns them into TraceEntry objects when it is read."""
 
     def __init__(self, w: int):
         if not 8 <= w <= 512:
             raise ValueError("label width must be between 8 and 512 bits")
         self.w = w
-        self.trace: list = []
+        self.reset_trace()
 
     def _evaluate(self, payload: bytes) -> tuple:
         raise NotImplementedError
@@ -136,11 +146,15 @@ class RoBackend:
         """Evaluate the label query for vertex v, framed as label_payload
         frames it, and record it in the trace."""
         value, fresh = self._evaluate(payload)
-        self.trace.append(TraceEntry("label", v, payload, fresh))
+        self._vertices.append(v)
+        self._payloads.append(payload)
+        self._fresh.append(fresh)
         return value
 
     def challenge_query(self, chi: int, phi: int, bits_needed: int) -> str:
         """Counter-extended challenge output, one logical query in the trace."""
+        if bits_needed < 1:
+            raise ValueError(f"a challenge query needs at least 1 bit, not {bits_needed}")
         blocks = []
         counter = 0
         first_payload = None
@@ -153,11 +167,39 @@ class RoBackend:
             any_fresh = any_fresh or fresh
             blocks.append(format(value, f"0{self.w}b"))
             counter += 1
-        self.trace.append(TraceEntry("challenge", None, first_payload, any_fresh, invocations=counter))
+        self._challenges[len(self._payloads)] = counter
+        self._vertices.append(None)
+        self._payloads.append(first_payload)
+        self._fresh.append(any_fresh)
         return "".join(blocks)[:bits_needed]
 
+    @property
+    def trace(self) -> list:
+        """The queries since the last reset_trace, one TraceEntry each, in
+        query order.  The list is built on first read and extended by later
+        reads, so reads with no query between them return the same list and
+        the same entries."""
+        entries = self._entries
+        for i in range(len(entries), len(self._payloads)):
+            count = self._challenges.get(i)
+            kind, count = ("label", 1) if count is None else ("challenge", count)
+            entries.append(TraceEntry(kind, self._vertices[i], self._payloads[i], self._fresh[i], count))
+        return entries
+
+    def oracle_work(self) -> tuple:
+        """(label queries, oracle invocations, bytes framed) since the last
+        reset_trace, read from the columns without building entries.  A
+        challenge query's bytes are those of its first payload, as in its
+        trace entry."""
+        labels = len(self._payloads) - len(self._challenges)
+        return labels, labels + sum(self._challenges.values()), sum(map(len, self._payloads))
+
     def reset_trace(self) -> None:
-        self.trace = []
+        self._vertices = []
+        self._payloads = []
+        self._fresh = []
+        self._challenges = {}  # slot -> oracle invocations of that challenge query
+        self._entries = []
 
 
 class TableBackend(RoBackend):

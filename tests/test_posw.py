@@ -172,6 +172,21 @@ class TestChallenge:
         entry = be.trace[0]
         assert entry.kind == "challenge" and entry.invocations == 2
 
+    @pytest.mark.parametrize("bits", [0, -1])
+    @pytest.mark.parametrize("kind", ["table", "crypto"])
+    def test_no_bits_is_refused_before_any_record(self, kind, bits):
+        be = TableBackend(256, seed=1) if kind == "table" else CryptoBackend(256)
+        payload = label_payload(1, "0", [], 256)
+        be.label_query("0", payload)
+        before = [(e.kind, e.vertex, e.payload, e.fresh, e.invocations) for e in be.trace]
+        with pytest.raises(ValueError, match="at least 1 bit"):
+            be.challenge_query(1, 2, bits)
+        assert [(e.kind, e.vertex, e.payload, e.fresh, e.invocations) for e in be.trace] == before
+        assert be.oracle_work() == (1, 1, len(payload))
+        # nothing was evaluated either: the first block is still fresh
+        be.challenge_query(1, 2, 1)
+        assert be.trace[-1].fresh
+
 
 class TestProveVerify:
     @pytest.mark.parametrize("n", range(1, 5))

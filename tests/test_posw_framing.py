@@ -9,8 +9,9 @@ vertex strings, are kept here as the reference: every query must keep the
 same vertex, payload bytes, freshness and order, and every proof and verdict
 must be equal; depths 9 and 10 are run because their indices take two bytes.
 The crypto backend's counter-mode `while` loop is kept as the reference for
-its one-pass evaluation, and the per-field label-frame parser for the one-pass
-`parse_label_payload`.
+its one-pass evaluation, the per-field label-frame parser for the one-pass
+`parse_label_payload`, and the recorder that appended one `TraceEntry` per
+query for the backends' columnar trace.
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ from qromlab.posw import (
     prove,
     verify,
 )
-from qromlab.posw.backend import LABEL_TAG, depth_prefixes, encode_vertex
+from qromlab.posw.backend import LABEL_TAG, TraceEntry, depth_prefixes, encode_vertex
 
 WIDTHS = (8, 13, 16, 255, 256, 512)
 
@@ -319,6 +320,95 @@ def test_authentication_path_holds_every_in_neighbour(n):
         path = set(dag.authentication_path(leaf, n))
         for u in dag.ancestors(leaf):
             assert set(dag.in_neighbors(u, n)) <= path, (leaf, u)
+
+
+# --- reference: one TraceEntry appended per query ---------------------------
+
+class RefRecorder:
+    """The trace as a list grown by one TraceEntry per logical query; it
+    evaluates through its own backend's `_evaluate`, which records nothing."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.trace = []
+
+    def label_query(self, v, payload):
+        value, fresh = self.backend._evaluate(payload)
+        self.trace.append(TraceEntry("label", v, payload, fresh))
+        return value
+
+    def challenge_query(self, chi, phi, bits_needed):
+        w = self.backend.w
+        blocks = []
+        counter = 0
+        first_payload = None
+        any_fresh = False
+        while len(blocks) * w < bits_needed:
+            payload = challenge_payload(chi, phi, counter, w)
+            if first_payload is None:
+                first_payload = payload
+            value, fresh = self.backend._evaluate(payload)
+            any_fresh = any_fresh or fresh
+            blocks.append(format(value, f"0{w}b"))
+            counter += 1
+        self.trace.append(TraceEntry("challenge", None, first_payload, any_fresh, invocations=counter))
+        return "".join(blocks)[:bits_needed]
+
+    def reset_trace(self):
+        self.trace = []
+
+
+# a few payloads and statements, so that repeats (fresh False) are common
+trace_ops = st.lists(st.one_of(
+    st.tuples(st.just("label"), st.sampled_from(["", "0", "01", "1101"]),
+              st.binary(max_size=3).map(lambda b: LABEL_TAG + b)),
+    st.tuples(st.just("challenge"), st.integers(0, 2), st.integers(0, 2), st.integers(1, 600)),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("read")),
+), max_size=40)
+
+
+def oracle_work_of(trace):
+    return (sum(1 for e in trace if e.kind == "label"), sum(e.invocations for e in trace),
+            sum(len(e.payload) for e in trace))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["table", "crypto"]), st.sampled_from([8, 256, 257]), trace_ops)
+def test_columnar_trace_matches_per_query_entries(kind, w, ops):
+    """w=257 takes two SHA-256 blocks per invocation, and a challenge of more
+    than w bits takes more than one invocation."""
+    be, ref = make_backend(kind, w, 3), RefRecorder(make_backend(kind, w, 3))
+    for op, *args in ops:
+        if op == "label":
+            assert be.label_query(*args) == ref.label_query(*args)
+        elif op == "challenge":
+            assert be.challenge_query(*args) == ref.challenge_query(*args)
+        elif op == "reset":
+            be.reset_trace()
+            ref.reset_trace()
+        else:
+            first = be.trace
+            assert be.trace is first
+            assert trace_tuples(be) == trace_tuples(ref)
+            assert be.oracle_work() == oracle_work_of(ref.trace)
+    assert trace_tuples(be) == trace_tuples(ref)
+    assert be.oracle_work() == oracle_work_of(ref.trace)
+
+
+@pytest.mark.parametrize("kind", ["table", "crypto"])
+def test_trace_read_is_refreshed_by_the_next_query(kind):
+    be = make_backend(kind, 8, 1)
+    be.label_query("0", LABEL_TAG + b"a")
+    first = be.trace
+    assert be.trace is first and [e.vertex for e in first] == ["0"]
+    be.challenge_query(1, 2, 9)
+    be.label_query("1", LABEL_TAG + b"a")
+    assert [(e.kind, e.vertex, e.invocations) for e in be.trace] == [
+        ("label", "0", 1), ("challenge", None, 2), ("label", "1", 1)]
+    assert [e.fresh for e in be.trace] == [True, True, False]
+    be.reset_trace()
+    assert be.trace == [] and be.oracle_work() == (0, 0, 0)
 
 
 # --- reference: the per-field label-frame parser ----------------------------
