@@ -188,11 +188,15 @@ class RoBackend:
 
     def oracle_work(self) -> tuple:
         """(label queries, oracle invocations, bytes framed) since the last
-        reset_trace, read from the columns without building entries.  A
-        challenge query's bytes are those of its first payload, as in its
-        trace entry."""
-        labels = len(self._payloads) - len(self._challenges)
-        return labels, labels + sum(self._challenges.values()), sum(map(len, self._payloads))
+        reset_trace, read from the columns without building entries.  Every
+        block of a challenge query frames a payload as long as its first, the
+        one its trace entry holds, so a challenge counts that length once per
+        invocation."""
+        payloads, challenges = self._payloads, self._challenges
+        labels = len(payloads) - len(challenges)
+        framed = sum(map(len, payloads))
+        framed += sum(len(payloads[slot]) * (count - 1) for slot, count in challenges.items())
+        return labels, labels + sum(challenges.values()), framed
 
     def reset_trace(self) -> None:
         self._vertices = []

@@ -6,14 +6,15 @@ Databases here are query logs: finite maps from framed oracle inputs to w-bit
 values, as exposed by the table backend.  Each check parses a log once, in
 canonical payload order, and indexes the label entries of its statement by
 vertex and slot labels; extraction and the chain length read that one parse.
-The extraction lemma's check frames each equation it checks and looks it up
-in the log itself, so a fault in the index cannot hide from it.
+The checks read the DAG from its cached per-depth table, dag.topology(n).
+The extraction lemma's check frames each equation it checks from
+dag.in_neighbors and looks it up in the log itself, so a fault in the index
+or the table cannot hide from it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from ..properties import longest_path
@@ -41,14 +42,14 @@ def _label_entries_by_vertex(log: list, n: int, chi: int) -> dict:
 
     Framing is injective, so the entry for (v, slots) is the log's value at
     label_payload(chi, v, slots, w) whenever that input is well formed."""
+    ins = dag.topology(n).ins
     index: dict = {}
     for _, parsed, value in log:
         if parsed is None:
             continue
         pchi, v, labels = parsed
-        if pchi != chi or len(v) > n:
-            continue
-        if len(labels) != len(dag.in_neighbors(v, n)):
+        slots = ins.get(v)  # None for a vertex deeper than n
+        if pchi != chi or slots is None or len(labels) != len(slots):
             continue
         index.setdefault(v, {})[labels] = value
     return index
@@ -68,47 +69,50 @@ def extract(db: dict, n: int, phi: int, chi: int, w: int) -> ExtractResult:
 
 def _extract(entries: dict, n: int, phi: int) -> ExtractResult:
     """extract() on a query log already indexed by _label_entries_by_vertex."""
+    topo = dag.topology(n)
+    children, skips = topo.children, topo.skips
     labels: dict = {dag.ROOT: phi}
     collision = False
-    queue = deque([dag.ROOT])
-    while queue:
-        v = queue.popleft()
-        if dag.is_leaf(v, n):
-            continue
-        skip_neighbors = dag.in_neighbors(v, n)[2:]
-        candidates = []
-        for slot_labels, value in entries.get(v, {}).items():
-            if value != labels[v]:
-                continue
-            if any(slot_labels[2 + i] != labels.get(u) for i, u in enumerate(skip_neighbors)):
-                continue
-            candidates.append(slot_labels)
+    # breadth first over the internal vertices; the loop reads what it appends
+    queue = [dag.ROOT] if n else []
+    for v in queue:
+        candidates = entries.get(v)
         if not candidates:
             continue
-        if len(candidates) > 1:
-            collision = True
-        chosen = candidates[0]
-        labels[dag.left(v)] = chosen[0]
-        labels[dag.right(v)] = chosen[1]
-        queue.append(dag.left(v))
-        queue.append(dag.right(v))
+        label = labels[v]
+        skip_labels = tuple(labels.get(u) for u in skips[v])
+        chosen = None
+        for slot_labels, value in candidates.items():
+            if value == label and slot_labels[2:] == skip_labels:
+                if chosen is not None:
+                    collision = True
+                    break
+                chosen = slot_labels
+        if chosen is None:
+            continue
+        left, right = children[v]
+        labels[left] = chosen[0]
+        labels[right] = chosen[1]
+        if left in children:
+            queue += (left, right)
     tree = set(labels)
-    for v in [u for u in tree if dag.is_leaf(u, n)]:
-        if not _equation_holds(entries, n, labels, v):
+    for v in tree.intersection(topo.leaves):
+        if not _equation_holds(entries, topo, labels, v):
             tree.discard(v)
     return ExtractResult(tree=tree, labels=labels, collision=collision)
 
 
-def _equation_holds(entries: dict, n: int, labels: dict, v: str) -> bool:
+def _equation_holds(entries: dict, topo: dag.Topology, labels: dict, v: str) -> bool:
     """Whether the indexed log maps v's in-neighbour labels to v's label; an
     unlabelled in-neighbour (a None slot, which no entry has) fails it."""
-    slots = tuple(labels.get(u) for u in dag.in_neighbors(v, n))
+    slots = tuple(labels.get(u) for u in topo.ins[v])
     return entries.get(v, {}).get(slots) == labels[v]
 
 
 def _logged_equation_holds(db: dict, n: int, chi: int, w: int, labels: dict, v: str) -> bool:
-    """Whether the log maps the label query of v, framed from its in-neighbour
-    labels, to v's label; an unlabelled in-neighbour fails it."""
+    """Whether the log maps the label query of v, framed from the labels of
+    its in-neighbours as the DAG's definition lists them, to v's label; an
+    unlabelled in-neighbour fails it."""
     slots = [labels.get(u) for u in dag.in_neighbors(v, n)]
     return None not in slots and db.get(label_payload(chi, v, slots, w)) == labels[v]
 
@@ -174,9 +178,9 @@ def check_leaves_lemma(db: dict, n: int, w: int, chi: int, extra_phis=()) -> boo
     phis = sorted(set(db.values()) | set(extra_phis))
     limit = (q + 2) / 2.0
     entries = _label_entries_by_vertex(log, n, chi)
+    leaves = dag.topology(n).leaves
     for phi in phis:
-        result = _extract(entries, n, phi)
-        if len([v for v in result.tree if dag.is_leaf(v, n)]) > limit:
+        if len(_extract(entries, n, phi).tree.intersection(leaves)) > limit:
             return False
     return True
 
@@ -193,23 +197,24 @@ def check_extract_lemma(db: dict, n: int, w: int, chi: int, phi: int,
     depth-first search over matching log entries; its cost is the entries
     tried per ancestor).
     """
+    topo = dag.topology(n)
     entries = _label_entries_by_vertex(_parse_log(db, w), n, chi)
     result = _extract(entries, n, phi)
     tree, labels = result.tree, result.labels
     # every ancestor of a leaf in the tree (extraction labels an upward-closed
     # subtree) and every vertex whose in-neighbourhood lies in the tree, each
-    # once; their equations are read from the log itself, not from the index
-    # that extraction read
-    checked = {z for v in tree if dag.is_leaf(v, n) for z in dag.ancestors(v)}
+    # once; their equations are framed from the DAG's definition and read
+    # from the log itself, not from the table and index that extraction read
+    checked = {z for v in tree.intersection(topo.leaves) for z in topo.ancestors[v]}
     for v in tree:
-        ins = dag.in_neighbors(v, n)
-        if ins and all(u in tree for u in ins):
+        ins = topo.ins[v]
+        if ins and tree.issuperset(ins):
             checked.add(v)
     if not all(_logged_equation_holds(db, n, chi, w, labels, v) for v in checked):
         return False
     if completeness:
         label_bytes(chi, w)  # a statement wider than w bits raises, as a framed query would
-        for v in dag.leaves(n):
+        for v in topo.leaves:
             if v not in tree and _consistent_path_exists(entries, n, phi, v):
                 return False
     return True
@@ -224,16 +229,22 @@ def _consistent_path_exists(entries: dict, n: int, phi: int, v: str) -> bool:
     slots agree with the labels already assigned; its slots then label the
     in-neighbors of z.  Every label of the closure is a slot of some
     ancestor's entry, so a consistent labeling exists iff such a chain of
-    entries does.
+    entries does.  An ancestor with no indexed entry ends every such chain,
+    so that case is answered before the search.
     """
+    topo = dag.topology(n)
+    path = topo.ancestors[v][::-1]  # root first
+    if not all(z in entries for z in path):
+        return False
+    ins = topo.ins
 
     def descend(depth: int, lab: dict) -> bool:
-        z = v[:depth]
-        ins = dag.in_neighbors(z, n)
-        for slots, value in entries.get(z, {}).items():
-            if value != lab[z] or any(lab.get(u, s) != s for u, s in zip(ins, slots)):
+        z = path[depth]
+        zins = ins[z]
+        for slots, value in entries[z].items():
+            if value != lab[z] or any(lab.get(u, s) != s for u, s in zip(zins, slots)):
                 continue
-            if depth == n or descend(depth + 1, {**lab, **dict(zip(ins, slots))}):
+            if depth == n or descend(depth + 1, {**lab, **dict(zip(zins, slots))}):
                 return True
         return False
 
@@ -248,16 +259,16 @@ def check_newpath_lemma(db: dict, xs, us, phi: int, chi: int, n: int, w: int) ->
     updated = dict(db)
     for payload, value in zip(xs, us):
         updated[payload] = value
+    topo = dag.topology(n)
     base = extract(db, n, phi, chi, w)
     new = extract(updated, n, phi, chi, w)
-    base_leaves = {v for v in base.tree if dag.is_leaf(v, n)}
-    new_leaves = {v for v in new.tree if dag.is_leaf(v, n)}
-    for v in sorted(new_leaves - base_leaves, key=dag.vertex_key):
+    gained = new.tree.intersection(topo.leaves) - base.tree
+    for v in sorted(gained, key=dag.vertex_key):
         found = False
         for payload in xs:
             if db.get(payload) == updated[payload]:
                 continue
-            if any(updated[payload] == new.labels.get(z) for z in dag.ancestors(v)):
+            if any(updated[payload] == new.labels.get(z) for z in topo.ancestors[v]):
                 found = True
                 break
         if not found:

@@ -393,13 +393,14 @@ class TestPoswCommands:
 
     def test_oracle_work_on_stderr(self, tmp_path, capsys):
         """prove and verify each print one stderr line: the oracle
-        invocations and framed bytes of a backend trace of the same run."""
+        invocations and framed bytes of a backend trace of the same run,
+        every block of a challenge query counted."""
         from qromlab import posw
 
         def work(command, backend):
             trace = backend.trace
             return (f"posw {command}: {sum(e.invocations for e in trace)} oracle invocations, "
-                    f"{sum(len(e.payload) for e in trace)} bytes framed\n")
+                    f"{sum(len(e.payload) * e.invocations for e in trace)} bytes framed\n")
 
         params, chi, t = posw.PoswParams(n=3, w=8), 0xAB, 3
         prover = posw.CryptoBackend(8)

@@ -172,6 +172,14 @@ class TestChallenge:
         entry = be.trace[0]
         assert entry.kind == "challenge" and entry.invocations == 2
 
+    @pytest.mark.parametrize("kind", ["table", "crypto"])
+    def test_every_block_counts_as_framed(self, kind):
+        """t * n = 160 bits take three 64-bit blocks, each framed."""
+        be = TableBackend(64, seed=1) if kind == "table" else CryptoBackend(64)
+        derive_challenge(chi=7, phi=3, t=32, n=5, backend=be)
+        blocks = [challenge_payload(7, 3, counter, 64) for counter in range(3)]
+        assert be.oracle_work() == (0, 3, sum(map(len, blocks)))
+
     @pytest.mark.parametrize("bits", [0, -1])
     @pytest.mark.parametrize("kind", ["table", "crypto"])
     def test_no_bits_is_refused_before_any_record(self, kind, bits):

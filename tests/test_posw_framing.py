@@ -370,7 +370,7 @@ trace_ops = st.lists(st.one_of(
 
 def oracle_work_of(trace):
     return (sum(1 for e in trace if e.kind == "label"), sum(e.invocations for e in trace),
-            sum(len(e.payload) for e in trace))
+            sum(len(e.payload) * e.invocations for e in trace))
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,15 +5,20 @@ replaced, the two-level prover order against the recursive walk, the top-down
 completeness search against the exhaustive search over every labeling of a
 leaf's ancestor closure, the slot-indexed longest chain against the all-pairs
 link comparison, and the lemma checks that extract from the per-vertex index
-against the versions that re-frame every equation with `label_payload` and
-look it up in the log, all kept here as reference oracles.
+and the cached DAG table against the versions that re-frame every equation
+with `label_payload`, read the DAG through `in_neighbors` and look each
+equation up in the log, all kept here as reference oracles.  The table itself
+is checked record by record against the DAG's definition.
 """
 
+import dataclasses
 import importlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qromlab.posw import (PoswParams, TableBackend, challenge_payload, dag, label_payload,
                           parse_label_payload, prove)
@@ -283,11 +288,11 @@ def test_in_neighbors_returns_a_fresh_list():
 
 
 def ref_leaves_lemma(db, n, w, chi, extra_phis):
-    q = longest_posw_chain(db, n, w)
+    q = ref_longest_posw_chain(db, n, w)
     if q == float("inf"):
         return True
     for phi in sorted(set(db.values()) | set(extra_phis)):
-        tree = extract(db, n, phi, chi, w).tree
+        tree = ref_extract(db, n, phi, chi, w).tree
         if len([v for v in tree if dag.is_leaf(v, n)]) > (q + 2) / 2.0:
             return False
     return True
@@ -547,3 +552,120 @@ def test_wide_statement_matches_reference():
         assert check_extract_lemma(db, n, w, 4, phi) == ref_check_extract_lemma(db, n, w, 4, phi)
         with pytest.raises(ValueError):
             check_extract_lemma(db, n, w, 4, phi, completeness=True)
+
+
+# --- the cached DAG table against the definition -----------------------------
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_topology_table_matches_definition(n):
+    topo = dag.topology(n)
+    assert dag.topology(n) is topo
+    vertices = dag.all_vertices(n)
+    assert list(topo.ins) == vertices and list(topo.skips) == vertices
+    assert list(topo.children) == [v for v in vertices if not dag.is_leaf(v, n)]
+    for v, ins in topo.ins.items():
+        assert list(ins) == dag.in_neighbors(v, n)
+        if dag.is_leaf(v, n):
+            assert topo.skips[v] == ins
+        else:
+            assert topo.children[v] == (dag.left(v), dag.right(v))
+            assert topo.children[v] + topo.skips[v] == ins
+    assert list(topo.leaves) == dag.leaves(n) == list(topo.ancestors)
+    for v in topo.leaves:
+        assert list(topo.ancestors[v]) == dag.ancestors(v)
+
+
+def test_extract_lemma_fails_on_a_faulty_table(monkeypatch):
+    """A table that swaps the two children of every internal vertex, in its
+    child and in-neighbour records alike, agrees with itself; the extraction
+    lemma's re-check frames its equations from the DAG's definition and
+    fails on an honest proof log."""
+    n, w, chi = 2, 8, 9
+    backend = TableBackend(w, seed=5)
+    phi = prove(chi=chi, params=PoswParams(n=n, w=w), t=1, backend=backend).phi
+    db = backend.database()
+    assert check_extract_lemma(db, n, w, chi, phi)
+    true = dag.topology(n)
+    swapped = dataclasses.replace(
+        true,
+        ins={v: ins[1::-1] + ins[2:] if v in true.children else ins for v, ins in true.ins.items()},
+        children={v: (right, left) for v, (left, right) in true.children.items()},
+    )
+    monkeypatch.setattr(dag, "topology", lambda depth: swapped)
+    assert extract(db, n, phi, chi, w).tree != set(dag.all_vertices(n))
+    assert not check_extract_lemma(db, n, w, chi, phi)
+    assert not check_extract_lemma(db, n, w, chi, phi, completeness=True)
+
+
+def test_search_is_false_where_an_ancestor_has_no_entry():
+    """The completeness search's prefilter: an honest log missing the entry
+    of one internal vertex leaves no consistent path to the leaves below it,
+    as the search without the prefilter finds too."""
+    n, w, chi = 2, 8, 1
+    db = honest_log(random.Random(48), n, w, chi)
+    phi = db[next(p for p in db if parse_label_payload(p, w)[1] == dag.ROOT)]
+    del db[next(p for p in db if parse_label_payload(p, w)[1] == "1")]
+    entries = _label_entries_by_vertex(_parse_log(db, w), n, chi)
+    ref_entries = ref_label_entries_by_vertex(db, n, w, chi)
+    found = {v: _consistent_path_exists(entries, n, phi, v) for v in dag.leaves(n)}
+    assert found == {"00": True, "01": True, "10": False, "11": False}
+    assert found == {v: ref_consistent_path_exists(ref_entries, n, phi, v) for v in dag.leaves(n)}
+    assert check_extract_lemma(db, n, w, chi, phi, completeness=True)
+
+
+@st.composite
+def mixed_logs(draw):
+    """(n, w, log, phi): an honest log at n in {1, 2, 3} and w in {2, 8} with
+    a drawn subset of its entries kept, so that some leaves keep entries at
+    only some of their ancestors, plus altered copies of honest entries: some
+    slots redrawn, often from the honest labels, the value often kept, and
+    now and then a slot added or dropped, which the index must skip."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    w = draw(st.sampled_from([2, 8]))
+    vertices = dag.all_vertices(n)
+    value = st.integers(0, (1 << w) - 1)
+    honest = draw(st.lists(value, min_size=len(vertices), max_size=len(vertices)))
+    labels = dict(zip(vertices, honest))
+    near = st.one_of(st.sampled_from(honest), value)
+
+    def slots(v):
+        return [labels[u] for u in dag.in_neighbors(v, n)]
+
+    kept = draw(st.lists(st.booleans(), min_size=len(vertices), max_size=len(vertices)))
+    db = {label_payload(1, v, slots(v), w): labels[v] for v, keep in zip(vertices, kept) if keep}
+    for v in draw(st.lists(st.sampled_from(vertices), max_size=6)):
+        altered = [draw(near) if draw(st.booleans()) else s for s in slots(v)]
+        shift = draw(st.sampled_from((0, 0, 0, 1, -1)))
+        if shift > 0 or (shift < 0 and not altered):
+            altered.append(draw(near))
+        elif shift < 0:
+            altered.pop()
+        db[label_payload(1, v, altered, w)] = draw(st.one_of(st.just(labels[v]), near))
+    phi = draw(st.one_of(st.just(labels[dag.ROOT]), value))
+    return n, w, db, phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_logs(), st.data())
+def test_table_checks_match_references(case, data):
+    n, w, db, phi = case
+    chi = 1
+    near = st.one_of(st.sampled_from(sorted(set(db.values()) | {phi})), st.integers(0, (1 << w) - 1))
+    assert extract(db, n, phi, chi, w) == ref_extract(db, n, phi, chi, w)
+    for completeness in (False, True):
+        assert check_extract_lemma(db, n, w, chi, phi, completeness=completeness) == \
+            ref_check_extract_lemma(db, n, w, chi, phi, completeness)
+    entries = _label_entries_by_vertex(_parse_log(db, w), n, chi)
+    ref_entries = ref_label_entries_by_vertex(db, n, w, chi)
+    for v in dag.leaves(n):
+        assert _consistent_path_exists(entries, n, phi, v) == \
+            ref_consistent_path_exists(ref_entries, n, phi, v)
+    extra = (data.draw(near),)
+    assert check_leaves_lemma(db, n, w, chi, extra) == ref_leaves_lemma(db, n, w, chi, extra)
+    leaf = data.draw(st.sampled_from(dag.leaves(n)))
+    xs = [label_payload(chi, leaf, [data.draw(near) for _ in dag.in_neighbors(leaf, n)], w)]
+    if db:
+        xs.append(data.draw(st.sampled_from(sorted(db))))
+    us = [data.draw(near) for _ in xs]
+    assert check_newpath_lemma(db, xs, us, phi, chi, n, w) == \
+        ref_check_newpath_lemma(db, xs, us, phi, chi, n, w)
