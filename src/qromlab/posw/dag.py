@@ -7,14 +7,13 @@ edges enter internal vertices as well as leaves (Cohen-Pietrzak's graph may
 add them into leaves only); the golden proof digests depend on this choice.
 The fixed vertex ordering is (length, lexicographic).
 
-`topology(n)` holds the depth-n DAG as one cached table for the
-security-analysis lemmas, which visit the same small DAG for every log they
+`topology(n)` is a cached per-depth table of in-neighbours for the
+security-analysis lemmas, which read the same vertices for every log they
 check; the protocol frames its queries from depth and index instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 ROOT = ""
@@ -74,31 +73,30 @@ def _in_neighbors(v: str, n: int) -> tuple:
     return skips if len(v) == n else (v + "0", v + "1") + skips
 
 
-@dataclass(frozen=True)
-class Topology:
-    """The depth-n DAG as lookup tables, keyed in vertex order."""
-    ins: dict        # vertex -> its in_neighbors, as a tuple
-    children: dict   # internal vertex -> (left child, right child)
-    skips: dict      # vertex -> its skip-edge sources, as a tuple
-    leaves: tuple    # leaves(n)
-    ancestors: dict  # leaf -> its ancestors, as a tuple
+class _Table(dict):
+    """vertex -> its in_neighbors as a tuple.  A record is filled from
+    _in_neighbors on the first read of its vertex and kept while the table
+    holds fewer than 2^12 records (every vertex of a DAG up to depth 11), so
+    a deeper DAG costs no more memory than that; a vertex outside the DAG
+    raises ValueError and is not stored."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, v: str) -> tuple:
+        ins = _in_neighbors(v, self.n)
+        if len(self) < 1 << 12:
+            self[v] = ins
+        return ins
 
 
 @lru_cache(maxsize=8)
-def topology(n: int) -> Topology:
-    """The table of the depth-n DAG, built on first use from _in_neighbors
-    (so building it makes no call to the public in_neighbors) and kept.  It
-    holds 2^(n+1) - 1 vertices, so it is meant for the small depths the
-    lemma checks run at."""
-    ins = {v: _in_neighbors(v, n) for v in all_vertices(n)}
-    tips = tuple(leaves(n))
-    return Topology(
-        ins=ins,
-        children={v: t[:2] for v, t in ins.items() if len(v) < n},
-        skips={v: t if len(v) == n else t[2:] for v, t in ins.items()},
-        leaves=tips,
-        ancestors={v: tuple(ancestors(v)) for v in tips},
-    )
+def topology(n: int) -> dict:
+    """The in-neighbour table of the depth-n DAG, kept per depth.  It holds
+    only the vertices read from it, up to its bound, and filling it makes no
+    call to the public in_neighbors."""
+    return _Table(n)
 
 
 def authentication_path(v: str, n: int) -> list:

@@ -42,14 +42,13 @@ def _label_entries_by_vertex(log: list, n: int, chi: int) -> dict:
 
     Framing is injective, so the entry for (v, slots) is the log's value at
     label_payload(chi, v, slots, w) whenever that input is well formed."""
-    ins = dag.topology(n).ins
+    table = dag.topology(n)
     index: dict = {}
     for _, parsed, value in log:
         if parsed is None:
             continue
         pchi, v, labels = parsed
-        slots = ins.get(v)  # None for a vertex deeper than n
-        if pchi != chi or slots is None or len(labels) != len(slots):
+        if pchi != chi or len(v) > n or len(labels) != len(table[v]):
             continue
         index.setdefault(v, {})[labels] = value
     return index
@@ -69,18 +68,19 @@ def extract(db: dict, n: int, phi: int, chi: int, w: int) -> ExtractResult:
 
 def _extract(entries: dict, n: int, phi: int) -> ExtractResult:
     """extract() on a query log already indexed by _label_entries_by_vertex."""
-    topo = dag.topology(n)
-    children, skips = topo.children, topo.skips
+    table = dag.topology(n)
     labels: dict = {dag.ROOT: phi}
     collision = False
-    # breadth first over the internal vertices; the loop reads what it appends
-    queue = [dag.ROOT] if n else []
+    # breadth first over the internal vertices, the loop reading what it
+    # appends; the labelled leaves are gathered as they are reached
+    queue, tips = ([dag.ROOT], []) if n else ([], [dag.ROOT])
     for v in queue:
         candidates = entries.get(v)
         if not candidates:
             continue
         label = labels[v]
-        skip_labels = tuple(labels.get(u) for u in skips[v])
+        ins = table[v]
+        skip_labels = tuple(labels.get(u) for u in ins[2:])
         chosen = None
         for slot_labels, value in candidates.items():
             if value == label and slot_labels[2:] == skip_labels:
@@ -90,22 +90,25 @@ def _extract(entries: dict, n: int, phi: int) -> ExtractResult:
                 chosen = slot_labels
         if chosen is None:
             continue
-        left, right = children[v]
+        left, right = ins[0], ins[1]
         labels[left] = chosen[0]
         labels[right] = chosen[1]
-        if left in children:
+        if len(left) < n:
             queue += (left, right)
+        else:
+            tips += (left, right)
     tree = set(labels)
-    for v in tree.intersection(topo.leaves):
-        if not _equation_holds(entries, topo, labels, v):
+    for v in tips:
+        if not _equation_holds(entries, table, labels, v):
             tree.discard(v)
     return ExtractResult(tree=tree, labels=labels, collision=collision)
 
 
-def _equation_holds(entries: dict, topo: dag.Topology, labels: dict, v: str) -> bool:
-    """Whether the indexed log maps v's in-neighbour labels to v's label; an
-    unlabelled in-neighbour (a None slot, which no entry has) fails it."""
-    slots = tuple(labels.get(u) for u in topo.ins[v])
+def _equation_holds(entries: dict, table: dict, labels: dict, v: str) -> bool:
+    """Whether the indexed log maps v's in-neighbour labels, read from the
+    table of dag.topology, to v's label; an unlabelled in-neighbour (a None
+    slot, which no entry has) fails it."""
+    slots = tuple(labels.get(u) for u in table[v])
     return entries.get(v, {}).get(slots) == labels[v]
 
 
@@ -178,9 +181,8 @@ def check_leaves_lemma(db: dict, n: int, w: int, chi: int, extra_phis=()) -> boo
     phis = sorted(set(db.values()) | set(extra_phis))
     limit = (q + 2) / 2.0
     entries = _label_entries_by_vertex(log, n, chi)
-    leaves = dag.topology(n).leaves
     for phi in phis:
-        if len(_extract(entries, n, phi).tree.intersection(leaves)) > limit:
+        if sum(len(v) == n for v in _extract(entries, n, phi).tree) > limit:
             return False
     return True
 
@@ -197,7 +199,7 @@ def check_extract_lemma(db: dict, n: int, w: int, chi: int, phi: int,
     depth-first search over matching log entries; its cost is the entries
     tried per ancestor).
     """
-    topo = dag.topology(n)
+    table = dag.topology(n)
     entries = _label_entries_by_vertex(_parse_log(db, w), n, chi)
     result = _extract(entries, n, phi)
     tree, labels = result.tree, result.labels
@@ -205,17 +207,19 @@ def check_extract_lemma(db: dict, n: int, w: int, chi: int, phi: int,
     # subtree) and every vertex whose in-neighbourhood lies in the tree, each
     # once; their equations are framed from the DAG's definition and read
     # from the log itself, not from the table and index that extraction read
-    checked = {z for v in tree.intersection(topo.leaves) for z in topo.ancestors[v]}
+    checked = {z for v in tree if len(v) == n for z in dag.ancestors(v)}
     for v in tree:
-        ins = topo.ins[v]
+        ins = table[v]
         if ins and tree.issuperset(ins):
             checked.add(v)
     if not all(_logged_equation_holds(db, n, chi, w, labels, v) for v in checked):
         return False
     if completeness:
         label_bytes(chi, w)  # a statement wider than w bits raises, as a framed query would
-        for v in topo.leaves:
-            if v not in tree and _consistent_path_exists(entries, n, phi, v):
+        # a leaf with no indexed entry has no consistent path (the leaf is
+        # its own ancestor), so only the indexed leaves are searched
+        for v in entries:
+            if len(v) == n and v not in tree and _consistent_path_exists(entries, n, phi, v):
                 return False
     return True
 
@@ -232,11 +236,10 @@ def _consistent_path_exists(entries: dict, n: int, phi: int, v: str) -> bool:
     entries does.  An ancestor with no indexed entry ends every such chain,
     so that case is answered before the search.
     """
-    topo = dag.topology(n)
-    path = topo.ancestors[v][::-1]  # root first
+    path = dag.ancestors(v)[::-1]  # root first
     if not all(z in entries for z in path):
         return False
-    ins = topo.ins
+    ins = dag.topology(n)
 
     def descend(depth: int, lab: dict) -> bool:
         z = path[depth]
@@ -259,16 +262,15 @@ def check_newpath_lemma(db: dict, xs, us, phi: int, chi: int, n: int, w: int) ->
     updated = dict(db)
     for payload, value in zip(xs, us):
         updated[payload] = value
-    topo = dag.topology(n)
     base = extract(db, n, phi, chi, w)
     new = extract(updated, n, phi, chi, w)
-    gained = new.tree.intersection(topo.leaves) - base.tree
+    gained = {v for v in new.tree if len(v) == n} - base.tree
     for v in sorted(gained, key=dag.vertex_key):
         found = False
         for payload in xs:
             if db.get(payload) == updated[payload]:
                 continue
-            if any(updated[payload] == new.labels.get(z) for z in topo.ancestors[v]):
+            if any(updated[payload] == new.labels.get(z) for z in dag.ancestors(v)):
                 found = True
                 break
         if not found:

@@ -11,7 +11,6 @@ equation up in the log, all kept here as reference oracles.  The table itself
 is checked record by record against the DAG's definition.
 """
 
-import dataclasses
 import importlib
 import itertools
 import random
@@ -558,39 +557,48 @@ def test_wide_statement_matches_reference():
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_topology_table_matches_definition(n):
-    topo = dag.topology(n)
-    assert dag.topology(n) is topo
+    """The table starts empty, fills one record per vertex read, each equal
+    to the definition, and refuses a vertex outside the depth-n DAG."""
+    dag.topology.cache_clear()
+    table = dag.topology(n)
+    assert dag.topology(n) is table and not table
     vertices = dag.all_vertices(n)
-    assert list(topo.ins) == vertices and list(topo.skips) == vertices
-    assert list(topo.children) == [v for v in vertices if not dag.is_leaf(v, n)]
-    for v, ins in topo.ins.items():
-        assert list(ins) == dag.in_neighbors(v, n)
-        if dag.is_leaf(v, n):
-            assert topo.skips[v] == ins
-        else:
-            assert topo.children[v] == (dag.left(v), dag.right(v))
-            assert topo.children[v] + topo.skips[v] == ins
-    assert list(topo.leaves) == dag.leaves(n) == list(topo.ancestors)
-    for v in topo.leaves:
-        assert list(topo.ancestors[v]) == dag.ancestors(v)
+    for v in vertices:
+        assert table[v] == tuple(dag.in_neighbors(v, n))
+    assert sorted(table, key=dag.vertex_key) == vertices
+    for bad in ("0" * (n + 1), "2" * max(n, 1)):
+        with pytest.raises(ValueError):
+            table[bad]
+    assert len(table) == len(vertices)
+
+
+def test_topology_table_keeps_a_bounded_number_of_records():
+    """Past 2^12 records a deeper table still answers every read from the
+    definition but keeps nothing more."""
+    n = 12
+    dag.topology.cache_clear()
+    table = dag.topology(n)
+    vertices = dag.all_vertices(n)
+    for v in vertices:
+        assert table[v] == tuple(dag.in_neighbors(v, n))
+    assert len(table) == 1 << 12 < len(vertices)
+    assert table[vertices[-1]] == tuple(dag.in_neighbors(vertices[-1], n))
+    assert vertices[-1] not in table
 
 
 def test_extract_lemma_fails_on_a_faulty_table(monkeypatch):
-    """A table that swaps the two children of every internal vertex, in its
-    child and in-neighbour records alike, agrees with itself; the extraction
-    lemma's re-check frames its equations from the DAG's definition and
-    fails on an honest proof log."""
+    """A table that swaps the two children of every internal vertex agrees
+    with itself; the extraction lemma's re-check frames its equations from
+    the DAG's definition and fails on an honest proof log."""
     n, w, chi = 2, 8, 9
     backend = TableBackend(w, seed=5)
     phi = prove(chi=chi, params=PoswParams(n=n, w=w), t=1, backend=backend).phi
     db = backend.database()
     assert check_extract_lemma(db, n, w, chi, phi)
-    true = dag.topology(n)
-    swapped = dataclasses.replace(
-        true,
-        ins={v: ins[1::-1] + ins[2:] if v in true.children else ins for v, ins in true.ins.items()},
-        children={v: (right, left) for v, (left, right) in true.children.items()},
-    )
+    swapped = {}
+    for v in dag.all_vertices(n):
+        ins = tuple(dag.in_neighbors(v, n))
+        swapped[v] = ins[1::-1] + ins[2:] if len(v) < n else ins
     monkeypatch.setattr(dag, "topology", lambda depth: swapped)
     assert extract(db, n, phi, chi, w).tree != set(dag.all_vertices(n))
     assert not check_extract_lemma(db, n, w, chi, phi)
