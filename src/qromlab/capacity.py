@@ -28,6 +28,7 @@ from .properties import (
     exterior_values,
     truth_table,
     unique_rows,
+    window_offsets,
     window_tuples,
     window_view,
 )
@@ -168,8 +169,9 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     Returns the maximum operator norm together with the lexicographically first
     witness (xs, yhats, exterior database) attaining it.  The block of an
     exterior depends on it only through its two window masks, so the masks of
-    all exteriors of a window are decided in one batch and each distinct mask
-    pair is normed once per yhat.
+    every (window, exterior) row are gathered from the two truth tables through
+    one index (properties.window_offsets), about MASK_ROWS mask entries per
+    batch, and each distinct mask pair is normed once per yhat.
     """
     spec = domain.spec
     pool = window_pool(domain, k, x_restrict)
@@ -177,54 +179,54 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
         raise ValueError("window dimension exceeds the exact-computation budget")
     # refused from the pool size, before a window is listed
     check_enumeration(len(pool), k, spec.order, domain.size - k)
-    windows = query_windows(domain, k, pool)
+    positions = np.array(list(itertools.permutations([domain.index(x) for x in pool], k)),
+                         dtype=np.intp)
 
-    all_yhats = list(itertools.product(range(spec.order), repeat=k))
     dim = (spec.order + 1) ** k
     norms: dict = {}
 
-    def block_norms(masks: np.ndarray) -> list:
+    def block_norms(masks: np.ndarray) -> np.ndarray:
         """Norms of the blocks of one (in_mask, out_mask) pair, one per yhat."""
         key = masks.tobytes()
         if key not in norms:
-            norms[key] = [operator_norm(b) for b in window_blocks(spec, k, masks[:dim], masks[dim:])]
+            blocks = window_blocks(spec, k, masks[:dim], masks[dim:])
+            norms[key] = np.array([operator_norm(b) for b in blocks])
         return norms[key]
 
-    p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
-    best = 0.0
-    best_key = None
-    chunk = max(1, MASK_ROWS // dim)
-    for xi, xs in enumerate(windows):
-        window = np.concatenate([window_view(p_table, domain, xs),
-                                 window_view(pprime_table, domain, xs)], axis=1)
-        for start in range(0, len(window), chunk):
-            masks = window[start:start + chunk]
-            live = np.flatnonzero(masks[:, :dim].any(axis=1) & masks[:, dim:].any(axis=1))
+    # bit 0 of a database's code decides p, bit 1 decides pprime
+    codes = (truth_table(p, domain).ravel().view(np.uint8)
+             | truth_table(pprime, domain).ravel().view(np.uint8) << 1)
+    index, cols = window_offsets(domain, positions)
+    n_windows, exteriors = index.shape
+    # a batch is a run of whole windows, or a run of one window's exteriors
+    # when a window alone has more than MASK_ROWS // dim of them
+    rows = max(1, MASK_ROWS // dim)
+    step_w, step_e = (max(1, rows // exteriors), exteriors) if exteriors <= rows else (1, rows)
+    small = np.min_scalar_type(step_w * step_e)
+    # per batch: its first window and exterior, its exteriors per window, its
+    # live rows, each one's distinct mask pair, and the norms of those pairs
+    batches = []
+    top = -math.inf
+    for w0 in range(0, n_windows, step_w):
+        for e0 in range(0, exteriors, step_e):
+            # codes by (window, window tuple, exterior); the OR over the
+            # tuples has both bits set exactly on the live rows
+            batch = np.take(codes, cols[w0:w0 + step_w, :, None]
+                            + index[w0:w0 + step_w, None, e0:e0 + step_e])
+            width = batch.shape[2]
+            live = np.flatnonzero(np.bitwise_or.reduce(batch, axis=1) == 3)
             if not len(live):
                 continue
-            first, pair_of = unique_rows(masks[live])
-            table = np.array([block_norms(pair) for pair in masks[live[first]]])
-            # one event per (live exterior, yhat), in the order the per-row
-            # enumeration visits them: exteriors outer, yhats inner
-            events = table[pair_of].ravel()
-            # An event moves the fold below only if it exceeds the running
-            # best less 1e-12, and the running best never falls more than
-            # 1e-12 below the largest value seen; skipping the events under
-            # that maximum less 2e-12 therefore changes nothing.
-            seen = np.maximum.accumulate(np.concatenate(([best], events)))[:-1]
-            for e in np.flatnonzero(events > seen - 2e-12).tolist():
-                i, y = divmod(e, len(all_yhats))
-                value = float(events[e])
-                # exteriors are enumerated in value order, so within one
-                # window the row index orders them as their values would
-                key = (xi, all_yhats[y], start + int(live[i]))
-                if value > best + 1e-12 or (value > best - 1e-12 and (best_key is None or key < best_key)):
-                    if value > best:
-                        best = value
-                    best_key = key
+            row_codes = batch[live // width, :, live % width]
+            masks = np.concatenate([(row_codes & 1).view(bool), (row_codes >> 1).view(bool)], axis=1)
+            first, pair_of = unique_rows(masks)
+            table = np.array([block_norms(pair) for pair in masks[first]])
+            top = max(top, float(table.max()))
+            batches.append((w0, e0, width, live.astype(small), pair_of.astype(small), table))
+    best, best_key = _first_maximum(batches, top, list(itertools.product(range(spec.order), repeat=k)))
     best_witness = None
     if best_key is not None:
-        best_xs = windows[best_key[0]]
+        best_xs = next(itertools.islice(itertools.permutations(pool, k), best_key[0], None))
         values = next(itertools.islice(window_exteriors(domain, best_xs), best_key[2], None))
         best_witness = {
             "xs": list(best_xs),
@@ -232,6 +234,45 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
             "database": sparse_encode(Database(domain, values)),
         }
     return CapacityReport(value=best, witness=best_witness, kind="quantum")
+
+
+def _first_maximum(batches, top: float, all_yhats: list) -> tuple:
+    """(best, best_key): the per-row enumeration's fold over the events of
+    the quantum engine's batches, stopped once no later event can move it.
+
+    One event per (live row, yhat), visited windows outer, then exteriors,
+    then yhats.  An event replaces the running best when it exceeds it by
+    more than 1e-12, or when it lies within 1e-12 of it and its key
+    (window index, yhats, exterior index) is smaller.  top is the largest
+    event.
+    """
+    best = 0.0
+    best_key = None
+    for w0, e0, width, live, pair_of, table in batches:
+        events = table[pair_of].ravel()
+        # An event moves the fold only if it exceeds the running best less
+        # 1e-12, and the running best never falls more than 1e-12 below the
+        # largest value seen; skipping the events under that maximum less
+        # 2e-12 therefore changes nothing.
+        seen = np.maximum.accumulate(np.concatenate(([best], events)))[:-1]
+        for e in np.flatnonzero(events > seen - 2e-12).tolist():
+            i, y = divmod(e, len(all_yhats))
+            xi, row = divmod(int(live[i]), width)
+            xi, row = w0 + xi, e0 + row
+            # No event exceeds top, so once top <= best + 1e-12 none passes
+            # the first test below; an event of a later window than best_key's
+            # has a larger key and fails the second.  The fold is done.
+            if best_key is not None and xi > best_key[0] and top <= best + 1e-12:
+                return best, best_key
+            value = float(events[e])
+            # exteriors are enumerated in value order, so within one
+            # window the row index orders them as their values would
+            key = (xi, all_yhats[y], row)
+            if value > best + 1e-12 or (value > best - 1e-12 and (best_key is None or key < best_key)):
+                if value > best:
+                    best = value
+                best_key = key
+    return best, best_key
 
 
 def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int,

@@ -9,6 +9,7 @@ scientific check fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -327,7 +328,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned to every
+    later one, so callers must not change it; parse_args keeps no state in it
+    between calls."""
     parser = argparse.ArgumentParser(prog="qromlab")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -28,6 +28,7 @@ import numpy as np
 from .groups import GroupSpec, character_row, comp_matrix, dual_transform, transition_matrix
 
 DEFAULT_BUDGET = 1 << 24
+KEY_LIMIT = 1 << 63  # the oracle indices an int64 row key holds
 PRUNE_TOL = 1e-14
 
 
@@ -143,6 +144,18 @@ def _check_budget(dims) -> None:
         total *= d
         if total > budget:
             raise BudgetExceeded(f"state exceeds the amplitude budget of {budget} (QROMLAB_BUDGET)")
+
+
+def _check_keys(domain: OracleDomain) -> None:
+    """Refuse a domain whose (M+1)^|X| oracle indices reach 2^63, past the
+    int64 row keys, whatever the amplitude budget; read from the sizes, so
+    no key and no (M+1)^|X| of more than 64 bits is formed."""
+    total = 1
+    for _ in range(domain.size):
+        total *= domain.spec.order + 1
+        if total >= KEY_LIMIT:
+            raise ValueError(f"{domain.spec.order + 1}^{domain.size} databases reach 2^63, "
+                             "more than int64 oracle keys index")
 
 
 def _check_registers(reg_dims, regs) -> tuple:
@@ -335,8 +348,10 @@ def _initial_rows(cls, domain: OracleDomain, reg_dims: tuple) -> tuple:
     m = domain.spec.order
     if cls is CompressedState:
         _check_budget((m + 1,) * domain.size + reg_dims)
+        _check_keys(domain)
         return [(m + 1) ** domain.size - 1], 1.0
     _check_budget((m,) * domain.size + reg_dims)
+    _check_keys(domain)
     return np.arange(m ** domain.size), m ** (-domain.size / 2.0)
 
 
@@ -790,6 +805,7 @@ def run_adversary_fixed_function(circuit: AdversaryCircuit, table) -> PurifiedSt
     in the corresponding basis state instead of the uniform superposition."""
     m = circuit.domain.spec.order
     _check_budget((m,) * circuit.domain.size + circuit.reg_dims)
+    _check_keys(circuit.domain)
     oracle_index = tuple(circuit.domain.spec.check_element(table[x]) for x in circuit.domain.inputs)
     key = np.ravel_multi_index(oracle_index, (m,) * circuit.domain.size)
     return _run_from(PurifiedState, circuit, [key], 1.0)

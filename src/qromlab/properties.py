@@ -282,6 +282,40 @@ def window_view(table: np.ndarray, domain: OracleDomain, xs) -> np.ndarray:
     return moved.reshape(ext ** (table.ndim - k), ext ** k)
 
 
+def window_offsets(domain: OracleDomain, positions: np.ndarray) -> tuple:
+    """(index, cols): where the window views of every window sit in a
+    raveled truth table.  positions holds one window per row, as the domain
+    positions of its inputs in window order.
+
+    index[w, e] + cols[w, j] is the flat table position of exterior e of
+    window w with the window set to tuple j, so it reads entry [e, j] of
+    window w's window_view.  Both are in the smallest unsigned dtype that
+    holds (M+1)^|X| - 1, which their sums never leave."""
+    ext, size = domain.spec.order + 1, domain.size
+    n_windows, k = positions.shape
+    dtype = np.min_scalar_type(ext ** size - 1)
+    strides = ext ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    inside = np.zeros((n_windows, size), dtype=bool)
+    np.put_along_axis(inside, positions, True, axis=1)
+    # the other inputs of each window, in domain order, as exterior_values lists them
+    others = np.nonzero(~inside)[1].reshape(n_windows, size - k)
+    return (_digit_sums(strides[others].astype(dtype), ext),
+            _digit_sums(strides[positions].astype(dtype), ext))
+
+
+def _digit_sums(strides: np.ndarray, ext: int) -> np.ndarray:
+    """Per row of strides, sum_i d_i * strides[i] for every digit tuple d in
+    itertools.product(range(ext), repeat=width) order, the first digit the
+    most significant."""
+    sums = np.zeros((len(strides), 1), dtype=strides.dtype)
+    digits = np.arange(ext, dtype=strides.dtype)[:, None]
+    # the last digit first, each new digit outermost, so the sums already
+    # formed stay the long inner axis
+    for column in strides.T[::-1]:
+        sums = (column[:, None, None] * digits + sums[:, None, :]).reshape(len(strides), -1)
+    return sums
+
+
 def exterior_values(domain: OracleDomain, xs) -> np.ndarray:
     """The values of all databases undefined on the window xs, one row per
     exterior, in canonical value order on the remaining inputs: the rows of

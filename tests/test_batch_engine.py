@@ -44,6 +44,7 @@ from qromlab.properties import (
     truth_table,
     unique_rows,
     value_dtype,
+    window_offsets,
     window_tuples,
     window_view,
 )
@@ -286,6 +287,19 @@ class TestTruthTable:
         p = DatabaseProperty("ODD", lambda db: sum(db.values) % 2 == 1)
         want = [p.holds(db) for db in properties_mod.iter_databases(domain)]
         assert truth_table(p, domain).ravel().tolist() == want
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_offsets_read_every_window_view(self, spec):
+        domain = bit_domain(spec)
+        table = np.random.default_rng(spec.order).random((spec.order + 1,) * domain.size) < 0.5
+        for k in range(1, domain.size + 1):
+            windows = list(itertools.permutations(("11", "00", "10", "01"), k))
+            positions = np.array([[domain.index(x) for x in xs] for xs in windows])
+            index, cols = window_offsets(domain, positions)
+            assert index.dtype == cols.dtype == np.min_scalar_type((spec.order + 1) ** domain.size - 1)
+            for w, xs in enumerate(windows):
+                gathered = table.ravel()[index[w][:, None] + cols[w][None, :]]
+                assert np.array_equal(gathered, window_view(table, domain, xs)), xs
 
     @pytest.mark.parametrize("spec", [GroupSpec.bits(1), GroupSpec.cyclic(3)])
     def test_window_exteriors_match_nested_loop(self, spec):

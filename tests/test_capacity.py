@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from qromlab import capacity as capacity_mod
 from qromlab.capacity import (
+    CapacityReport,
     bound_thm_general,
     bound_thm_simple,
     bound_thm_tricky,
+    check_enumeration,
     classical_capacity_exact,
     multi_step_bound,
     operator_norm,
@@ -20,10 +23,15 @@ from qromlab.capacity import (
     query_windows,
     recognizability_bound,
     verify_calculus,
+    window_blocks,
+    window_exteriors,
+    window_pool,
 )
 from qromlab.groups import GroupSpec
-from qromlab.oracle import Database, OracleDomain
+from qromlab.oracle import Database, OracleDomain, sparse_encode
 from qromlab.properties import (
+    MASK_ROWS,
+    WINDOW_DIM_BUDGET,
     ChainRelation,
     DatabaseProperty,
     LocalFamily,
@@ -40,6 +48,9 @@ from qromlab.properties import (
     prmg_local_family,
     size_at_most,
     true_prop,
+    truth_table,
+    unique_rows,
+    window_view,
 )
 
 E = math.e
@@ -659,3 +670,168 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
     def test_empty_blocks(self, shape):
         assert operator_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
+# The per-window engine as it stood before every window was decided in one
+# pass, kept verbatim as the differential reference.
+
+
+def per_window_quantum_capacity(p: DatabaseProperty, pprime: DatabaseProperty, k: int,
+                                domain: OracleDomain, x_restrict=None) -> CapacityReport:
+    """Exact one-round quantum transition capacity by full enumeration.
+
+    Returns the maximum operator norm together with the lexicographically first
+    witness (xs, yhats, exterior database) attaining it.  The block of an
+    exterior depends on it only through its two window masks, so the masks of
+    all exteriors of a window are decided in one batch and each distinct mask
+    pair is normed once per yhat.
+    """
+    spec = domain.spec
+    pool = window_pool(domain, k, x_restrict)
+    if (spec.order + 1) ** k > WINDOW_DIM_BUDGET:
+        raise ValueError("window dimension exceeds the exact-computation budget")
+    # refused from the pool size, before a window is listed
+    check_enumeration(len(pool), k, spec.order, domain.size - k)
+    windows = query_windows(domain, k, pool)
+
+    all_yhats = list(itertools.product(range(spec.order), repeat=k))
+    dim = (spec.order + 1) ** k
+    norms: dict = {}
+
+    def block_norms(masks: np.ndarray) -> list:
+        """Norms of the blocks of one (in_mask, out_mask) pair, one per yhat."""
+        key = masks.tobytes()
+        if key not in norms:
+            norms[key] = [operator_norm(b) for b in window_blocks(spec, k, masks[:dim], masks[dim:])]
+        return norms[key]
+
+    p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
+    best = 0.0
+    best_key = None
+    chunk = max(1, MASK_ROWS // dim)
+    for xi, xs in enumerate(windows):
+        window = np.concatenate([window_view(p_table, domain, xs),
+                                 window_view(pprime_table, domain, xs)], axis=1)
+        for start in range(0, len(window), chunk):
+            masks = window[start:start + chunk]
+            live = np.flatnonzero(masks[:, :dim].any(axis=1) & masks[:, dim:].any(axis=1))
+            if not len(live):
+                continue
+            first, pair_of = unique_rows(masks[live])
+            table = np.array([block_norms(pair) for pair in masks[live[first]]])
+            # one event per (live exterior, yhat), in the order the per-row
+            # enumeration visits them: exteriors outer, yhats inner
+            events = table[pair_of].ravel()
+            # An event moves the fold below only if it exceeds the running
+            # best less 1e-12, and the running best never falls more than
+            # 1e-12 below the largest value seen; skipping the events under
+            # that maximum less 2e-12 therefore changes nothing.
+            seen = np.maximum.accumulate(np.concatenate(([best], events)))[:-1]
+            for e in np.flatnonzero(events > seen - 2e-12).tolist():
+                i, y = divmod(e, len(all_yhats))
+                value = float(events[e])
+                # exteriors are enumerated in value order, so within one
+                # window the row index orders them as their values would
+                key = (xi, all_yhats[y], start + int(live[i]))
+                if value > best + 1e-12 or (value > best - 1e-12 and (best_key is None or key < best_key)):
+                    if value > best:
+                        best = value
+                    best_key = key
+    best_witness = None
+    if best_key is not None:
+        best_xs = windows[best_key[0]]
+        values = next(itertools.islice(window_exteriors(domain, best_xs), best_key[2], None))
+        best_witness = {
+            "xs": list(best_xs),
+            "yhats": list(best_key[1]),
+            "database": sparse_encode(Database(domain, values)),
+        }
+    return CapacityReport(value=best, witness=best_witness, kind="quantum")
+
+
+def table_property(name: str, table: np.ndarray) -> DatabaseProperty:
+    """A batch predicate: a database holds when its entry of table, a boolean
+    array over the value cube (M+1,)*|X|, is set."""
+    return DatabaseProperty(name, batch=lambda v, d: table[tuple(np.asarray(v).T)])
+
+
+@st.composite
+def table_jobs(draw):
+    """(p, pprime, k, domain, pool): two random tables over |X| <= 4 inputs
+    with bit or cyclic ranges, k in {1, 2}, and all inputs or a drawn pool
+    in drawn order."""
+    spec = draw(st.sampled_from((GroupSpec.bits(1), GroupSpec.bits(2), GroupSpec.cyclic(3))))
+    domain = OracleDomain(("a", "b", "c", "d")[:draw(st.integers(1, 4))], spec)
+    k = draw(st.integers(1, min(2, domain.size)))
+    pool = draw(st.none() | st.permutations(domain.inputs).flatmap(
+        lambda order: st.integers(k, len(order)).map(lambda n: tuple(order[:n]))))
+    shape = (spec.order + 1,) * domain.size
+    tables = []
+    for _ in range(2):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        tables.append(rng.random(shape) < draw(st.sampled_from((0.02, 0.1, 0.3, 0.6, 0.95))))
+    return table_property("P", tables[0]), table_property("P'", tables[1]), k, domain, pool
+
+
+class TestEngineAgainstPerWindow:
+    """The one-pass engine, with its stop at the maximum, against the
+    per-window reference: value and witness, exactly."""
+
+    @staticmethod
+    def same(p, pprime, k, domain, pool=None):
+        record = quantum_capacity_exact(p, pprime, k, domain, pool).as_record()
+        assert record == per_window_quantum_capacity(p, pprime, k, domain, pool).as_record()
+        return record
+
+    @given(job=table_jobs(), mask_rows=st.sampled_from((None, 7, 40, 300)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables(self, job, mask_rows):
+        # small batches split windows, and runs of windows, across batches
+        rows = MASK_ROWS if mask_rows is None else mask_rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capacity_mod, "MASK_ROWS", rows)
+            self.same(*job)
+
+    @given(job=table_jobs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_tables_with_near_ties(self, job):
+        # each block's norm is raised by 0, 1e-13, 5e-13, 2e-12 or 1e-10,
+        # picked by its bytes, so blocks of equal norm become maxima inside
+        # the 1e-12 tolerance, just outside it, and far outside it
+        def nudged(a, exact=operator_norm):
+            return exact(a) + (0.0, 1e-13, 5e-13, 2e-12, 1e-10)[zlib.crc32(a.tobytes()) % 5]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capacity_mod, "operator_norm", nudged)
+            patch.setitem(globals(), "operator_norm", nudged)
+            self.same(*job)
+
+    def test_zero_capacity(self):
+        dom = OracleDomain.of_bit_inputs(2, GroupSpec.bits(1))
+        # no exterior has both window masks non-empty: no live event at all
+        for p, pprime in [(true_prop(), false_prop()), (size_at_most(0), ~size_at_most(3))]:
+            record = self.same(p, pprime, 1, dom)
+            assert record["value"] == 0.0 and "witness" not in record
+
+    def test_late_witness(self):
+        # p' = inputs 110 and 111 both 0: only window 48 of 56 attains the
+        # maximum, so the fold runs through the windows before it
+        dom = OracleDomain.of_bit_inputs(3, GroupSpec.bits(1))
+        pprime = DatabaseProperty("IN67", batch=lambda v, d: (v[:, 6] == 0) & (v[:, 7] == 0))
+        record = self.same(~pprime, pprime, 2, dom)
+        assert record["witness"]["xs"] == ["110", "111"]
+        assert list(itertools.permutations(dom.inputs, 2)).index(("110", "111")) == 48
+
+    def test_maxima_within_the_tolerance(self):
+        # the two windows' maxima differ by less than 1e-12 (one ulp of 1.0
+        # with this LAPACK), so the fold keeps window 0's witness and the
+        # stop falls between the windows
+        dom = OracleDomain(("a", "b"), GroupSpec.cyclic(3))
+        p_table, pprime_table = np.zeros((2, 16), dtype=bool)
+        p_table[[0, 1, 2, 4, 6, 7, 11, 15]] = pprime_table[[3, 4, 6, 8, 9, 11, 14, 15]] = True
+        p = table_property("P", p_table.reshape(4, 4))
+        pprime = table_property("P'", pprime_table.reshape(4, 4))
+        a, b = (quantum_capacity_exact(p, pprime, 1, dom, (x,)).value for x in dom.inputs)
+        assert abs(a - b) < 1e-12
+        record = self.same(p, pprime, 1, dom)
+        assert record["witness"]["xs"] == ["a"]

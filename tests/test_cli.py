@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -556,6 +559,29 @@ class TestLargeDomainRefusals:
         assert time.perf_counter() - start < 10.0
         assert capsys.readouterr().err == f"error: state exceeds the amplitude budget of {1 << 24} (QROMLAB_BUDGET)\n"
 
+    @pytest.mark.parametrize("domain", ["n=6,m=1", "n=5,m=2"])
+    def test_simulate_past_int64_keys(self, tmp_path, capsys, monkeypatch, domain):
+        # with the amplitude budget out of the way, the int64 oracle keys are
+        # the limit: 3^64 and 5^32 databases both reach 2^63
+        monkeypatch.setenv("QROMLAB_BUDGET", str(10 ** 40))
+        n = int(domain[2])
+        circuit = {"domain": domain, "registers": [2], "output_regs": [0],
+                   "steps": [{"type": "query", "xs": ["0" * n], "out_regs": [0]}]}
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(circuit))
+        assert main(["simulate", "--circuit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2^63" in err and err.count("\n") == 1
+
+    def test_simulate_below_int64_keys_runs(self, tmp_path, capsys, monkeypatch):
+        # 3^32 databases stay below 2^63, so the sparse run goes ahead
+        monkeypatch.setenv("QROMLAB_BUDGET", str(10 ** 40))
+        circuit = {"domain": "n=5,m=1", "registers": [2], "output_regs": [0],
+                   "steps": [{"type": "query", "xs": ["00000"], "out_regs": [0]}]}
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(circuit))
+        assert main(["simulate", "--circuit", str(path)]) == 0
+
     def test_capacity(self, capsys):
         start = time.perf_counter()
         assert main(["capacity", "--p", "PRMG", "--pprime", "PRMG", "--k", "1", "--domain", "n=18,m=1"]) == 2
@@ -585,6 +611,48 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["capacity", "--p", "PRMG"])
         assert err.value.code == 2
+
+
+class TestCachedParser:
+    """main parses with one parser per process, built on first use."""
+
+    def test_import_does_not_build_the_parser(self):
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        probe = "import qromlab.cli as c; print(c.build_parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0\n"
+
+    def test_calls_in_one_process_match_fresh_calls(self, tmp_path, capsys):
+        proof = tmp_path / "proof.bin"
+        assert main(["posw", "prove", "--n", "2", "--t", "1", "--w", "64",
+                     "--chi", "c0ffee", "--out", str(proof)]) == 0
+        report = tmp_path / "report.json"
+        calls = [["capacity", "--p", "!PRMG"],
+                 ["capacity", "--p", "!PRMG", "--pprime", "PRMG", "--k", "1",
+                  "--domain", "n=1,m=1", "--bound", "thm5.7", "--out", str(report)],
+                 ["posw", "verify", "--in", str(proof), "--chi", "c0ffee"]]
+
+        def run(argv):
+            report.unlink(missing_ok=True)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err, report.read_bytes() if report.exists() else None
+
+        capsys.readouterr()
+        shared = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli_mod.build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, *_ in shared] == [2, 0, 0]
+        assert shared == fresh
+        assert shared[1][3] == GOLDEN_CAPACITY_JSON.encode()
+        assert cli_mod.build_parser() is cli_mod.build_parser()
 
 
 class TestReporting:

@@ -106,6 +106,14 @@ class TestInitialStates:
             make(bit_domain(14), (2,))
         assert str(info.value) == f"state exceeds the amplitude budget of {1 << 24} (QROMLAB_BUDGET)"
 
+    @pytest.mark.parametrize("make", [initial_compressed_state, initial_purified_state])
+    def test_int64_keys_refused_whatever_the_budget(self, monkeypatch, make):
+        # 8^21 = 2^63 databases: the first size the int64 row keys refuse
+        monkeypatch.setenv("QROMLAB_BUDGET", str(10 ** 40))
+        with pytest.raises(ValueError, match=r"8\^21 databases reach 2\^63"):
+            make(OracleDomain(tuple(range(21)), GroupSpec.cyclic(7)), (1,))
+        assert initial_compressed_state(OracleDomain(tuple(range(20)), GroupSpec.cyclic(7)), (1,)).norm() == 1.0
+
 
 class TestRegisterIndices:
     """The state refuses a register index outside reg_dims, a negative one
