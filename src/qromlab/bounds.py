@@ -88,16 +88,6 @@ def posw_asymptotic_envelope(q: int, k: int, w: int, n: int, t: int, constant: f
     )
 
 
-def compare_report(empirical_p: float, bound_value: float, context: str) -> dict:
-    """Record comparing a measured success probability against its bound."""
-    return {
-        "empirical": empirical_p,
-        "bound": bound_value,
-        "holds": empirical_p <= bound_value + 1e-9,
-        "context": context,
-    }
-
-
 def _check(**named) -> None:
     for name, value in named.items():
         if value < 0:

@@ -19,18 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupSpec, transition_matrix
-from .oracle import Database, OracleDomain, sparse_encode
+from .oracle import Database, OracleDomain, check_product, sparse_encode
 from .properties import (
     MASK_ROWS,
     WINDOW_DIM_BUDGET,
     DatabaseProperty,
+    _around_window,
     canonical_families,
-    exterior_values,
     truth_table,
     unique_rows,
     window_offsets,
     window_tuples,
-    window_view,
 )
 
 E = math.e
@@ -100,13 +99,12 @@ def window_pool(domain: OracleDomain, k: int, x_restrict=None) -> tuple:
             raise ValueError("the window pool names an input twice")
     if not 1 <= k <= len(pool):
         raise ValueError("parallelism must satisfy 1 <= k <= |X_restrict|")
-    _check_budget(math.perm(len(pool), k))
+    _check_budget([math.perm(len(pool), k)])
     return pool
 
 
-def _check_budget(enumerated: int) -> None:
-    if enumerated > ENUMERATION_BUDGET:
-        raise ValueError("capacity enumeration exceeds the budget")
+def _check_budget(factors) -> None:
+    check_product(factors, ENUMERATION_BUDGET, ValueError("capacity enumeration exceeds the budget"))
 
 
 def check_enumeration(pool: int, k: int, order: int, exterior: int) -> None:
@@ -114,25 +112,25 @@ def check_enumeration(pool: int, k: int, order: int, exterior: int) -> None:
     windows, each with order^k yhat tuples and (order + 1)^exterior
     exteriors.
 
-    Only sizes are read, so a domain can be refused before it is built.  As
-    in oracle._check_budget, the product grows factor by factor and is
-    refused at the first partial product above the budget, so (M+1)^|X| is
-    never formed.  The exterior factors come first, so a pool too small for
-    k (a zero factor, which window_pool refuses) cannot hide a domain over
-    the budget."""
+    Only sizes are read, so a domain can be refused before it is built.  The
+    product is refused at its first partial product above the budget
+    (oracle.check_product), so (M+1)^|X| is never formed.  The exterior
+    factors come first, so a pool too small for k (a zero factor, which
+    window_pool refuses) cannot hide a domain over the budget."""
     # cap factors of 2 or more exceed the budget, so no run is taken longer
     cap = ENUMERATION_BUDGET.bit_length()
-    total = 1
-    for factor in itertools.chain(itertools.repeat(order + 1, min(exterior, cap)),
+    _check_budget(itertools.chain(itertools.repeat(order + 1, min(exterior, cap)),
                                   itertools.repeat(order, min(k, cap)),
-                                  range(pool, pool - min(k, cap), -1)):
-        total *= factor
-        _check_budget(total)
+                                  range(pool, pool - min(k, cap), -1)))
 
 
 def window_exteriors(domain: OracleDomain, xs: tuple):
-    """The rows of exterior_values as value tuples, one at a time."""
-    return map(tuple, map(np.ndarray.tolist, exterior_values(domain, xs)))
+    """The values of all databases undefined on the window xs, one value
+    tuple per exterior, in canonical value order on the remaining inputs:
+    the exteriors of properties.window_offsets."""
+    # every value tuple of the other inputs, in canonical order
+    rows = window_tuples(domain.spec, domain.size - len(xs))
+    return map(tuple, map(np.ndarray.tolist, _around_window(domain, xs, rows)))
 
 
 def window_blocks(spec: GroupSpec, k: int, in_mask: np.ndarray, out_mask: np.ndarray):
@@ -283,44 +281,47 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     probability that uniformly resampling the window's fresh coordinates lands
     in pprime (already-defined coordinates keep their values).  Per window,
     the hit counts of all databases are one product of pprime's window view
-    with the 0/1 matrix of draws, reading both truth tables once.
+    with the 0/1 matrix of draws, reading both truth tables once through one
+    index of every window (properties.window_offsets).
     """
     spec = domain.spec
     pool = window_pool(domain, k, x_restrict)
     check_enumeration(len(pool), k, spec.order, domain.size)
     windows = query_windows(domain, k, pool)
-    p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
+    index, cols = window_offsets(domain, np.array([[domain.index(x) for x in xs] for xs in windows],
+                                                  dtype=np.intp))
+    p_flat, pprime_flat = truth_table(p, domain).ravel(), truth_table(pprime, domain).ravel()
     ext = spec.order + 1
     outcomes = float(spec.order) ** (window_tuples(spec, k) == spec.bot).sum(axis=1)
     best, best_at = 0.0, None
-    for xi, xs in enumerate(windows):
+    for xi in range(len(windows)):
+        # the flat table cell of each (exterior, window tuple) of the window
+        cells = index[xi][:, None] + cols[xi]
         # hits[D] counts the draws for D's undefined window entries that land
         # in pprime: the product of pprime's window view with the k-fold
         # Kronecker power of the draw matrix a (a[w, r] = [w == r] for a
         # group value w, [r != bot] for w = bot), applied one axis at a time
-        hits = window_view(pprime_table, domain, xs).reshape((-1,) + (ext,) * k).astype(np.int64)
+        hits = pprime_flat[cells].reshape((-1,) + (ext,) * k).astype(np.int64)
         for axis in range(1, k + 1):
             undefined = (slice(None),) * axis + (spec.bot,)
             hits[undefined] = hits.sum(axis=axis) - hits[undefined]
-        prob = np.where(window_view(p_table, domain, xs), hits.reshape(-1, ext ** k) / outcomes, 0.0)
+        prob = np.where(p_flat[cells], hits.reshape(-1, ext ** k) / outcomes, 0.0)
         value = float(prob.max())
         if value < best or value == 0.0:
             continue
         # the first database, in canonical order, at which this window
-        # attains its maximum: undo window_view's axis move on the hit mask
-        at_max = (prob == value).reshape(p_table.shape)
-        axes = [domain.index(x) for x in xs]
-        first = int(np.argmax(np.moveaxis(at_max, range(domain.size - k, domain.size), axes)))
+        # attains its maximum: the smallest such flat cell
+        first = int(cells[prob == value].min())
         # Distinct probabilities differ by at least M^-k, so the per-row
         # fold's first prob > best + 1e-15 is the first (database, window)
         # pair, databases outer, that attains the exact maximum.
         if value > best or (first, xi) < best_at:
-            best, best_at, best_xs = value, (first, xi), xs
+            best, best_at = value, (first, xi)
     best_witness = None
     if best_at is not None:
-        values = np.unravel_index(best_at[0], p_table.shape)
+        values = np.unravel_index(best_at[0], (ext,) * domain.size)
         best_witness = {
-            "xs": list(best_xs),
+            "xs": list(windows[best_at[1]]),
             "database": sparse_encode(Database(domain, tuple(int(v) for v in values))),
         }
     return CapacityReport(value=best, witness=best_witness, kind="classical")

@@ -157,17 +157,6 @@ def dual_transform(spec: GroupSpec) -> np.ndarray:
     return character_table(spec) / math.sqrt(spec.order)
 
 
-def tilde_prob(spec: GroupSpec, r: int, yhat: int, subset) -> float:
-    """P-tilde[U in S | r, yhat]: squared transition amplitudes into S from r."""
-    spec.check_extended(r)
-    g = transition_matrix(spec, yhat)
-    total = 0.0
-    for u in subset:
-        spec.check_extended(u)
-        total += abs(g[u, r]) ** 2
-    return total
-
-
 def connection_bound_check(spec: GroupSpec, subset, yhat: int) -> dict:
     """Check sum_r P-tilde[r != U in L | r, yhat] <= 10 |L| / M for L inside Y.
 
@@ -184,14 +173,3 @@ def connection_bound_check(spec: GroupSpec, subset, yhat: int) -> dict:
         lhs += sum(abs(g[u, r]) ** 2 for u in members if u != r)
     rhs = 10.0 * len(members) / spec.order
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-12}
-
-
-def format_matrix(matrix: np.ndarray, digits: int = 4) -> str:
-    """Aligned decimal table of a small complex matrix, for docs and tests."""
-    def fmt(z: complex) -> str:
-        if abs(z.imag) < 1e-12:
-            return f"{z.real:+.{digits}f}"
-        return f"{z.real:+.{digits}f}{z.imag:+.{digits}f}i"
-
-    rows = [" ".join(fmt(z) for z in row) for row in np.asarray(matrix)]
-    return "\n".join(rows)

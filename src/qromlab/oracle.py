@@ -109,10 +109,6 @@ class Database:
         bot = self.domain.spec.bot
         return tuple(x for x, v in zip(self.domain.inputs, self.values) if v != bot)
 
-    def support_size(self) -> int:
-        bot = self.domain.spec.bot
-        return sum(1 for v in self.values if v != bot)
-
     def entries(self) -> dict:
         bot = self.domain.spec.bot
         return {x: v for x, v in zip(self.domain.inputs, self.values) if v != bot}
@@ -131,31 +127,31 @@ def sparse_encode(db: Database) -> list:
     return sorted(db.entries().items(), key=lambda kv: db.domain.index(kv[0]))
 
 
-def sparse_decode(domain: OracleDomain, pairs) -> Database:
-    return Database.from_entries(domain, dict(pairs))
+def check_product(factors, limit: int, error: Exception) -> None:
+    """Raise error at the first partial product of factors above limit, so a
+    product far past the limit is never formed."""
+    total = 1
+    for factor in factors:
+        total *= factor
+        if total > limit:
+            raise error
 
 
 def _check_budget(dims) -> None:
     """Refuse a state whose dense dimensions multiply out above the amplitude
     budget, at the first partial product that does."""
     budget = amplitude_budget()
-    total = 1
-    for d in dims:
-        total *= d
-        if total > budget:
-            raise BudgetExceeded(f"state exceeds the amplitude budget of {budget} (QROMLAB_BUDGET)")
+    check_product(dims, budget,
+                  BudgetExceeded(f"state exceeds the amplitude budget of {budget} (QROMLAB_BUDGET)"))
 
 
 def _check_keys(domain: OracleDomain) -> None:
     """Refuse a domain whose (M+1)^|X| oracle indices reach 2^63, past the
     int64 row keys, whatever the amplitude budget; read from the sizes, so
     no key and no (M+1)^|X| of more than 64 bits is formed."""
-    total = 1
-    for _ in range(domain.size):
-        total *= domain.spec.order + 1
-        if total >= KEY_LIMIT:
-            raise ValueError(f"{domain.spec.order + 1}^{domain.size} databases reach 2^63, "
-                             "more than int64 oracle keys index")
+    check_product(itertools.repeat(domain.spec.order + 1, domain.size), KEY_LIMIT - 1,
+                  ValueError(f"{domain.spec.order + 1}^{domain.size} databases reach 2^63, "
+                             "more than int64 oracle keys index"))
 
 
 def _check_registers(reg_dims, regs) -> tuple:
@@ -236,9 +232,6 @@ class _JointState:
         """Shape of the dense joint tensor."""
         return (self.oracle_dim,) * self.n_oracle + self.reg_dims
 
-    def reg_axis(self, reg: int) -> int:
-        return self.n_oracle + reg
-
     @property
     def vec(self) -> np.ndarray:
         """A fresh, read-only copy of the dense joint tensor."""
@@ -317,21 +310,6 @@ class CompressedState(_JointState):
     def oracle_dim(self) -> int:
         return self.domain.spec.order + 1
 
-    def _database_marginal(self):
-        """(oracle values, probability) of each stored row."""
-        probs = (np.abs(self.block) ** 2).sum(axis=tuple(range(1, self.block.ndim)))
-        return self._row_digits(self.keys), probs
-
-    def database_distribution(self) -> dict:
-        digits, probs = self._database_marginal()
-        return {Database(self.domain, tuple(values)): float(p)
-                for values, p in zip(digits.tolist(), probs) if p > 0.0}
-
-    def max_support_size(self) -> int:
-        digits, probs = self._database_marginal()
-        defined = (digits != self.domain.spec.bot).sum(axis=1)
-        return int(defined[probs > 0.0].max(initial=0))
-
 
 def _basis_state(cls, domain: OracleDomain, reg_dims: tuple, keys, amplitude: float) -> _JointState:
     """The state whose oracle rows keys each hold amplitude, with the
@@ -379,16 +357,6 @@ def comp(state: PurifiedState) -> CompressedState:
     for axis in range(state.n_oracle):
         vec = _apply_axis(vec, cm, axis)
     return CompressedState.from_dense(state.domain, state.reg_dims, vec)
-
-
-def comp_dagger(state: CompressedState) -> PurifiedState:
-    """Adjoint of the compression isometry (projects off any residual bot)."""
-    cm = comp_matrix(state.domain.spec)
-    vec = state.vec
-    for axis in range(state.n_oracle):
-        vec = _apply_axis(vec, cm, axis)
-    m = state.domain.spec.order
-    return PurifiedState.from_dense(state.domain, state.reg_dims, vec[(slice(0, m),) * state.n_oracle])
 
 
 def _query_targets(state: _JointState, out_reg: int, x_label, in_reg):
@@ -544,11 +512,13 @@ class QueryStep:
 class AdversaryCircuit:
     """A fixed-arity parallel-query oracle circuit.
 
-    reg_dims lists the adversary registers; query steps must all have the same
-    arity k.  output_regs name the registers measured as the final x-output.
-    Each query step gives either classical inputs xs or input registers
-    in_regs, one per response register; a malformed step, a register index
-    outside reg_dims or a step naming one register twice raises ValueError.
+    reg_dims lists the adversary registers' dimensions; query steps must all
+    have the same arity k.  output_regs name the registers measured as the
+    final x-output.  Each query step gives either classical inputs xs or
+    input registers in_regs, one per response register; a register
+    dimension that is not an int of at least 1 (a bool is not), a malformed
+    step, a register index outside reg_dims or a step naming one register
+    twice raises ValueError.
     """
 
     domain: OracleDomain
@@ -558,6 +528,9 @@ class AdversaryCircuit:
     y_output_regs: tuple | None = None
 
     def __post_init__(self):
+        for d in self.reg_dims:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+                raise ValueError(f"register dimension {d!r} is not an integer of at least 1")
         queries = [s for s in self.steps if isinstance(s, QueryStep)]
         if len({len(s.out_regs) for s in queries}) > 1:
             raise ValueError("query arity k must be constant across rounds")
@@ -790,12 +763,6 @@ def _matching_mass(state: _JointState, columns: dict) -> float:
         sub = amps[np.ix_(match, js)]
         total += float(np.vdot(sub, sub).real)
     return total
-
-
-def _success_probability(state: _JointState, circuit: AdversaryCircuit, relation, claimed) -> float:
-    """Probability that the state's oracle maps each output input to its
-    output response and the relation holds."""
-    return _matching_mass(state, _output_columns(state, circuit, relation, claimed))
 
 
 def run_adversary_fixed_function(circuit: AdversaryCircuit, table) -> PurifiedState:

@@ -225,10 +225,6 @@ class TableBackend(RoBackend):
         """Snapshot of the lazily sampled database, payload -> w-bit value."""
         return dict(self._db)
 
-    def preload(self, entries: dict) -> None:
-        """Install database entries directly (for analysis harnesses)."""
-        self._db.update(entries)
-
 
 class CryptoBackend(RoBackend):
     """Deterministic SHA-256-based oracle, expanded in counter mode to w bits:

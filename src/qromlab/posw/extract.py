@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..properties import longest_path
 from . import dag
-from .backend import challenge_payload, label_bytes, label_payload, parse_label_payload
+from .backend import label_bytes, label_payload, parse_label_payload
 
 
 @dataclass
@@ -150,20 +150,6 @@ def longest_posw_chain(db: dict, n: int, w: int, *, _log: list | None = None) ->
     successors = {payload: holders.get(value, []) for payload, _, value in log}
     # the free final hop gives every entry a chain of length 1
     return longest_path(payloads, successors, dict.fromkeys(payloads, 1.0))
-
-
-def challenge_leaves_in_db(db: dict, n: int, w: int, chi: int, phi: int, t: int) -> list | None:
-    """The t challenge leaves for phi if every needed challenge block is in the
-    database; None when the challenge was never queried."""
-    bits = ""
-    counter = 0
-    while len(bits) < t * n:
-        payload = challenge_payload(chi, phi, counter, w)
-        if payload not in db:
-            return None
-        bits += format(db[payload], f"0{w}b")
-        counter += 1
-    return [bits[i * n : (i + 1) * n] for i in range(t)]
 
 
 def check_leaves_lemma(db: dict, n: int, w: int, chi: int, extra_phis=()) -> bool:

@@ -45,10 +45,6 @@ class PoswProof:
     phi: int
     tau: tuple  # per challenge leaf, 2n labels in authentication-path order
 
-    @property
-    def size_bits(self) -> int:
-        return self.w * (1 + self.t * 2 * self.n)
-
 
 @dataclass(frozen=True)
 class VerifyResult:

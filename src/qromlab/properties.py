@@ -122,10 +122,6 @@ def iter_databases(domain: OracleDomain):
         yield Database(domain, values)
 
 
-def subset_of(p: DatabaseProperty, q: DatabaseProperty, domain: OracleDomain) -> bool:
-    return all(q.holds(db) for db in iter_databases(domain) if p.holds(db))
-
-
 # Chain relations and the chain property
 
 
@@ -221,7 +217,7 @@ def chn(s: int, rel: ChainRelation) -> DatabaseProperty:
                             atom=("CHN", rel))
 
 
-# Restrictions and projectors
+# Query windows
 
 
 def value_dtype(spec: GroupSpec) -> np.dtype:
@@ -237,8 +233,9 @@ def _distinct_window(xs) -> tuple:
 
 
 def window_tuples(spec: GroupSpec, k: int) -> np.ndarray:
-    """Every response tuple of a k-input window, one per row, in the canonical
-    mixed-radix order of the window basis (undefined index last)."""
+    """Every response tuple of a k-input window, or value tuple of any k
+    inputs, one per row, in the canonical mixed-radix order of the window
+    basis (undefined index last)."""
     ext = spec.order + 1
     return digit_rows(np.arange(ext ** k), ext, k, value_dtype(spec))
 
@@ -268,36 +265,23 @@ def truth_table(p: DatabaseProperty, domain: OracleDomain) -> np.ndarray:
     return table.reshape((ext,) * size)
 
 
-def window_view(table: np.ndarray, domain: OracleDomain, xs) -> np.ndarray:
-    """A table over the databases, shape (M+1,)*|X|, read as one row per
-    exterior of the window xs and one column per window tuple.
-
-    Rows come in exterior_values order and columns in window_tuples order:
-    entry [i, j] of the view of truth_table(p) decides exterior i with the
-    window set to tuple j, the restriction p|_{D|xs} at that exterior.
-    """
-    xs = _distinct_window(xs)
-    ext, k = domain.spec.order + 1, len(xs)
-    moved = np.moveaxis(table, [domain.index(x) for x in xs], range(table.ndim - k, table.ndim))
-    return moved.reshape(ext ** (table.ndim - k), ext ** k)
-
-
 def window_offsets(domain: OracleDomain, positions: np.ndarray) -> tuple:
     """(index, cols): where the window views of every window sit in a
     raveled truth table.  positions holds one window per row, as the domain
     positions of its inputs in window order.
 
     index[w, e] + cols[w, j] is the flat table position of exterior e of
-    window w with the window set to tuple j, so it reads entry [e, j] of
-    window w's window_view.  Both are in the smallest unsigned dtype that
-    holds (M+1)^|X| - 1, which their sums never leave."""
+    window w with the window set to tuple j: exteriors in canonical value
+    order on the other inputs, tuples in window_tuples order.  Both are in
+    the smallest unsigned dtype that holds (M+1)^|X| - 1, which their sums
+    never leave."""
     ext, size = domain.spec.order + 1, domain.size
     n_windows, k = positions.shape
     dtype = np.min_scalar_type(ext ** size - 1)
     strides = ext ** np.arange(size - 1, -1, -1, dtype=np.int64)
     inside = np.zeros((n_windows, size), dtype=bool)
     np.put_along_axis(inside, positions, True, axis=1)
-    # the other inputs of each window, in domain order, as exterior_values lists them
+    # the other inputs of each window, in domain order
     others = np.nonzero(~inside)[1].reshape(n_windows, size - k)
     return (_digit_sums(strides[others].astype(dtype), ext),
             _digit_sums(strides[positions].astype(dtype), ext))
@@ -314,14 +298,6 @@ def _digit_sums(strides: np.ndarray, ext: int) -> np.ndarray:
     for column in strides.T[::-1]:
         sums = (column[:, None, None] * digits + sums[:, None, :]).reshape(len(strides), -1)
     return sums
-
-
-def exterior_values(domain: OracleDomain, xs) -> np.ndarray:
-    """The values of all databases undefined on the window xs, one row per
-    exterior, in canonical value order on the remaining inputs: the rows of
-    window_view."""
-    ext, width = domain.spec.order + 1, domain.size - len(_distinct_window(xs))
-    return _around_window(domain, xs, digit_rows(np.arange(ext ** width), ext, width, value_dtype(domain.spec)))
 
 
 def _around_window(domain: OracleDomain, xs, rows: np.ndarray) -> np.ndarray:
@@ -352,26 +328,6 @@ def _window_sides(db: Database, xs, *props) -> tuple:
     window = [tuple(r) for r in window_tuples(db.domain.spec, len(xs)).tolist()]
     updated = [db.update(xs, r) for r in window]
     return xs, window, [[p.holds(d) for d in updated] for p in props]
-
-
-def restrict(p: DatabaseProperty, db: Database, xs) -> frozenset:
-    """The restriction of p to the query window xs at exterior db, as the set of
-    response tuples r with db[xs -> r] in p."""
-    _, window, (mask,) = _window_sides(db, xs, p)
-    return frozenset(itertools.compress(window, mask))
-
-
-def projector(restricted: frozenset, k: int, spec: GroupSpec) -> np.ndarray:
-    """Diagonal 0/1 projector on the (M+1)^k-dimensional window space, in the
-    canonical mixed-radix basis order with the undefined index last."""
-    ext = spec.order + 1
-    if ext ** k > WINDOW_DIM_BUDGET:
-        raise ValueError("projector dimension exceeds the dense-space budget")
-    diag = np.zeros(ext ** k)
-    if restricted:
-        # rejects, as check_extended does, any value outside 0..M
-        diag[np.ravel_multi_index(np.array(list(restricted)).T, (ext,) * k)] = 1.0
-    return np.diag(diag)
 
 
 # Local properties
@@ -564,7 +520,7 @@ def canonical_families(pprime: DatabaseProperty, domain: OracleDomain, xs) -> li
 
     A family depends on the exterior only through one feature (none for PRMG,
     the exterior's value set for CL, its support for CHN), so one family is
-    built per distinct feature, from the first exterior in view-row order that
+    built per distinct feature, from the first exterior in canonical order that
     has it (_first_exteriors, the same for every window of its width).
     """
     kind, arg = pprime.atom or (None, None)
@@ -581,24 +537,24 @@ def canonical_families(pprime: DatabaseProperty, domain: OracleDomain, xs) -> li
 @functools.lru_cache(maxsize=64)
 def _first_exteriors(kind: str, domain: OracleDomain, k: int) -> np.ndarray:
     """Per distinct CL or CHN feature of the exteriors of a k-input window,
-    the values on the |X| - k other inputs of the first exterior in view-row
-    order that has it; read-only.
+    the values on the |X| - k other inputs of the first exterior in
+    canonical order that has it; read-only.
 
     Every k-input window's exteriors are the same value rows around it, and
-    the window's own inputs are undefined in each, so both features, and
-    where they first occur, are those of the window of the last k inputs.
+    the window's own inputs are undefined in each, so neither feature reads
+    them: both, and where they first occur, are those of the value rows.
     """
-    width = domain.size - k
-    exteriors = exterior_values(domain, domain.inputs[width:])
+    rows = window_tuples(domain.spec, domain.size - k)
     bot = domain.spec.bot
     if kind == "CL":
-        present = np.zeros((len(exteriors), bot + 1), dtype=bool)
-        np.put_along_axis(present, exteriors.astype(np.intp), True, axis=1)
+        present = np.zeros((len(rows), bot + 1), dtype=bool)
+        np.put_along_axis(present, rows.astype(np.intp), True, axis=1)
         features = present[:, :bot]
     else:
-        features = exteriors != bot
-    first, _ = unique_rows(features)
-    rows = exteriors[np.sort(first), :width]
+        features = rows != bot
+    # a window on every input has one exterior, and a CHN feature of no columns
+    first = unique_rows(features)[0] if features.shape[1] else np.zeros(1, dtype=np.intp)
+    rows = rows[np.sort(first)]
     rows.flags.writeable = False
     return rows
 

@@ -33,12 +33,10 @@ from qromlab.properties import (
     cl,
     collision_local_family,
     empty_db_prop,
-    exterior_values,
     false_prop,
     parse_property,
     prmg,
     prmg_local_family,
-    restrict,
     size_at_most,
     true_prop,
     truth_table,
@@ -46,8 +44,8 @@ from qromlab.properties import (
     value_dtype,
     window_offsets,
     window_tuples,
-    window_view,
 )
+from reference import exterior_values, restrict, window_view
 
 EQ = ChainRelation("equality")
 PREFIX = ChainRelation("prefix")
@@ -306,7 +304,7 @@ class TestTruthTable:
         domain = bit_domain(spec)
         for xs in self.WINDOWS:
             assert list(capacity_mod.window_exteriors(domain, xs)) == list(nested_loop_exteriors(domain, xs))
-            values = properties_mod.exterior_values(domain, xs)
+            values = exterior_values(domain, xs)
             assert [tuple(r) for r in values.tolist()] == list(nested_loop_exteriors(domain, xs))
 
 

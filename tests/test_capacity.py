@@ -50,8 +50,9 @@ from qromlab.properties import (
     true_prop,
     truth_table,
     unique_rows,
-    window_view,
+    window_tuples,
 )
+from reference import projector, restrict, support_size, window_view
 
 E = math.e
 EQ = ChainRelation("equality")
@@ -125,8 +126,6 @@ class TestQuantumCapacity:
 
         from qromlab.groups import transition_matrix
         from qromlab.oracle import Database
-        from qromlab.properties import restrict, projector
-
         dom = make_domain(3)
         for p, pprime, k in [(~prmg(), prmg(), 1), (~cl(), cl(), 2),
                              (~chn(1, EQ), chn(2, EQ), 2)]:
@@ -237,7 +236,7 @@ class TestBoundEvaluators:
         big_t = EQ.t_bound(dom)
         for k, q in [(1, 2), (2, 2)]:
             for db in iter_databases(dom):
-                if db.support_size() > k * (q - 1):
+                if support_size(db) > k * (q - 1):
                     continue
                 for xs in itertools.permutations(dom.inputs, k):
                     value = bound_thm_tricky([chain_local_family(db, xs, EQ)])
@@ -256,7 +255,7 @@ class TestBoundEvaluators:
         k, q = 2, 2
         for db in iter_databases(dom):
             exterior = db.update(("a", "b"), (dom.spec.bot, dom.spec.bot))
-            if exterior.support_size() > k * (q - 1):
+            if support_size(exterior) > k * (q - 1):
                 continue
             fam = collision_local_family(exterior, ("a", "b"))
             value = bound_thm_general([fam])
@@ -756,13 +755,13 @@ def table_property(name: str, table: np.ndarray) -> DatabaseProperty:
 
 
 @st.composite
-def table_jobs(draw):
+def table_jobs(draw, max_k=2):
     """(p, pprime, k, domain, pool): two random tables over |X| <= 4 inputs
-    with bit or cyclic ranges, k in {1, 2}, and all inputs or a drawn pool
-    in drawn order."""
+    with bit or cyclic ranges, k from 1 to max_k, and all inputs or a drawn
+    pool in drawn order."""
     spec = draw(st.sampled_from((GroupSpec.bits(1), GroupSpec.bits(2), GroupSpec.cyclic(3))))
     domain = OracleDomain(("a", "b", "c", "d")[:draw(st.integers(1, 4))], spec)
-    k = draw(st.integers(1, min(2, domain.size)))
+    k = draw(st.integers(1, min(max_k, domain.size)))
     pool = draw(st.none() | st.permutations(domain.inputs).flatmap(
         lambda order: st.integers(k, len(order)).map(lambda n: tuple(order[:n]))))
     shape = (spec.order + 1,) * domain.size
@@ -835,3 +834,96 @@ class TestEngineAgainstPerWindow:
         assert abs(a - b) < 1e-12
         record = self.same(p, pprime, 1, dom)
         assert record["witness"]["xs"] == ["a"]
+
+
+# The classical engine as it stood before it read the window index, moving
+# the window's axes per window, kept verbatim as the differential reference.
+
+
+def per_window_classical_capacity(p: DatabaseProperty, pprime: DatabaseProperty, k: int,
+                                  domain: OracleDomain, x_restrict=None) -> CapacityReport:
+    """Exact one-round classical transition capacity.
+
+    Maximizes, over databases satisfying p and distinct query vectors, the
+    probability that uniformly resampling the window's fresh coordinates lands
+    in pprime (already-defined coordinates keep their values).  Per window,
+    the hit counts of all databases are one product of pprime's window view
+    with the 0/1 matrix of draws, reading both truth tables once.
+    """
+    spec = domain.spec
+    pool = window_pool(domain, k, x_restrict)
+    check_enumeration(len(pool), k, spec.order, domain.size)
+    windows = query_windows(domain, k, pool)
+    p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
+    ext = spec.order + 1
+    outcomes = float(spec.order) ** (window_tuples(spec, k) == spec.bot).sum(axis=1)
+    best, best_at = 0.0, None
+    for xi, xs in enumerate(windows):
+        # hits[D] counts the draws for D's undefined window entries that land
+        # in pprime: the product of pprime's window view with the k-fold
+        # Kronecker power of the draw matrix a (a[w, r] = [w == r] for a
+        # group value w, [r != bot] for w = bot), applied one axis at a time
+        hits = window_view(pprime_table, domain, xs).reshape((-1,) + (ext,) * k).astype(np.int64)
+        for axis in range(1, k + 1):
+            undefined = (slice(None),) * axis + (spec.bot,)
+            hits[undefined] = hits.sum(axis=axis) - hits[undefined]
+        prob = np.where(window_view(p_table, domain, xs), hits.reshape(-1, ext ** k) / outcomes, 0.0)
+        value = float(prob.max())
+        if value < best or value == 0.0:
+            continue
+        # the first database, in canonical order, at which this window
+        # attains its maximum: undo window_view's axis move on the hit mask
+        at_max = (prob == value).reshape(p_table.shape)
+        axes = [domain.index(x) for x in xs]
+        first = int(np.argmax(np.moveaxis(at_max, range(domain.size - k, domain.size), axes)))
+        # Distinct probabilities differ by at least M^-k, so the per-row
+        # fold's first prob > best + 1e-15 is the first (database, window)
+        # pair, databases outer, that attains the exact maximum.
+        if value > best or (first, xi) < best_at:
+            best, best_at, best_xs = value, (first, xi), xs
+    best_witness = None
+    if best_at is not None:
+        values = np.unravel_index(best_at[0], p_table.shape)
+        best_witness = {
+            "xs": list(best_xs),
+            "database": sparse_encode(Database(domain, tuple(int(v) for v in values))),
+        }
+    return CapacityReport(value=best, witness=best_witness, kind="classical")
+
+
+class TestClassicalAgainstPerWindow:
+    """The classical engine on the one window index against the axis-moving
+    reference: value and witness, exactly."""
+
+    @staticmethod
+    def same(p, pprime, k, domain, pool=None):
+        record = classical_capacity_exact(p, pprime, k, domain, pool).as_record()
+        assert record == per_window_classical_capacity(p, pprime, k, domain, pool).as_record()
+        return record
+
+    @given(job=table_jobs(max_k=3))
+    @settings(max_examples=300, deadline=None)
+    def test_random_tables(self, job):
+        self.same(*job)
+
+    def test_zero_capacity(self):
+        dom = make_domain(3)
+        for p, pprime in [(true_prop(), false_prop()), (false_prop(), true_prop())]:
+            record = self.same(p, pprime, 2, dom)
+            assert record["value"] == 0.0 and "witness" not in record
+
+    def test_tie_across_windows(self):
+        # every window reaches 1/2; the first database that reaches it is
+        # (1, 1, bot) for window c, before (1, bot, 1) and (bot, 1, 1), so
+        # the last window wins the (database, window) tie-break
+        record = self.same(~prmg(), prmg(), 1, make_domain(3))
+        assert record["value"] == 0.5
+        assert record["witness"] == {"xs": ["c"], "database": [("a", 1), ("b", 1)]}
+
+    def test_tie_at_one_database(self):
+        # every window reaches 1 first at the all-zero database, so the
+        # first window wins
+        record = self.same(true_prop(), prmg(), 2, make_domain(3), ("c", "a", "b"))
+        assert record["value"] == 1.0
+        assert record["witness"]["xs"] == ["c", "a"]
+        assert record["witness"]["database"] == [("a", 0), ("b", 0), ("c", 0)]

@@ -353,9 +353,17 @@ class TestSimulateCommand:
         {**BASE, "relation": {"kind": "preimage", "target": [0]}},
         [1, 2],
         {**BASE, "kind": "foo"},
+        {**BASE, "registers": [0], "steps": []},
+        {**BASE, "registers": [2, 0]},
+        {**BASE, "registers": [2.5, 2]},
+        {**BASE, "registers": ["2", 2]},
+        {**BASE, "registers": [2, None]},
+        {**BASE, "registers": [True, 2]},
     ], ids=["unknown-step-type", "non-preimage-relation", "non-unitary-gate", "bare-number-entries",
             "non-square-gate", "regs-not-a-list", "relation-not-an-object", "target-not-a-number",
-            "not-an-object", "unknown-domain-kind"])
+            "not-an-object", "unknown-domain-kind", "register-of-dimension-0",
+            "second-register-of-dimension-0", "float-register", "string-register", "null-register",
+            "bool-register"])
     def test_unsupported_circuit_file_exit_2(self, tmp_path, circuit):
         path = tmp_path / "circuit.json"
         path.write_text(json.dumps(circuit))

@@ -13,8 +13,6 @@ from qromlab.groups import (
     comp_matrix,
     connection_bound_check,
     dual_transform,
-    format_matrix,
-    tilde_prob,
     transition_matrix,
 )
 
@@ -190,26 +188,6 @@ class TestTransitionMatrix:
         g = transition_matrix(GroupSpec.bits(1), 1)
         with pytest.raises(ValueError):
             g[0, 0] = 1.0
-
-    def test_format_matrix_is_aligned_text(self):
-        text = format_matrix(transition_matrix(GroupSpec.bits(1), 1))
-        assert len(text.splitlines()) == 3
-
-
-class TestTildeProb:
-    def test_full_set_normalizes(self):
-        spec = GroupSpec.bits(2)
-        for yhat in spec.elements():
-            for r in spec.extended():
-                assert tilde_prob(spec, r, yhat, spec.extended()) == pytest.approx(1.0)
-
-    def test_from_bot_into_zero(self):
-        spec = GroupSpec.bits(1)
-        assert tilde_prob(spec, spec.bot, 1, {0}) == pytest.approx(0.5)
-
-    def test_offdiagonal_entry(self):
-        spec = GroupSpec.bits(1)
-        assert tilde_prob(spec, 1, 1, {0}) == pytest.approx(0.25)
 
 
 class TestConnectionBound:

@@ -19,6 +19,7 @@ from qromlab.oracle import (
     run_adversary,
 )
 from qromlab.properties import ChainRelation, chn, cl, prmg
+from reference import database_distribution
 
 EQ = ChainRelation("equality")
 
@@ -52,7 +53,7 @@ class TestMultiRoundAmplitudeBound:
         rounds = 1 + seed % 3
         circuit = random_circuit(rng, dom, rounds, k)
         state = run_adversary(circuit, "compressed")
-        dist = state.database_distribution()
+        dist = database_distribution(state)
         for target in (prmg(), cl(), chn(1, EQ)):
             mass = sum(prob for db, prob in dist.items() if target.holds(db))
             step = quantum_capacity_exact(~target, target, k, dom).value
@@ -65,7 +66,7 @@ class TestMultiRoundAmplitudeBound:
         rng = np.random.default_rng(11)
         dom = OracleDomain(("a", "b"), GroupSpec.bits(1))
         circuit = random_circuit(rng, dom, rounds=2, k=1)
-        dist = run_adversary(circuit, "compressed").database_distribution()
+        dist = database_distribution(run_adversary(circuit, "compressed"))
         mass = sum(prob for db, prob in dist.items() if chn(2, EQ).holds(db))
         steps = [quantum_capacity_exact(~chn(s, EQ), chn(s + 1, EQ), 1, dom).value
                  for s in (1, 2)]

