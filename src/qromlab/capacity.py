@@ -293,19 +293,25 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     p_flat, pprime_flat = truth_table(p, domain).ravel(), truth_table(pprime, domain).ravel()
     ext = spec.order + 1
     outcomes = float(spec.order) ** (window_tuples(spec, k) == spec.bot).sum(axis=1)
+    # the draw matrix a (a[w, r] = [w == r] for a group value w, [r != bot]
+    # for w = bot), transposed
+    a_t = np.eye(ext)
+    a_t[:spec.bot, spec.bot] = 1.0
+    a_t[spec.bot, spec.bot] = 0.0
     best, best_at = 0.0, None
     for xi in range(len(windows)):
         # the flat table cell of each (exterior, window tuple) of the window
         cells = index[xi][:, None] + cols[xi]
         # hits[D] counts the draws for D's undefined window entries that land
-        # in pprime: the product of pprime's window view with the k-fold
-        # Kronecker power of the draw matrix a (a[w, r] = [w == r] for a
-        # group value w, [r != bot] for w = bot), applied one axis at a time
-        hits = pprime_flat[cells].reshape((-1,) + (ext,) * k).astype(np.int64)
-        for axis in range(1, k + 1):
-            undefined = (slice(None),) * axis + (spec.bot,)
-            hits[undefined] = hits.sum(axis=axis) - hits[undefined]
-        prob = np.where(p_flat[cells], hits.reshape(-1, ext ** k) / outcomes, 0.0)
+        # in pprime: pprime's window view times the k-fold Kronecker power of
+        # a, never formed.  Each pass applies a to the last window axis and
+        # rotates that axis to the front, so k passes restore the axis order.
+        # The counts are small integers, so each float product is exact.
+        hits = pprime_flat[cells].astype(np.float64)
+        for _ in range(k):
+            hits = (hits.reshape(-1, ext) @ a_t).reshape(len(cells), -1, ext).transpose(0, 2, 1)
+        hits = hits.reshape(len(cells), -1)
+        prob = np.where(p_flat[cells], hits / outcomes, 0.0)
         value = float(prob.max())
         if value < best or value == 0.0:
             continue
@@ -384,12 +390,20 @@ def recognizability_bound(theorem: str, pprime: DatabaseProperty, k: int, domain
     exterior) pairs, with the canonical families of the target.
 
     A bound is a maximum over families, so each window contributes its
-    distinct families only (properties.canonical_families).
+    distinct families only (properties.canonical_families), and the first
+    window of the pool alone is read: each theorem's maximum is the same
+    float in every window.  Every k-input window has the same exteriors.  A
+    PRMG or CL family of another window differs only in the input names of
+    its supports, which neither LocalProperty.weight nor locality reads.  A
+    CHN family is 1-local with one value set V at every position, and each
+    theorem's value never falls as |V| grows.  V grows with the family's
+    anchors (the exterior's support and the window), and the exterior
+    defined on every other input anchors it on the whole domain in every
+    window, so the largest V is the same in each.
     """
     if theorem not in BOUND_THEOREMS:
         raise ValueError(f"unknown bound source {theorem!r}")
-    families = [fam for xs in query_windows(domain, k, x_restrict)
-                for fam in canonical_families(pprime, domain, xs)]
+    families = canonical_families(pprime, domain, window_pool(domain, k, x_restrict)[:k])
     # looked up at call time, so rebinding a module attribute reaches the call
     evaluate = (bound_thm_simple, bound_thm_tricky, bound_thm_general)
     return evaluate[BOUND_THEOREMS.index(theorem)](families)

@@ -155,8 +155,12 @@ def _check_keys(domain: OracleDomain) -> None:
 
 
 def _check_registers(reg_dims, regs) -> tuple:
-    """regs as a tuple; ValueError unless they name distinct registers of reg_dims."""
+    """regs as a tuple; ValueError unless they name distinct registers of
+    reg_dims, each by an int index (a bool is not)."""
     regs = tuple(regs)
+    for r in regs:
+        if not isinstance(r, int) or isinstance(r, bool):
+            raise ValueError(f"register index {r!r} is not an integer")
     if not all(0 <= r < len(reg_dims) for r in regs):
         raise ValueError(f"registers {regs} name one outside its reg_dims {tuple(reg_dims)}")
     if len(set(regs)) != len(regs):
@@ -517,8 +521,8 @@ class AdversaryCircuit:
     final x-output.  Each query step gives either classical inputs xs or
     input registers in_regs, one per response register; a register
     dimension that is not an int of at least 1 (a bool is not), a malformed
-    step, a register index outside reg_dims or a step naming one register
-    twice raises ValueError.
+    step, a register index that is not an int or lies outside reg_dims, or a
+    step naming one register twice raises ValueError.
     """
 
     domain: OracleDomain
@@ -543,8 +547,10 @@ class AdversaryCircuit:
                 raise ValueError("a query step's input and response registers must differ")
             if s.xs is not None:
                 _check_distinct(s.xs)
-        # the output registers may name one register twice
-        _check_registers(self.reg_dims, {*self.output_regs, *(self.y_output_regs or ())})
+        # the output registers may name one register twice; each is checked
+        # alone, since a set would merge True and 1.0 into 1
+        for r in (*self.output_regs, *(self.y_output_regs or ())):
+            _check_registers(self.reg_dims, (r,))
         for s in self.steps:
             _check_registers(self.reg_dims, (*s.out_regs, *(s.in_regs or ())) if isinstance(s, QueryStep)
                              else getattr(s, "regs", ()))

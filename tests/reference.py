@@ -1,15 +1,17 @@
 """Reference helpers that several test modules share and no command runs.
 
-Each is a direct, per-database or axis-moving form of something the package
-computes another way, kept here to check that way against: window views
-by moved axes against the flat window index, restrictions and projectors
-per Database, and the compressed state's database readout.
+Each is a direct, per-database, per-window or axis-moving form of something
+the package computes another way, kept here to check that way against:
+window views by moved axes against the flat window index, restrictions and
+projectors per Database, the compressed state's database readout, and the
+recognizability bound over one family per (window, exterior) pair.
 """
 
 import itertools
 
 import numpy as np
 
+from qromlab import capacity
 from qromlab.groups import GroupSpec
 from qromlab.oracle import CompressedState, Database, OracleDomain, _JointState, _matching_mass, _output_columns
 from qromlab.properties import (
@@ -18,7 +20,10 @@ from qromlab.properties import (
     _around_window,
     _distinct_window,
     _window_sides,
+    chain_local_family,
+    collision_local_family,
     digit_rows,
+    prmg_local_family,
     value_dtype,
 )
 
@@ -92,3 +97,29 @@ def success_probability(state: _JointState, circuit, relation, claimed) -> float
     """Probability that the state's oracle maps each output input to its
     output response and the relation holds."""
     return _matching_mass(state, _output_columns(state, circuit, relation, claimed))
+
+
+def per_exterior_families(pprime: DatabaseProperty, domain: OracleDomain, xs) -> list:
+    """One canonical family of the bare PRMG, CL or CHN target pprime per
+    exterior of the window xs."""
+    kind, arg = pprime.atom
+    families = []
+    for values in capacity.window_exteriors(domain, xs):
+        db = Database(domain, values)
+        if kind == "PRMG":
+            families.append(prmg_local_family(xs, domain.spec, arg))
+        elif kind == "CHN":
+            families.append(chain_local_family(db, xs, arg))
+        else:
+            families.append(collision_local_family(db, xs))
+    return families
+
+
+def per_pair_bound(theorem: str, pprime: DatabaseProperty, k: int, domain: OracleDomain,
+                   x_restrict=None) -> float:
+    """The recognizability bound over one canonical family per (window,
+    exterior) pair, every query window of the pool read."""
+    families = [fam for xs in capacity.query_windows(domain, k, x_restrict)
+                for fam in per_exterior_families(pprime, domain, xs)]
+    evaluate = (capacity.bound_thm_simple, capacity.bound_thm_tricky, capacity.bound_thm_general)
+    return evaluate[capacity.BOUND_THEOREMS.index(theorem)](families)

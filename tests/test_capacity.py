@@ -52,10 +52,11 @@ from qromlab.properties import (
     unique_rows,
     window_tuples,
 )
-from reference import projector, restrict, support_size, window_view
+from reference import per_pair_bound, projector, restrict, support_size, window_view
 
 E = math.e
 EQ = ChainRelation("equality")
+PREFIX = ChainRelation("prefix")
 
 
 def make_domain(n_inputs, m=1):
@@ -927,3 +928,46 @@ class TestClassicalAgainstPerWindow:
         assert record["value"] == 1.0
         assert record["witness"]["xs"] == ["c", "a"]
         assert record["witness"]["database"] == [("a", 0), ("b", 0), ("c", 0)]
+
+
+def bound_outcome(bound, *args):
+    """The bound's value, or the type and message of the error it raises."""
+    try:
+        return bound(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBoundAgainstPerPair:
+    """The bound, reading the first window, against one family per (window,
+    exterior) pair of every window: the same float, or the same error."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_jobs(self, data):
+        spec = data.draw(st.sampled_from((GroupSpec.bits(1), GroupSpec.bits(2), GroupSpec.cyclic(3))))
+        # bit-string inputs, so a prefix relation relates some
+        domain = OracleDomain(("00", "01", "10", "11")[:data.draw(st.integers(1, 4))], spec)
+        k = data.draw(st.integers(1, min(3, domain.size)))
+        pool = data.draw(st.sampled_from(("default", "restricted", "unsorted")))
+        if pool == "default":
+            pool = None
+        else:
+            # a drawn subset, in domain order or in a drawn order
+            order = data.draw(st.permutations(domain.inputs)) if pool == "unsorted" else domain.inputs
+            chosen = data.draw(st.sets(st.sampled_from(domain.inputs), min_size=k))
+            pool = tuple(x for x in order if x in chosen)
+        pprime = data.draw(st.sampled_from((prmg(), cl(), chn(1, EQ), chn(2, EQ), chn(2, PREFIX)))
+                           | st.sampled_from(spec.elements()).map(prmg))
+        theorem = data.draw(st.sampled_from(capacity_mod.BOUND_THEOREMS))
+        args = (theorem, pprime, k, domain, pool)
+        assert bound_outcome(recognizability_bound, *args) == bound_outcome(per_pair_bound, *args)
+
+    @pytest.mark.parametrize("n_inputs,k", [(2, 2), (3, 2), (4, 3)])
+    def test_thm57_refuses_a_cl_target(self, n_inputs, k):
+        # the first window's 2-local diagonal pairs are refused, as every window's were
+        domain = make_domain(n_inputs)
+        with pytest.raises(ValueError, match="CL_01 is not 1-local"):
+            recognizability_bound("thm5.7", cl(), k, domain)
+        with pytest.raises(ValueError, match="CL_01 is not 1-local"):
+            per_pair_bound("thm5.7", cl(), k, domain)

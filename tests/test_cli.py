@@ -17,7 +17,9 @@ from qromlab.cli import main
 from qromlab.groups import GroupSpec
 from qromlab.oracle import (AdversaryCircuit, GateStep, OracleDomain, PhaseFlipStep, QueryStep,
                             relation_probabilities)
+from qromlab.properties import cl
 from qromlab.reporting import normalize_float, render_csv, render_json, wilson_interval
+from reference import per_pair_bound
 
 GOLDEN_CAPACITY_JSON = """\
 {
@@ -251,11 +253,13 @@ class TestCapacityCommand:
                          *restrict]) == 0
             return json.loads(out.read_text())["bound"]
 
-        restricted = bound("--restrict", "00")
-        assert set(windows) == {("00",)}
-        windows.clear()
-        assert restricted <= bound()
-        assert set(windows) == {("00",), ("01",), ("10",), ("11",)}
+        # a pool whose input is not the domain's first
+        restricted = bound("--restrict", "11")
+        assert set(windows) == {("11",)}
+        unrestricted = bound()
+        assert restricted <= unrestricted
+        domain = OracleDomain.of_bit_inputs(2, GroupSpec.bits(1))
+        assert unrestricted == normalize_float(per_pair_bound("thm5.12", cl(), 1, domain))
 
 
 class TestSimulateCommand:
@@ -359,11 +363,14 @@ class TestSimulateCommand:
         {**BASE, "registers": ["2", 2]},
         {**BASE, "registers": [2, None]},
         {**BASE, "registers": [True, 2]},
+        {**BASE, "steps": [{"type": "query", "in_regs": [0], "out_regs": [1.0]}]},
+        {**BASE, "steps": [{"type": "named", "name": "prepare_uniform", "regs": [1.0]}, QUERY]},
+        {**BASE, "output_regs": [True]},
     ], ids=["unknown-step-type", "non-preimage-relation", "non-unitary-gate", "bare-number-entries",
             "non-square-gate", "regs-not-a-list", "relation-not-an-object", "target-not-a-number",
             "not-an-object", "unknown-domain-kind", "register-of-dimension-0",
             "second-register-of-dimension-0", "float-register", "string-register", "null-register",
-            "bool-register"])
+            "bool-register", "float-out-reg", "float-gate-reg", "bool-output-reg"])
     def test_unsupported_circuit_file_exit_2(self, tmp_path, circuit):
         path = tmp_path / "circuit.json"
         path.write_text(json.dumps(circuit))
