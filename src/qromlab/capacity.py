@@ -25,7 +25,7 @@ from .properties import (
     WINDOW_DIM_BUDGET,
     DatabaseProperty,
     _around_window,
-    canonical_families,
+    canonical_family,
     truth_table,
     unique_rows,
     window_offsets,
@@ -389,24 +389,22 @@ def recognizability_bound(theorem: str, pprime: DatabaseProperty, k: int, domain
     """A recognizability bound (one of BOUND_THEOREMS) over all (window,
     exterior) pairs, with the canonical families of the target.
 
-    A bound is a maximum over families, so each window contributes its
-    distinct families only (properties.canonical_families), and the first
-    window of the pool alone is read: each theorem's maximum is the same
-    float in every window.  Every k-input window has the same exteriors.  A
-    PRMG or CL family of another window differs only in the input names of
-    its supports, which neither LocalProperty.weight nor locality reads.  A
-    CHN family is 1-local with one value set V at every position, and each
-    theorem's value never falls as |V| grows.  V grows with the family's
-    anchors (the exterior's support and the window), and the exterior
-    defined on every other input anchors it on the whole domain in every
-    window, so the largest V is the same in each.
+    A bound is a maximum over families, so it evaluates the one family that
+    attains it: properties.canonical_family, at the exterior that outweighs
+    every other, in the first window of the pool.  Each theorem's maximum is
+    the same float in every window.  Every k-input window has the same
+    exteriors.  A PRMG or CL family of another window differs only in the
+    input names of its supports, which neither LocalProperty.weight nor
+    locality reads.  A CHN family's value set V grows with its anchors (the
+    exterior's support and the window), and the exterior defined on every
+    other input anchors it on the whole domain in every window.
     """
     if theorem not in BOUND_THEOREMS:
         raise ValueError(f"unknown bound source {theorem!r}")
-    families = canonical_families(pprime, domain, window_pool(domain, k, x_restrict)[:k])
+    family = canonical_family(pprime, domain, window_pool(domain, k, x_restrict)[:k])
     # looked up at call time, so rebinding a module attribute reaches the call
     evaluate = (bound_thm_simple, bound_thm_tricky, bound_thm_general)
-    return evaluate[BOUND_THEOREMS.index(theorem)](families)
+    return evaluate[BOUND_THEOREMS.index(theorem)]([family])
 
 
 # Capacity calculus verification

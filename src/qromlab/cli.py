@@ -177,6 +177,8 @@ def _build_circuit(desc: dict) -> oracle_mod.AdversaryCircuit:
 
 
 def _cmd_simulate(args) -> int:
+    if args.shots is not None and args.shots < 1:
+        raise ValueError(f"--shots {args.shots} is not at least 1")
     desc = json.loads(Path(args.circuit).read_text())
     try:  # a file of the wrong shape, such as "regs": 5, is a usage error
         circuit = _build_circuit(desc)
@@ -194,7 +196,7 @@ def _cmd_simulate(args) -> int:
     gap_bound = (math.sqrt(p_prime) + math.sqrt(ell / m)) ** 2
     holds = oracle_mod.zhandry_gap_check(p, p_prime, ell, m)
     record = {"p": p, "p_prime": p_prime, "gap_bound": gap_bound, "holds": holds}
-    if args.shots:
+    if args.shots is not None:
         sampled = oracle_mod.sampled_relation_probability(
             circuit, relation, claimed, shots=args.shots, seed=args.seed)
         lo, hi = wilson_interval(sampled["successes"], sampled["shots"])

@@ -154,12 +154,17 @@ def _check_keys(domain: OracleDomain) -> None:
                              "more than int64 oracle keys index"))
 
 
+def _is_int(v) -> bool:
+    """v is an int and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_registers(reg_dims, regs) -> tuple:
     """regs as a tuple; ValueError unless they name distinct registers of
     reg_dims, each by an int index (a bool is not)."""
     regs = tuple(regs)
     for r in regs:
-        if not isinstance(r, int) or isinstance(r, bool):
+        if not _is_int(r):
             raise ValueError(f"register index {r!r} is not an integer")
     if not all(0 <= r < len(reg_dims) for r in regs):
         raise ValueError(f"registers {regs} name one outside its reg_dims {tuple(reg_dims)}")
@@ -521,8 +526,9 @@ class AdversaryCircuit:
     final x-output.  Each query step gives either classical inputs xs or
     input registers in_regs, one per response register; a register
     dimension that is not an int of at least 1 (a bool is not), a malformed
-    step, a register index that is not an int or lies outside reg_dims, or a
-    step naming one register twice raises ValueError.
+    step, a named gate's param that is not an int, a register index that is
+    not an int or lies outside reg_dims, or a step naming one register twice
+    raises ValueError.
     """
 
     domain: OracleDomain
@@ -533,8 +539,11 @@ class AdversaryCircuit:
 
     def __post_init__(self):
         for d in self.reg_dims:
-            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            if not _is_int(d) or d < 1:
                 raise ValueError(f"register dimension {d!r} is not an integer of at least 1")
+        for s in self.steps:
+            if isinstance(s, NamedGateStep) and not _is_int(s.param):
+                raise ValueError(f"named gate {s.name!r} has param {s.param!r}, which is not an integer")
         queries = [s for s in self.steps if isinstance(s, QueryStep)]
         if len({len(s.out_regs) for s in queries}) > 1:
             raise ValueError("query arity k must be constant across rounds")
@@ -788,7 +797,10 @@ def sampled_relation_probability(circuit: AdversaryCircuit, relation, claimed,
                                  shots: int, seed: int = 0) -> dict:
     """Monte-Carlo counterpart of the exact standard-oracle success: draw a
     fresh uniform function per shot, run the adversary against it, sample one
-    output, and score the relation against the true hashes."""
+    output, and score the relation against the true hashes.  shots must be
+    an int of at least 1."""
+    if not _is_int(shots) or shots < 1:
+        raise ValueError(f"shots {shots!r} is not an integer of at least 1")
     if not circuit.output_regs:
         raise ValueError("circuit must designate x output registers")
     rng = np.random.default_rng(seed)

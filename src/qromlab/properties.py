@@ -514,49 +514,32 @@ def prmg_local_family(xs, spec: GroupSpec, target: int = 0) -> LocalFamily:
     return LocalFamily(props)
 
 
-def canonical_families(pprime: DatabaseProperty, domain: OracleDomain, xs) -> list:
-    """The distinct canonical local families of the target pprime, a bare
-    PRMG, CL or CHN atom, over the exteriors of the window xs.
+def canonical_family(pprime: DatabaseProperty, domain: OracleDomain, xs) -> LocalFamily:
+    """The canonical local family of the target pprime, a bare PRMG, CL or CHN
+    atom, at the exterior of the window xs that maximises every bound.
 
-    A family depends on the exterior only through one feature (none for PRMG,
-    the exterior's value set for CL, its support for CHN), so one family is
-    built per distinct feature, from the first exterior in canonical order that
-    has it (_first_exteriors, the same for every window of its width).
+    PRMG has one uniform family.  CL and CHN take the exterior whose other
+    inputs hold the values 0, 1, 2, ... mod M: it has min(|X| - k, M)
+    distinct values, the most any exterior has, and it is defined on every
+    other input.  The choice is exact.  Every exterior's family has the same
+    members in the same order, with the same supports and localities; only
+    the weights differ.  A CL 2-local diagonal member always weighs 1/M, and
+    a CL 1-local member weighs |exterior values|/M.  A CHN member weighs
+    |V|/M, where V holds the range values that relate to an anchor (support
+    and window), so V grows with the support.  Float +, * and sqrt never
+    fall as an operand grows, so each theorem's float here is at least its
+    float at any other exterior, and a locality error (thm5.7 on CL at k >= 2)
+    is raised by every family alike.
     """
     kind, arg = pprime.atom or (None, None)
     if kind == "PRMG":
-        return [prmg_local_family(xs, domain.spec, arg)]
+        return prmg_local_family(xs, domain.spec, arg)
     if kind not in ("CL", "CHN"):
         raise ValueError(f"no canonical family for target {pprime.name!r}: "
                          "the bound needs a bare PRMG, CL or CHN target")
-    build = collision_local_family if kind == "CL" else functools.partial(chain_local_family, rel=arg)
-    exteriors = _around_window(domain, xs, _first_exteriors(kind, domain, len(_distinct_window(xs))))
-    return [build(Database(domain, tuple(values)), xs) for values in exteriors.tolist()]
-
-
-@functools.lru_cache(maxsize=64)
-def _first_exteriors(kind: str, domain: OracleDomain, k: int) -> np.ndarray:
-    """Per distinct CL or CHN feature of the exteriors of a k-input window,
-    the values on the |X| - k other inputs of the first exterior in
-    canonical order that has it; read-only.
-
-    Every k-input window's exteriors are the same value rows around it, and
-    the window's own inputs are undefined in each, so neither feature reads
-    them: both, and where they first occur, are those of the value rows.
-    """
-    rows = window_tuples(domain.spec, domain.size - k)
-    bot = domain.spec.bot
-    if kind == "CL":
-        present = np.zeros((len(rows), bot + 1), dtype=bool)
-        np.put_along_axis(present, rows.astype(np.intp), True, axis=1)
-        features = present[:, :bot]
-    else:
-        features = rows != bot
-    # a window on every input has one exterior, and a CHN feature of no columns
-    first = unique_rows(features)[0] if features.shape[1] else np.zeros(1, dtype=np.intp)
-    rows = rows[np.sort(first)]
-    rows.flags.writeable = False
-    return rows
+    others = np.arange(domain.size - len(_distinct_window(xs)))[None, :] % domain.spec.order
+    db = Database(domain, tuple(_around_window(domain, xs, others)[0].tolist()))
+    return collision_local_family(db, xs) if kind == "CL" else chain_local_family(db, xs, arg)
 
 
 # Property strings: NAME[key=val,...] with "!" complement, "&" intersection,

@@ -28,19 +28,15 @@ from qromlab.oracle import Database, OracleDomain, sparse_encode
 from qromlab.properties import (
     ChainRelation,
     DatabaseProperty,
-    chain_local_family,
     chn,
     cl,
-    collision_local_family,
     empty_db_prop,
     false_prop,
     parse_property,
     prmg,
-    prmg_local_family,
     size_at_most,
     true_prop,
     truth_table,
-    unique_rows,
     value_dtype,
     window_offsets,
     window_tuples,
@@ -449,66 +445,26 @@ def test_distinct_family_bound_matches_per_pair(name, p, pprime, k, spec):
     assert capacity_mod.recognizability_bound(name, pprime, k, domain) == per_pair_bound(name, pprime, k, domain)
 
 
-@pytest.mark.parametrize("text,k,spec", [
-    ("PRMG", 2, GroupSpec.bits(1)),
-    ("CL", 2, GroupSpec.bits(1)),
-    ("CL", 1, GroupSpec.cyclic(3)),
-    ("CHN[s=2]", 1, GroupSpec.bits(2)),
-    ("CHN[s=2,rel=prefix]", 1, GroupSpec.bits(2)),
-    ("CHN[s=2,rel=prefix]", 2, GroupSpec.bits(1)),
-])
-def test_canonical_families_cover_every_exterior(text, k, spec):
-    # a family lost to a merge of exteriors could hide the bound's maximum
-    domain = bit_domain(spec)
-    pprime = parse_property(text)
-    for xs in itertools.permutations(domain.inputs, k):
-        families = properties_mod.canonical_families(pprime, domain, xs)
-        assert set(families) == set(per_exterior_families(pprime, domain, xs)), xs
-
-
-def per_window_families(pprime, domain, xs):
-    """canonical_families from the features of the window's own exteriors:
-    exterior_values and unique_rows per window."""
-    kind, arg = pprime.atom
-    if kind == "PRMG":
-        return [prmg_local_family(xs, domain.spec, arg)]
-    exteriors = exterior_values(domain, xs)
-    bot = domain.spec.bot
-    if kind == "CL":
-        present = np.zeros((len(exteriors), bot + 1), dtype=bool)
-        np.put_along_axis(present, exteriors.astype(np.intp), True, axis=1)
-        features, build = present[:, :bot], collision_local_family
-    else:
-        features, build = exteriors != bot, lambda db, xs: chain_local_family(db, xs, arg)
-    first, _ = unique_rows(features)
-    return [build(Database(domain, tuple(exteriors[i].tolist())), xs) for i in np.sort(first)]
-
-
 FAMILY_TARGETS = ["PRMG", "PRMG[target=1]", "CL", "CHN[s=2]", "CHN[s=2,rel=prefix]", "CHN[s=1,rel=substring]"]
 
 
-@pytest.mark.parametrize("pool", [None, ("11", "00", "10")], ids=["all-inputs", "restricted"])
-@pytest.mark.parametrize("k", [1, 2, 3])
+# (n, k, pool): every window width at n=2, a restricted unsorted pool, and
+# windows on every input of n=1, which have no exterior
+FAMILY_WINDOWS = [(2, k, pool) for pool in (None, ("11", "00", "10")) for k in (1, 2, 3)] + [(1, 2, None)]
+
+
+@pytest.mark.parametrize("n,k,pool", FAMILY_WINDOWS)
 @pytest.mark.parametrize("spec", [GroupSpec.bits(1), GroupSpec.cyclic(3)], ids=["bits1", "cyclic3"])
 @pytest.mark.parametrize("text", FAMILY_TARGETS)
-def test_canonical_families_match_per_window_features(text, spec, k, pool):
-    # the features are derived once per window width; every window must
-    # still get the families, in the order, of its own exteriors
-    domain, pprime = bit_domain(spec), parse_property(text)
+def test_canonical_family_dominates_every_exterior(text, spec, n, k, pool):
+    # the bound reads one family: it must have every exterior's members, in
+    # their order, each weighing at least as much, or it could miss the maximum
+    domain, pprime = bit_domain(spec, n), parse_property(text)
     for xs in capacity_mod.query_windows(domain, k, pool):
-        assert properties_mod.canonical_families(pprime, domain, xs) == per_window_families(pprime, domain, xs), xs
-
-
-@pytest.mark.parametrize("text", FAMILY_TARGETS)
-def test_canonical_families_of_windows_without_exterior(text):
-    domain, pprime = bit_domain(GroupSpec.cyclic(3), n=1), parse_property(text)
-    for xs in capacity_mod.query_windows(domain, 2):
-        assert properties_mod.canonical_families(pprime, domain, xs) == per_window_families(pprime, domain, xs), xs
-
-
-def test_first_exteriors_are_read_only():
-    with pytest.raises(ValueError):
-        properties_mod._first_exteriors("CL", bit_domain(GroupSpec.bits(1)), 1)[0, 0] = 0
+        family = properties_mod.canonical_family(pprime, domain, xs)
+        for other in per_exterior_families(pprime, domain, xs):
+            assert [(lp.support, lp.locality) for lp in family] == [(lp.support, lp.locality) for lp in other]
+            assert all(a.weight >= b.weight for a, b in zip(family, other)), (xs, other)
 
 
 # Full reports of the per-row engine at n=3, m=1, k=2: the values, the first
@@ -623,7 +579,7 @@ def test_simulate_reports_pinned(tmp_path, seed, shots, sha256):
 
 class TestHotPath:
     """The budget-edge jobs decide properties only through truth tables and
-    build a Database only for the witness and for each distinct family."""
+    build a Database only for the witness and for the bound's one family."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -649,9 +605,9 @@ class TestHotPath:
     def test_quantum_with_bound(self, tmp_path, counts):
         self.run(tmp_path, "--bound", "thm5.12")
         assert counts["holds"] == 0
-        # the first of the 56 windows only, with the exterior value sets {},
-        # {0}, {1}, {0, 1}: every window's families weigh the same
-        assert counts["families"] == 4
+        # the first of the 56 windows only, at the exterior with the value
+        # set {0, 1}: it outweighs every other exterior in every window
+        assert counts["families"] == 1
         assert counts["database"] == 1 + counts["families"]
 
     def test_classical(self, tmp_path, counts):

@@ -366,16 +366,33 @@ class TestSimulateCommand:
         {**BASE, "steps": [{"type": "query", "in_regs": [0], "out_regs": [1.0]}]},
         {**BASE, "steps": [{"type": "named", "name": "prepare_uniform", "regs": [1.0]}, QUERY]},
         {**BASE, "output_regs": [True]},
+        {**BASE, "steps": [{"type": "named", "name": "prepare_dual", "regs": [1], "param": "1"}, QUERY]},
+        {**BASE, "steps": [{"type": "named", "name": "prepare_dual", "regs": [1], "param": 1.5}, QUERY]},
+        {**BASE, "steps": [{"type": "named", "name": "prepare_dual", "regs": [1], "param": True}, QUERY]},
+        {**BASE, "steps": [{"type": "named", "name": "prepare_uniform", "regs": [0], "param": "junk"}, QUERY]},
     ], ids=["unknown-step-type", "non-preimage-relation", "non-unitary-gate", "bare-number-entries",
             "non-square-gate", "regs-not-a-list", "relation-not-an-object", "target-not-a-number",
             "not-an-object", "unknown-domain-kind", "register-of-dimension-0",
             "second-register-of-dimension-0", "float-register", "string-register", "null-register",
-            "bool-register", "float-out-reg", "float-gate-reg", "bool-output-reg"])
-    def test_unsupported_circuit_file_exit_2(self, tmp_path, circuit):
+            "bool-register", "float-out-reg", "float-gate-reg", "bool-output-reg",
+            "string-param", "float-param", "bool-param", "unused-string-param"])
+    def test_unsupported_circuit_file_exit_2(self, tmp_path, capsys, circuit):
         path = tmp_path / "circuit.json"
         path.write_text(json.dumps(circuit))
         out = tmp_path / "report.json"
         assert main(["simulate", "--circuit", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_shots_below_1_exit_2(self, tmp_path, capsys, monkeypatch, shots):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(self.BASE))
+        out = tmp_path / "report.json"
+        # refused before the exact run
+        monkeypatch.setattr(cli_mod.oracle_mod, "relation_probabilities", None)
+        assert main(["simulate", "--circuit", str(path), "--shots", shots, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --shots")
         assert not out.exists()
 
     @pytest.mark.parametrize("query", [

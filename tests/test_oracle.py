@@ -425,6 +425,14 @@ class TestSampledMode:
         sigma = math.sqrt(p_exact * (1 - p_exact) / sampled["shots"])
         assert abs(sampled["estimate"] - p_exact) <= 4 * sigma + 1e-9
 
+    @pytest.mark.parametrize("shots", [0, -3, 2.0, True])
+    def test_sampling_needs_a_positive_int_of_shots(self, shots):
+        from qromlab.oracle import sampled_relation_probability
+
+        circuit = grover_preimage_circuit(bit_domain(1, m=1), 1)
+        with pytest.raises(ValueError, match="shots"):
+            sampled_relation_probability(circuit, lambda xs, ys: True, lambda xs: (0,) * len(xs), shots=shots)
+
 
 class TestNamedGates:
     def test_prepare_uniform_and_reflect_are_unitary(self):
