@@ -85,9 +85,9 @@ def window_pool(domain: OracleDomain, k: int, x_restrict=None) -> tuple:
     """The inputs the k-parallel query windows are drawn from: x_restrict,
     all inputs by default.
 
-    Raises KeyError for a pool input outside the domain. Raises ValueError
-    when the pool names an input twice, unless 1 <= k <= |pool|, and when the
-    windows alone exceed the enumeration budget.
+    Raises KeyError for a pool input outside the domain.  Raises ValueError
+    when the pool names an input twice, when k is outside 1..|pool|, and
+    when the windows alone exceed the enumeration budget.
     """
     if x_restrict is None:
         pool = domain.inputs  # distinct inputs of the domain, by construction
@@ -133,6 +133,20 @@ def window_exteriors(domain: OracleDomain, xs: tuple):
     return map(tuple, map(np.ndarray.tolist, _around_window(domain, xs, rows)))
 
 
+def permutation_invariant(*tables: np.ndarray) -> bool:
+    """Whether every truth table is unchanged by every permutation of X,
+    that is of its axes.  The transposition of the first two axes and the
+    cycle through all of them generate Sym(X), so the two suffice.
+
+    When both of a transition's tables pass, the permutation of X that maps
+    one window onto another, and the other inputs in domain order onto each
+    other, maps each (exterior, window tuple) cell of the one onto the same
+    cell of the other: every window holds the first window's codes."""
+    return all(t.ndim < 2 or (np.array_equal(t, t.swapaxes(0, 1))
+                              and np.array_equal(t, np.moveaxis(t, 0, -1)))
+               for t in tables)
+
+
 def window_blocks(spec: GroupSpec, k: int, in_mask: np.ndarray, out_mask: np.ndarray):
     """The blocks [out_mask, in_mask] of Gamma(yhat_1) x ... x Gamma(yhat_k),
     yielded one per yhat tuple in itertools.product order.
@@ -169,7 +183,10 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     exterior depends on it only through its two window masks, so the masks of
     every (window, exterior) row are gathered from the two truth tables through
     one index (properties.window_offsets), about MASK_ROWS mask entries per
-    batch, and each distinct mask pair is normed once per yhat.
+    batch, and each distinct mask pair is normed once per yhat.  When both
+    tables are invariant under permutations of X (permutation_invariant),
+    every window has the first window's events, so only the pool's first
+    window is decided; otherwise every window is.
     """
     spec = domain.spec
     pool = window_pool(domain, k, x_restrict)
@@ -177,8 +194,13 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
         raise ValueError("window dimension exceeds the exact-computation budget")
     # refused from the pool size, before a window is listed
     check_enumeration(len(pool), k, spec.order, domain.size - k)
-    positions = np.array(list(itertools.permutations([domain.index(x) for x in pool], k)),
-                         dtype=np.intp)
+    p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
+    windows = itertools.permutations([domain.index(x) for x in pool], k)
+    if permutation_invariant(p_table, pprime_table):
+        # every window has the first one's events, and the first window's
+        # keys are the smallest, so the fold never leaves it
+        windows = itertools.islice(windows, 1)
+    positions = np.array(list(windows), dtype=np.intp)
 
     dim = (spec.order + 1) ** k
     norms: dict = {}
@@ -192,8 +214,7 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
         return norms[key]
 
     # bit 0 of a database's code decides p, bit 1 decides pprime
-    codes = (truth_table(p, domain).ravel().view(np.uint8)
-             | truth_table(pprime, domain).ravel().view(np.uint8) << 1)
+    codes = p_table.ravel().view(np.uint8) | pprime_table.ravel().view(np.uint8) << 1
     index, cols = window_offsets(domain, positions)
     n_windows, exteriors = index.shape
     # a batch is a run of whole windows, or a run of one window's exteriors
@@ -282,7 +303,11 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     in pprime (already-defined coordinates keep their values).  Per window,
     the hit counts of all databases are one product of pprime's window view
     with the 0/1 matrix of draws, reading both truth tables once through one
-    index of every window (properties.window_offsets).
+    index of every window (properties.window_offsets).  When both tables are
+    invariant under permutations of X (permutation_invariant), every window
+    has the first window's probabilities, so only the first is evaluated,
+    and the witness window is the one whose smallest maximising cell comes
+    first.
     """
     spec = domain.spec
     pool = window_pool(domain, k, x_restrict)
@@ -290,7 +315,9 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     windows = query_windows(domain, k, pool)
     index, cols = window_offsets(domain, np.array([[domain.index(x) for x in xs] for xs in windows],
                                                   dtype=np.intp))
-    p_flat, pprime_flat = truth_table(p, domain).ravel(), truth_table(pprime, domain).ravel()
+    p_table, pprime_table = truth_table(p, domain), truth_table(pprime, domain)
+    p_flat, pprime_flat = p_table.ravel(), pprime_table.ravel()
+    symmetric = permutation_invariant(p_table, pprime_table)
     ext = spec.order + 1
     outcomes = float(spec.order) ** (window_tuples(spec, k) == spec.bot).sum(axis=1)
     # the draw matrix a (a[w, r] = [w == r] for a group value w, [r != bot]
@@ -299,7 +326,7 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
     a_t[:spec.bot, spec.bot] = 1.0
     a_t[spec.bot, spec.bot] = 0.0
     best, best_at = 0.0, None
-    for xi in range(len(windows)):
+    for xi in range(1 if symmetric else len(windows)):
         # the flat table cell of each (exterior, window tuple) of the window
         cells = index[xi][:, None] + cols[xi]
         # hits[D] counts the draws for D's undefined window entries that land
@@ -315,14 +342,19 @@ def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: i
         value = float(prob.max())
         if value < best or value == 0.0:
             continue
-        # the first database, in canonical order, at which this window
-        # attains its maximum: the smallest such flat cell
-        first = int(cells[prob == value].min())
+        # the windows whose cells hold this window's probabilities, and per
+        # window the first database, in canonical order, at which it attains
+        # the maximum: its smallest maximising flat cell
+        lo, hi = (0, len(windows)) if symmetric else (xi, xi + 1)
+        e, j = np.nonzero(prob == value)
+        firsts = (index[lo:hi, e] + cols[lo:hi, j]).min(axis=1)
+        at = int(firsts.argmin())
+        found = (int(firsts[at]), lo + at)
         # Distinct probabilities differ by at least M^-k, so the per-row
         # fold's first prob > best + 1e-15 is the first (database, window)
         # pair, databases outer, that attains the exact maximum.
-        if value > best or (first, xi) < best_at:
-            best, best_at = value, (first, xi)
+        if value > best or found < best_at:
+            best, best_at = value, found
     best_witness = None
     if best_at is not None:
         values = np.unravel_index(best_at[0], (ext,) * domain.size)

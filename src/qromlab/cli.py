@@ -177,8 +177,8 @@ def _build_circuit(desc: dict) -> oracle_mod.AdversaryCircuit:
 
 
 def _cmd_simulate(args) -> int:
-    if args.shots is not None and args.shots < 1:
-        raise ValueError(f"--shots {args.shots} is not at least 1")
+    if args.shots is not None and not 1 <= args.shots <= oracle_mod.SHOTS_BUDGET:
+        raise ValueError(f"--shots {args.shots} is not from 1 to {oracle_mod.SHOTS_BUDGET}")
     desc = json.loads(Path(args.circuit).read_text())
     try:  # a file of the wrong shape, such as "regs": 5, is a usage error
         circuit = _build_circuit(desc)
@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a circuit file and the gap check")
     sim.add_argument("--circuit", required=True)
-    sim.add_argument("--shots", type=int, help="also estimate p by per-shot sampling")
+    sim.add_argument("--shots", type=int,
+                     help=f"also estimate p by per-shot sampling, 1 to {oracle_mod.SHOTS_BUDGET} shots")
     sim.add_argument("--out")
     sim.set_defaults(func=_cmd_simulate)
 

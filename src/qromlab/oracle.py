@@ -30,6 +30,7 @@ from .groups import GroupSpec, character_row, comp_matrix, dual_transform, trans
 DEFAULT_BUDGET = 1 << 24
 KEY_LIMIT = 1 << 63  # the oracle indices an int64 row key holds
 PRUNE_TOL = 1e-14
+SHOTS_BUDGET = 100_000  # most sampled shots, each one fixed-function simulation
 
 
 def amplitude_budget() -> int:
@@ -798,9 +799,9 @@ def sampled_relation_probability(circuit: AdversaryCircuit, relation, claimed,
     """Monte-Carlo counterpart of the exact standard-oracle success: draw a
     fresh uniform function per shot, run the adversary against it, sample one
     output, and score the relation against the true hashes.  shots must be
-    an int of at least 1."""
-    if not _is_int(shots) or shots < 1:
-        raise ValueError(f"shots {shots!r} is not an integer of at least 1")
+    an int from 1 to SHOTS_BUDGET."""
+    if not _is_int(shots) or not 1 <= shots <= SHOTS_BUDGET:
+        raise ValueError(f"shots {shots!r} is not an integer from 1 to {SHOTS_BUDGET}")
     if not circuit.output_regs:
         raise ValueError("circuit must designate x output registers")
     rng = np.random.default_rng(seed)

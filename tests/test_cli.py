@@ -15,8 +15,8 @@ from qromlab import bounds, properties
 from qromlab import cli as cli_mod
 from qromlab.cli import main
 from qromlab.groups import GroupSpec
-from qromlab.oracle import (AdversaryCircuit, GateStep, OracleDomain, PhaseFlipStep, QueryStep,
-                            relation_probabilities)
+from qromlab.oracle import (SHOTS_BUDGET, AdversaryCircuit, GateStep, OracleDomain, PhaseFlipStep,
+                            QueryStep, relation_probabilities)
 from qromlab.properties import cl
 from qromlab.reporting import normalize_float, render_csv, render_json, wilson_interval
 from reference import per_pair_bound
@@ -384,8 +384,8 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("shots", ["0", "-3"])
-    def test_shots_below_1_exit_2(self, tmp_path, capsys, monkeypatch, shots):
+    @pytest.mark.parametrize("shots", ["0", "-3", str(SHOTS_BUDGET + 1), "1000000000"])
+    def test_shots_outside_budget_exit_2(self, tmp_path, capsys, monkeypatch, shots):
         path = tmp_path / "circuit.json"
         path.write_text(json.dumps(self.BASE))
         out = tmp_path / "report.json"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qromlab.groups import GroupSpec, comp_matrix
 from qromlab.oracle import (
+    SHOTS_BUDGET,
     AdversaryCircuit,
     BudgetExceeded,
     Database,
@@ -425,11 +426,14 @@ class TestSampledMode:
         sigma = math.sqrt(p_exact * (1 - p_exact) / sampled["shots"])
         assert abs(sampled["estimate"] - p_exact) <= 4 * sigma + 1e-9
 
-    @pytest.mark.parametrize("shots", [0, -3, 2.0, True])
-    def test_sampling_needs_a_positive_int_of_shots(self, shots):
+    @pytest.mark.parametrize("shots", [0, -3, 2.0, True, SHOTS_BUDGET + 1])
+    def test_sampling_needs_an_int_of_shots_within_budget(self, monkeypatch, shots):
+        from qromlab import oracle as oracle_mod
         from qromlab.oracle import sampled_relation_probability
 
         circuit = grover_preimage_circuit(bit_domain(1, m=1), 1)
+        # refused before any shot runs
+        monkeypatch.setattr(oracle_mod, "run_adversary_fixed_function", None)
         with pytest.raises(ValueError, match="shots"):
             sampled_relation_probability(circuit, lambda xs, ys: True, lambda xs: (0,) * len(xs), shots=shots)
 
