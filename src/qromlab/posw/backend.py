@@ -81,6 +81,8 @@ def parse_label_payload(payload: bytes, w: int):
     One pass over the frame: it accepts exactly the byte strings that
     label_payload produces, so a statement or label wider than w bits, a
     vertex with set padding bits, and a truncated vertex or label are refused.
+    One-byte statements and labels are read straight from the bytes, and the
+    w-bit bound is tested once, on the largest label.
     """
     nb = (w + 7) // 8
     size = len(payload)
@@ -90,17 +92,18 @@ def parse_label_payload(payload: bytes, w: int):
     start = nb + 2 + (depth + 7) // 8  # first label byte
     if size < start or (size - start) % nb:
         return None
-    chi = int.from_bytes(payload[1 : nb + 1], "big")
     packed = int.from_bytes(payload[nb + 2 : start], "big")
     if packed >> depth:
         return None
     if nb == 1:
+        chi = payload[1]
         labels = tuple(payload[start:])
     else:
+        chi = int.from_bytes(payload[1 : nb + 1], "big")
         labels = tuple(int.from_bytes(payload[i : i + nb], "big") for i in range(start, size, nb))
-    if w % 8 and (chi >> w or any(label >> w for label in labels)):
+    if w % 8 and (chi >> w or labels and max(labels) >> w):
         return None
-    return chi, format(packed, f"0{depth}b") if depth else "", labels
+    return chi, format(packed, "b").zfill(depth) if depth else "", labels
 
 
 def parse_challenge_payload(payload: bytes, w: int):

@@ -6,6 +6,10 @@ Databases here are query logs: finite maps from framed oracle inputs to w-bit
 values, as exposed by the table backend.  Each check parses a log once, in
 canonical payload order, and indexes the label entries of its statement by
 vertex and slot labels; extraction and the chain length read that one parse.
+The new-path check builds the updated log's parse from the base one,
+parsing only the payloads new to the log and merging them in canonical
+payload order.  The leaf-count check extracts only the root labels that some
+root entry holds: any other root label extracts no leaf.
 The checks read the DAG from its cached per-depth table, dag.topology(n).
 The extraction lemma's check frames each equation it checks from
 dag.in_neighbors and looks it up in the log itself, so a fault in the index
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..properties import longest_path
 from . import dag
@@ -54,7 +59,8 @@ def _label_entries_by_vertex(log: list, n: int, chi: int) -> dict:
     return index
 
 
-def extract(db: dict, n: int, phi: int, chi: int, w: int) -> ExtractResult:
+def extract(db: dict, n: int, phi: int, chi: int, w: int, *,
+            _log: list | None = None) -> ExtractResult:
     """Top-down labeling extraction followed by the leaf consistency check.
 
     A vertex decomposes when the database holds a label entry for it whose
@@ -62,8 +68,11 @@ def extract(db: dict, n: int, phi: int, chi: int, w: int) -> ExtractResult:
     already-extracted skip labels; the children then inherit the child slots.
     With collisions in the database the decomposition may be ambiguous; the
     first candidate in canonical payload order is taken and a flag raised.
+    A caller that already holds the log's parse (_parse_log(db, w)) passes it
+    as _log.
     """
-    return _extract(_label_entries_by_vertex(_parse_log(db, w), n, chi), n, phi)
+    log = _parse_log(db, w) if _log is None else _log
+    return _extract(_label_entries_by_vertex(log, n, chi), n, phi)
 
 
 def _extract(entries: dict, n: int, phi: int) -> ExtractResult:
@@ -157,17 +166,20 @@ def check_leaves_lemma(db: dict, n: int, w: int, chi: int, extra_phis=()) -> boo
     extracted subtree has at most (q+2)/2 leaves.
 
     Root-label candidates are all values occurring in the database plus any
-    supplied extras.  Databases with unboundedly long chains satisfy the bound
-    vacuously.
+    supplied extras.  Only the candidates that some root entry of the index
+    holds are extracted: any other root label decomposes no vertex and
+    extracts no leaf (at n=0 the root is the leaf, and only a root entry
+    holding its label keeps it), and the limit is at least 1, so skipping it
+    never changes the verdict.  Databases with unboundedly long chains
+    satisfy the bound vacuously.
     """
     log = _parse_log(db, w)
     q = longest_posw_chain(db, n, w, _log=log)
     if math.isinf(q):
         return True
-    phis = sorted(set(db.values()) | set(extra_phis))
     limit = (q + 2) / 2.0
     entries = _label_entries_by_vertex(log, n, chi)
-    for phi in phis:
+    for phi in set(entries.get(dag.ROOT, {}).values()):
         if sum(len(v) == n for v in _extract(entries, n, phi).tree) > limit:
             return False
     return True
@@ -242,26 +254,28 @@ def _consistent_path_exists(entries: dict, n: int, phi: int, v: str) -> bool:
 
 def check_newpath_lemma(db: dict, xs, us, phi: int, chi: int, n: int, w: int) -> bool:
     """Update locality of extraction: every leaf gained by redefining the
-    database on xs admits an ancestor whose new label is one of the fresh
+    database on xs (xs[i] to us[i], in order, so a repeated payload takes its
+    last value) admits an ancestor whose new label is one of the fresh
     values.  Assumes the base database is collision-free.
+
+    The base log is parsed once.  The updated log's parse is built from it:
+    the redefined entries take their new values, and only the payloads new
+    to the log are parsed, merged in canonical payload order.
     """
-    updated = dict(db)
-    for payload, value in zip(xs, us):
-        updated[payload] = value
-    base = extract(db, n, phi, chi, w)
-    new = extract(updated, n, phi, chi, w)
+    if len(xs) != len(us):
+        raise ValueError(f"{len(xs)} payloads to redefine but {len(us)} values")
+    fresh = dict(zip(xs, us))
+    updated = {**db, **fresh}
+    base_log = _parse_log(db, w)
+    new_log = [(payload, parsed, updated[payload]) for payload, parsed, _ in base_log]
+    new_log += [(payload, parse_label_payload(payload, w), value)
+                for payload, value in fresh.items() if payload not in db]
+    new_log.sort(key=itemgetter(0))
+    base = extract(db, n, phi, chi, w, _log=base_log)
+    new = extract(updated, n, phi, chi, w, _log=new_log)
     gained = {v for v in new.tree if len(v) == n} - base.tree
-    for v in sorted(gained, key=dag.vertex_key):
-        found = False
-        for payload in xs:
-            if db.get(payload) == updated[payload]:
-                continue
-            if any(updated[payload] == new.labels.get(z) for z in dag.ancestors(v)):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    changed = {value for payload, value in fresh.items() if db.get(payload) != value}
+    return all(any(new.labels.get(z) in changed for z in dag.ancestors(v)) for v in gained)
 
 
 def path_to_chain(labels: dict, path, n: int, chi: int, w: int, db: dict | None = None) -> list:

@@ -460,9 +460,11 @@ def ref_parse_label_payload(payload, w):
     return chi, v, labels
 
 
-# byte-aligned and unaligned widths, the edges of the admitted range included
+# byte-aligned and unaligned widths, the edges of the admitted range included,
+# and the widths below one byte that backends refuse but the lemma checks
+# parse logs at (the n=1, w=2 sweep among them), where a label is one byte
 PARSE_WIDTHS = st.one_of(st.sampled_from([8, 9, 13, 15, 16, 17, 255, 256, 257, 511, 512]),
-                         st.integers(8, 512))
+                         st.integers(8, 512), st.integers(1, 7))
 
 
 @st.composite

@@ -434,6 +434,8 @@ def ref_check_extract_lemma(db, n, w, chi, phi, completeness=False):
 
 
 def ref_check_newpath_lemma(db, xs, us, phi, chi, n, w):
+    if len(xs) != len(us):
+        raise ValueError("every redefined payload needs one value")
     updated = dict(db)
     for payload, value in zip(xs, us):
         updated[payload] = value
@@ -541,6 +543,93 @@ def test_colliding_logs_fail_like_the_references():
     assert not ref_check_newpath_lemma(db, [first], [0], phi, chi, n, w)
     assert not check_extract_lemma(db, n, w, chi, phi, completeness=True)
     assert not ref_check_extract_lemma(db, n, w, chi, phi, completeness=True)
+
+
+def colliding_log():
+    """(db, first, phi) at n=1, w=2, chi=1: two root entries share the value
+    phi, and extraction takes first, the one that sorts first."""
+    first = label_payload(1, dag.ROOT, [0, 1], 2)
+    db = {first: 3, label_payload(1, dag.ROOT, [2, 1], 2): 3, label_payload(1, "0", [], 2): 2}
+    return db, first, 3
+
+
+def test_newpath_refuses_unpaired_payloads():
+    """A payload with no value, or a value with no payload, is refused before
+    any extraction, by the check and its reference alike."""
+    db, first, phi = colliding_log()
+    unlogged = label_payload(1, "1", [3], 2)
+    for xs, us in (([first, unlogged], [0]), ([first], [0, 1]), ([], [0])):
+        for check in (check_newpath_lemma, ref_check_newpath_lemma):
+            with pytest.raises(ValueError):
+                check(db, xs, us, phi, 1, 1, 2)
+
+
+def newpath_with_spy(monkeypatch, db, xs, us, phi, chi, n, w):
+    """check_newpath_lemma's verdict, after checking that each of its two
+    extractions reads the log it is handed, parsed as _parse_log parses it:
+    the base log, then the log with xs[i] set to us[i] in order."""
+    extract_mod = importlib.import_module("qromlab.posw.extract")
+    real = extract_mod.extract
+    calls = []
+
+    def spy(db, n, phi, chi, w, *, _log=None):
+        calls.append((dict(db), _log))
+        return real(db, n, phi, chi, w, _log=_log)
+
+    monkeypatch.setattr(extract_mod, "extract", spy)
+    verdict = check_newpath_lemma(db, xs, us, phi, chi, n, w)
+    monkeypatch.undo()
+    updated = dict(db)
+    for payload, value in zip(xs, us):
+        updated[payload] = value
+    assert [seen for seen, _ in calls] == [db, updated]
+    assert [log for _, log in calls] == [_parse_log(db, w), _parse_log(updated, w)]
+    return verdict
+
+
+def test_newpath_merge_edge_cases_match_reference(monkeypatch):
+    n, w, chi = 1, 2, 1
+    db, first, phi = colliding_log()
+    challenge = challenge_payload(chi, phi, 0, w)
+    cases = [
+        # a repeated payload takes its last value: redefined, then restored
+        (db, [first, first], [0, phi], True),
+        (db, [first, first], [phi, 0], False),
+        # payloads that are not label-framed parse to None and are merged;
+        # their fresh values count, so a challenge set to the gained leaf's
+        # label 2 passes the check
+        (db, [challenge, b"\x07raw", first], [1, 1, 0], False),
+        (db, [challenge, b"\x07raw", first], [2, 1, 0], True),
+        ({**db, challenge: 1}, [challenge, b"\x00"], [0, 3], True),
+        # an entry set again to its own value changes nothing
+        (db, [first], [phi], True),
+        (db, [first, label_payload(chi, "1", [2], w)], [phi, 1], True),
+        # a new root entry that sorts before the candidate first is taken
+        # first, and the leaves it gains sit below the fresh root label
+        ({label_payload(chi, dag.ROOT, [2, 1], w): phi, label_payload(chi, "0", [], w): 0,
+          label_payload(chi, "1", [0], w): 1},
+         [label_payload(chi, dag.ROOT, [0, 1], w)], [phi], True),
+    ]
+    for log, xs, us, expected in cases:
+        assert newpath_with_spy(monkeypatch, log, xs, us, phi, chi, n, w) == expected, (log, xs, us)
+        assert ref_check_newpath_lemma(log, xs, us, phi, chi, n, w) == expected, (log, xs, us)
+
+
+def test_leaves_lemma_fails_on_a_shortened_chain(monkeypatch):
+    """The honest n=2 log has a chain of length 7, and its root label
+    extracts all 4 leaves, within the limit 4.5; a chain length of 5 (limit
+    3.5) must fail the bound.  This pins the limit and the root labels that
+    the check extracts, which no random log brings near the bound."""
+    n, w, chi = 2, 8, 9
+    backend = TableBackend(w, seed=5)
+    phi = prove(chi=chi, params=PoswParams(n=n, w=w), t=1, backend=backend).phi
+    db = backend.database()
+    assert longest_posw_chain(db, n, w) == 7
+    assert {v for v in extract(db, n, phi, chi, w).tree if len(v) == n} == set(dag.leaves(n))
+    assert check_leaves_lemma(db, n, w, chi)
+    extract_mod = importlib.import_module("qromlab.posw.extract")
+    monkeypatch.setattr(extract_mod, "longest_posw_chain", lambda *args, **kwargs: 5.0)
+    assert not check_leaves_lemma(db, n, w, chi)
 
 
 def test_wide_statement_matches_reference():
