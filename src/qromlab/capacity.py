@@ -183,7 +183,8 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     exterior depends on it only through its two window masks, so the masks of
     every (window, exterior) row are gathered from the two truth tables through
     one index (properties.window_offsets), about MASK_ROWS mask entries per
-    batch, and each distinct mask pair is normed once per yhat.  When both
+    batch, and each distinct mask pair is normed once per yhat.  Each batch is
+    folded into the running maximum as soon as it is normed.  When both
     tables are invariant under permutations of X (permutation_invariant),
     every window has the first window's events, so only the pool's first
     window is decided; otherwise every window is.
@@ -202,6 +203,7 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
         windows = itertools.islice(windows, 1)
     positions = np.array(list(windows), dtype=np.intp)
 
+    all_yhats = list(itertools.product(range(spec.order), repeat=k))
     dim = (spec.order + 1) ** k
     norms: dict = {}
 
@@ -216,82 +218,59 @@ def quantum_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int
     # bit 0 of a database's code decides p, bit 1 decides pprime
     codes = p_table.ravel().view(np.uint8) | pprime_table.ravel().view(np.uint8) << 1
     index, cols = window_offsets(domain, positions)
-    n_windows, exteriors = index.shape
-    # a batch is a run of whole windows, or a run of one window's exteriors
-    # when a window alone has more than MASK_ROWS // dim of them
+    exteriors = index.shape[1]
+    # a batch is a run of rows in enumeration order, row w * exteriors + e
+    # holding exterior e of window w
     rows = max(1, MASK_ROWS // dim)
-    step_w, step_e = (max(1, rows // exteriors), exteriors) if exteriors <= rows else (1, rows)
-    small = np.min_scalar_type(step_w * step_e)
-    # per batch: its first window and exterior, its exteriors per window, its
-    # live rows, each one's distinct mask pair, and the norms of those pairs
-    batches = []
-    top = -math.inf
-    for w0 in range(0, n_windows, step_w):
-        for e0 in range(0, exteriors, step_e):
-            # codes by (window, window tuple, exterior); the OR over the
-            # tuples has both bits set exactly on the live rows
-            batch = np.take(codes, cols[w0:w0 + step_w, :, None]
-                            + index[w0:w0 + step_w, None, e0:e0 + step_e])
-            width = batch.shape[2]
-            live = np.flatnonzero(np.bitwise_or.reduce(batch, axis=1) == 3)
-            if not len(live):
-                continue
-            row_codes = batch[live // width, :, live % width]
-            masks = np.concatenate([(row_codes & 1).view(bool), (row_codes >> 1).view(bool)], axis=1)
-            first, pair_of = unique_rows(masks)
-            table = np.array([block_norms(pair) for pair in masks[first]])
-            top = max(top, float(table.max()))
-            batches.append((w0, e0, width, live.astype(small), pair_of.astype(small), table))
-    best, best_key = _first_maximum(batches, top, list(itertools.product(range(spec.order), repeat=k)))
-    best_witness = None
-    if best_key is not None:
-        best_xs = next(itertools.islice(itertools.permutations(pool, k), best_key[0], None))
-        values = next(itertools.islice(window_exteriors(domain, best_xs), best_key[2], None))
-        best_witness = {
-            "xs": list(best_xs),
-            "yhats": list(best_key[1]),
-            "database": sparse_encode(Database(domain, values)),
-        }
-    return CapacityReport(value=best, witness=best_witness, kind="quantum")
-
-
-def _first_maximum(batches, top: float, all_yhats: list) -> tuple:
-    """(best, best_key): the per-row enumeration's fold over the events of
-    the quantum engine's batches, stopped once no later event can move it.
-
-    One event per (live row, yhat), visited windows outer, then exteriors,
-    then yhats.  An event replaces the running best when it exceeds it by
-    more than 1e-12, or when it lies within 1e-12 of it and its key
-    (window index, yhats, exterior index) is smaller.  top is the largest
-    event.
-    """
-    best = 0.0
-    best_key = None
-    for w0, e0, width, live, pair_of, table in batches:
+    best, best_key = 0.0, None
+    for start in range(0, index.size, rows):
+        w, e = np.divmod(np.arange(start, min(start + rows, index.size)), exteriors)
+        # codes by (row, window tuple); the OR over the tuples has both bits
+        # set exactly on the live rows
+        batch = np.take(codes, index[w, e][:, None] + cols[w])
+        live = np.flatnonzero(np.bitwise_or.reduce(batch, axis=1) == 3)
+        if not len(live):
+            continue
+        w, e, batch = w[live], e[live], batch[live]
+        masks = np.concatenate([(batch & 1).view(bool), (batch >> 1).view(bool)], axis=1)
+        first, pair_of = unique_rows(masks)
+        table = np.array([block_norms(pair) for pair in masks[first]])
+        peak = float(table.max())
+        # one event per (live row, yhat), in the per-row enumeration's order:
+        # windows, exteriors, yhats
         events = table[pair_of].ravel()
         # An event moves the fold only if it exceeds the running best less
         # 1e-12, and the running best never falls more than 1e-12 below the
         # largest value seen; skipping the events under that maximum less
         # 2e-12 therefore changes nothing.
         seen = np.maximum.accumulate(np.concatenate(([best], events)))[:-1]
-        for e in np.flatnonzero(events > seen - 2e-12).tolist():
-            i, y = divmod(e, len(all_yhats))
-            xi, row = divmod(int(live[i]), width)
-            xi, row = w0 + xi, e0 + row
-            # No event exceeds top, so once top <= best + 1e-12 none passes
-            # the first test below; an event of a later window than best_key's
-            # has a larger key and fails the second.  The fold is done.
-            if best_key is not None and xi > best_key[0] and top <= best + 1e-12:
-                return best, best_key
-            value = float(events[e])
+        for i in np.flatnonzero(events > seen - 2e-12).tolist():
+            row, y = divmod(i, len(all_yhats))
+            xi = int(w[row])
+            # No event of the batch exceeds peak, so once peak <= best + 1e-12
+            # none passes the first test below; an event of a later window
+            # than best_key's has a larger key and fails the second, and so
+            # does every later event of the batch.  The batch is done.
+            if best_key is not None and xi > best_key[0] and peak <= best + 1e-12:
+                break
+            value = float(events[i])
             # exteriors are enumerated in value order, so within one
             # window the row index orders them as their values would
-            key = (xi, all_yhats[y], row)
+            key = (xi, all_yhats[y], int(e[row]))
             if value > best + 1e-12 or (value > best - 1e-12 and (best_key is None or key < best_key)):
                 if value > best:
                     best = value
                 best_key = key
-    return best, best_key
+    best_witness = None
+    if best_key is not None:
+        best_xs = [domain.inputs[i] for i in positions[best_key[0]].tolist()]
+        values = next(itertools.islice(window_exteriors(domain, tuple(best_xs)), best_key[2], None))
+        best_witness = {
+            "xs": best_xs,
+            "yhats": list(best_key[1]),
+            "database": sparse_encode(Database(domain, values)),
+        }
+    return CapacityReport(value=best, witness=best_witness, kind="quantum")
 
 
 def classical_capacity_exact(p: DatabaseProperty, pprime: DatabaseProperty, k: int,

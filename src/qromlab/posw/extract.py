@@ -131,13 +131,7 @@ def _logged_equation_holds(db: dict, n: int, chi: int, w: int, labels: dict, v: 
 
 def db_has_collision(db: dict, w: int) -> bool:
     """A collision is two distinct defined inputs sharing a value."""
-    seen: set = set()
-    for payload in db:
-        value = db[payload]
-        if value in seen:
-            return True
-        seen.add(value)
-    return False
+    return len(set(db.values())) < len(db)
 
 
 def longest_posw_chain(db: dict, n: int, w: int, *, _log: list | None = None) -> float:

@@ -792,16 +792,19 @@ class TestEngineAgainstPerWindow:
             patch.setattr(capacity_mod, "MASK_ROWS", rows)
             self.same(*job)
 
-    @given(job=table_jobs())
+    @given(job=table_jobs(), mask_rows=st.sampled_from((None, 7, 40, 300)))
     @settings(max_examples=150, deadline=None)
-    def test_random_tables_with_near_ties(self, job):
+    def test_random_tables_with_near_ties(self, job, mask_rows):
         # each block's norm is raised by 0, 1e-13, 5e-13, 2e-12 or 1e-10,
         # picked by its bytes, so blocks of equal norm become maxima inside
-        # the 1e-12 tolerance, just outside it, and far outside it
+        # the 1e-12 tolerance, just outside it, and far outside it; small
+        # batches fold them across batch boundaries inside and between windows
         def nudged(a, exact=operator_norm):
             return exact(a) + (0.0, 1e-13, 5e-13, 2e-12, 1e-10)[zlib.crc32(a.tobytes()) % 5]
 
+        rows = MASK_ROWS if mask_rows is None else mask_rows
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capacity_mod, "MASK_ROWS", rows)
             patch.setattr(capacity_mod, "operator_norm", nudged)
             patch.setitem(globals(), "operator_norm", nudged)
             self.same(*job)
