@@ -22,6 +22,7 @@ from . import capacity as capacity_mod
 from . import oracle as oracle_mod
 from . import posw as posw_mod
 from .groups import GroupSpec
+from .posw.backend import LABEL_TAG, encode_vertex, label_bytes
 from .properties import parse_property
 from .reporting import render_csv, render_json, wilson_interval
 
@@ -264,15 +265,28 @@ def _cmd_posw_verify(args) -> int:
     return 0 if result.accepted else 1
 
 
+@functools.lru_cache(maxsize=1)
+def _label_heads(n: int, w: int, chi: int) -> tuple:
+    """(head, arity) of every vertex, in vertex order: head is the label frame
+    up to the in-neighbour labels, LABEL_TAG + label_bytes(chi, w) +
+    encode_vertex(v), and arity the number of labels that follow it.  A lemma
+    run draws every log for one (n, w, chi), so one table is kept."""
+    tag = LABEL_TAG + label_bytes(chi, w)
+    return tuple((tag + encode_vertex(v), len(posw_mod.dag.in_neighbors(v, n)))
+                 for v in posw_mod.dag.all_vertices(n))
+
+
 def _random_db(rng, n: int, w: int, chi: int, entries: int) -> dict:
-    """A random query log over honest-shaped label inputs."""
+    """A random query log over honest-shaped label inputs.  Each entry draws
+    a vertex, its in-neighbour labels and its value, in that order, and frames
+    as label_payload does: the vertex's head and each label's w-bit bytes."""
+    heads = _label_heads(n, w, chi)
+    nbytes = (w + 7) // 8
     db = {}
-    vertices = posw_mod.dag.all_vertices(n)
     for _ in range(entries):
-        v = vertices[rng.randrange(len(vertices))]
-        arity = len(posw_mod.dag.in_neighbors(v, n))
-        labels = tuple(rng.getrandbits(w) for _ in range(arity))
-        db[posw_mod.label_payload(chi, v, labels, w)] = rng.getrandbits(w)
+        head, arity = heads[rng.randrange(len(heads))]
+        body = b"".join([rng.getrandbits(w).to_bytes(nbytes, "big") for _ in range(arity)])
+        db[head + body] = rng.getrandbits(w)
     return db
 
 

@@ -17,10 +17,16 @@ re-encoded for every query it feeds, and frame each vertex from its depth and
 index behind `depth_prefixes`, so no vertex string is parsed per query;
 callers holding int labels frame them with `label_payload`.
 
-A backend records each logical query in flat columns (vertex, payload, fresh
-flag, and the invocation count of each challenge query), not as an object per
-query: `trace` builds the TraceEntry list on read and keeps it until
-`reset_trace`, and `oracle_work` counts from the columns without building it.
+A backend records each logical query in flat columns (vertex, payload, and
+the invocation count of each challenge query), not as an object per query:
+`trace` builds the TraceEntry list on read and keeps it until `reset_trace`,
+and `oracle_work` counts from the columns without building it.  No fresh
+flag is kept per query: a query is fresh when it is the first time this
+backend answered its payload (for a challenge query, any of its block
+payloads), and `trace` derives that from the payload column when it is read,
+against one set of the payloads answered before, which only a read or a
+`reset_trace` fills.  So evaluating a query does no freshness bookkeeping,
+and a run that never reads the trace never builds the set.
 """
 
 from __future__ import annotations
@@ -132,61 +138,78 @@ class RoBackend:
     """Shared query plumbing: framing, the query trace, and w-bit outputs.
 
     The trace is held as columns, one slot per logical query: the vertex
-    (None for a challenge query), the framed payload and the fresh flag, plus
-    the invocation count of each challenge query keyed by its slot.  `trace`
-    turns them into TraceEntry objects when it is read."""
+    (None for a challenge query) and the framed payload (a challenge query's
+    first block), plus the invocation count of each challenge query keyed by
+    its slot.  `trace` turns them into TraceEntry objects when it is read,
+    deriving each fresh flag from `_answered`, the payloads of every slot
+    that a read or a `reset_trace` has covered."""
 
     def __init__(self, w: int):
         if not 8 <= w <= 512:
             raise ValueError("label width must be between 8 and 512 bits")
         self.w = w
-        self.reset_trace()
+        self._answered: set = set()
+        self._vertices: list = []
+        self._payloads: list = []
+        self._challenges: dict = {}  # slot -> oracle invocations of that challenge query
+        self._entries: list = []
 
-    def _evaluate(self, payload: bytes) -> tuple:
+    def _evaluate(self, payload: bytes) -> int:
         raise NotImplementedError
 
     def label_query(self, v: str, payload: bytes) -> int:
         """Evaluate the label query for vertex v, framed as label_payload
         frames it, and record it in the trace."""
-        value, fresh = self._evaluate(payload)
+        value = self._evaluate(payload)
         self._vertices.append(v)
         self._payloads.append(payload)
-        self._fresh.append(fresh)
         return value
 
     def challenge_query(self, chi: int, phi: int, bits_needed: int) -> str:
         """Counter-extended challenge output, one logical query in the trace."""
         if bits_needed < 1:
             raise ValueError(f"a challenge query needs at least 1 bit, not {bits_needed}")
-        blocks = []
-        counter = 0
-        first_payload = None
-        any_fresh = False
-        while len(blocks) * self.w < bits_needed:
-            payload = challenge_payload(chi, phi, counter, self.w)
-            if first_payload is None:
-                first_payload = payload
-            value, fresh = self._evaluate(payload)
-            any_fresh = any_fresh or fresh
-            blocks.append(format(value, f"0{self.w}b"))
-            counter += 1
-        self._challenges[len(self._payloads)] = counter
+        count = -(-bits_needed // self.w)
+        payloads = [challenge_payload(chi, phi, counter, self.w) for counter in range(count)]
+        bits = "".join(format(self._evaluate(payload), f"0{self.w}b") for payload in payloads)
+        self._challenges[len(self._payloads)] = count
         self._vertices.append(None)
-        self._payloads.append(first_payload)
-        self._fresh.append(any_fresh)
-        return "".join(blocks)[:bits_needed]
+        self._payloads.append(payloads[0])
+        return bits[:bits_needed]
+
+    def _answer(self, start: int) -> list:
+        """The fresh flag of each slot from `start` on, adding the payloads
+        each slot evaluated to `_answered` as it goes: a label slot's own, a
+        challenge slot's blocks (its first payload with the 4-byte counter
+        set to 0..count-1).  A slot is fresh when one of them was not yet
+        answered."""
+        answered, payloads, challenges = self._answered, self._payloads, self._challenges
+        flags = []
+        for i in range(start, len(payloads)):
+            payload = payloads[i]
+            count = challenges.get(i)
+            if count is None:
+                flags.append(payload not in answered)
+                answered.add(payload)
+            else:
+                blocks = {payload[:-4] + counter.to_bytes(4, "big") for counter in range(count)}
+                flags.append(not blocks <= answered)
+                answered |= blocks
+        return flags
 
     @property
     def trace(self) -> list:
         """The queries since the last reset_trace, one TraceEntry each, in
         query order.  The list is built on first read and extended by later
         reads, so reads with no query between them return the same list and
-        the same entries."""
+        the same entries.  An entry is fresh when it evaluated a payload that
+        this backend had not answered before it."""
         entries = self._entries
-        for i in range(len(entries), len(self._payloads)):
+        start = len(entries)
+        for i, fresh in enumerate(self._answer(start), start):
             count = self._challenges.get(i)
             kind, count = ("label", 1) if count is None else ("challenge", count)
-            entries.append(TraceEntry(kind, self._vertices[i], self._payloads[i], self._fresh[i], count))
+            entries.append(TraceEntry(kind, self._vertices[i], self._payloads[i], fresh, count))
         return entries
 
     def oracle_work(self) -> tuple:
@@ -202,10 +225,12 @@ class RoBackend:
         return labels, labels + sum(challenges.values()), framed
 
     def reset_trace(self) -> None:
-        self._vertices = []
-        self._payloads = []
-        self._fresh = []
-        self._challenges = {}  # slot -> oracle invocations of that challenge query
+        """Start an empty trace.  The slots no read has covered are answered
+        first, so freshness carries across resets."""
+        self._answer(len(self._entries))
+        self._vertices.clear()
+        self._payloads.clear()
+        self._challenges.clear()
         self._entries = []
 
 
@@ -217,12 +242,12 @@ class TableBackend(RoBackend):
         self._rng = random.Random(seed)
         self._db: dict = {}
 
-    def _evaluate(self, payload: bytes) -> tuple:
-        if payload in self._db:
-            return self._db[payload], False
-        value = self._rng.getrandbits(self.w)
-        self._db[payload] = value
-        return value, True
+    def _evaluate(self, payload: bytes) -> int:
+        db = self._db
+        if payload in db:
+            return db[payload]
+        value = db[payload] = self._rng.getrandbits(self.w)
+        return value
 
     def database(self) -> dict:
         """Snapshot of the lazily sampled database, payload -> w-bit value."""
@@ -237,18 +262,14 @@ class CryptoBackend(RoBackend):
     def __init__(self, w: int, key: bytes = b""):
         super().__init__(w)
         self.key = key
-        self._seen: set = set()
         blocks = -(-w // 256)
         # counters past the first block; empty for w <= 256
         self._extra_counters = [c.to_bytes(4, "big") for c in range(1, blocks)]
         self._shift = 256 * blocks - w
 
-    def _evaluate(self, payload: bytes) -> tuple:
+    def _evaluate(self, payload: bytes) -> int:
         message = self.key + payload
         stream = sha256(message + b"\0\0\0\0").digest()
         for counter in self._extra_counters:
             stream += sha256(message + counter).digest()
-        seen = self._seen
-        size = len(seen)
-        seen.add(payload)
-        return int.from_bytes(stream, "big") >> self._shift, len(seen) != size
+        return int.from_bytes(stream, "big") >> self._shift

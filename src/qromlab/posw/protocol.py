@@ -10,6 +10,7 @@ every ancestor label equation of every challenge leaf.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -54,7 +55,14 @@ class VerifyResult:
 
 def compute_labeling(chi: int, params: PoswParams, backend: RoBackend) -> dict:
     """Honest labeling in the sequential leftmost-leaf-first order; exactly one
-    oracle query per vertex.
+    oracle query per vertex.  Returns vertex -> label, in vertex order."""
+    levels = _label_levels(chi, params, backend)
+    return dict(zip(dag.all_vertices(params.n), itertools.chain.from_iterable(levels)))
+
+
+def _label_levels(chi: int, params: PoswParams, backend: RoBackend) -> list:
+    """The honest labeling as per-depth lists: levels[d][j] is the label of
+    the depth-d vertex whose bits read as the number j.
 
     Every label is encoded once, into per-depth state for the current root
     path: left[d] and right[d] hold the bytes of the last labelled left and
@@ -64,30 +72,29 @@ def compute_labeling(chi: int, params: PoswParams, backend: RoBackend) -> dict:
     leaf frames skip[n].  Labelling a left child p0 at depth d hands
     skip(p1) = skip(p) + label(p0) to its right sibling and that sibling's
     left spine, which costs amortised O(1) per vertex.  Post-order visits
-    each depth's vertices in index order, so a per-depth counter gives the
-    index each vertex is framed from."""
+    each depth's vertices in index order, so the length of a depth's list is
+    the index of its next vertex."""
     if backend.w != params.w:
         raise ValueError("backend width does not match parameters")
     n, w = params.n, params.w
     nbytes, bound = (w + 7) // 8, 1 << w
     prefixes = depth_prefixes(LABEL_TAG + label_bytes(chi, w), n)
     widths = [(d + 7) // 8 for d in range(n + 1)]
-    index = [0] * (n + 1)
     query = backend.label_query
-    labels: dict = {}
+    levels: list = [[] for _ in range(n + 1)]
     left = [b""] * (n + 1)
     right = [b""] * (n + 1)
     skip = [b""] * (n + 1)
     for v in dag.prover_order(n):
         d = len(v)
-        j = index[d]
-        index[d] = j + 1
+        level = levels[d]
+        j = len(level)
         body = skip[n] if d == n else left[d + 1] + right[d + 1] + skip[d]
         label = query(v, prefixes[d] + j.to_bytes(widths[d], "big") + body)
         # a preloaded table oracle can hold any value, so check as label_bytes does
         if not 0 <= label < bound:
             raise ValueError(f"label {label} does not fit in {w} bits")
-        labels[v] = label
+        level.append(label)
         if not d:
             break  # the root is labelled last
         data = label.to_bytes(nbytes, "big")
@@ -96,7 +103,7 @@ def compute_labeling(chi: int, params: PoswParams, backend: RoBackend) -> dict:
         else:
             left[d] = data
             skip[d:] = [skip[d - 1] + data] * (n + 1 - d)
-    return labels
+    return levels
 
 
 def derive_challenge(chi: int, phi: int, t: int, n: int, backend: RoBackend) -> list:
@@ -109,11 +116,13 @@ def derive_challenge(chi: int, phi: int, t: int, n: int, backend: RoBackend) -> 
 
 
 def prove(chi: int, params: PoswParams, t: int, backend: RoBackend) -> PoswProof:
-    labels = compute_labeling(chi, params, backend)
-    phi = labels[dag.ROOT]
+    levels = _label_levels(chi, params, backend)
+    (phi,) = levels[0]
     challenge = derive_challenge(chi, phi, t, params.n, backend)
+    # an authentication path holds no root, so every vertex on it has an index
     tau = tuple(
-        tuple(labels[u] for u in dag.authentication_path(v, params.n)) for v in challenge
+        tuple(levels[len(u)][int(u, 2)] for u in dag.authentication_path(v, params.n))
+        for v in challenge
     )
     return PoswProof(n=params.n, t=t, w=params.w, phi=phi, tau=tau)
 

@@ -25,7 +25,7 @@ from qromlab.capacity import (
     quantum_capacity_exact,
     verify_calculus,
 )
-from qromlab.cli import main
+from qromlab.cli import _random_db, main
 from qromlab.groups import GroupSpec, connection_bound_check, transition_matrix
 from qromlab.oracle import (
     AdversaryCircuit,
@@ -387,13 +387,7 @@ def test_criterion_13_extraction_lemmas():
         vertices = dag.all_vertices(n)
 
         def draw_db():
-            db = {}
-            for _ in range(rng.randrange(1, 3 * len(vertices))):
-                v = vertices[rng.randrange(len(vertices))]
-                arity = len(dag.in_neighbors(v, n))
-                labels = tuple(rng.getrandbits(w) for _ in range(arity))
-                db[label_payload(chi, v, labels, w)] = rng.getrandbits(w)
-            return db
+            return _random_db(rng, n, w, chi, rng.randrange(1, 3 * len(vertices)))
 
         leaves_checked = 0
         while leaves_checked < 10_000:

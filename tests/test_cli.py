@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from qromlab.cli import main
 from qromlab.groups import GroupSpec
 from qromlab.oracle import (SHOTS_BUDGET, AdversaryCircuit, GateStep, OracleDomain, PhaseFlipStep,
                             QueryStep, relation_probabilities)
+from qromlab.posw import dag, label_payload
 from qromlab.properties import cl
 from qromlab.reporting import normalize_float, render_csv, render_json, wilson_interval
 from reference import per_pair_bound
@@ -514,6 +516,27 @@ class TestPoswCommands:
     def test_lemma_suites(self, tmp_path):
         for suite in ("extract", "leaves", "newpath"):
             assert main(["lemmas", "--suite", suite, "--trials", "40"]) == 0
+
+    @pytest.mark.parametrize("n,w", [(2, 8), (2, 32), (9, 8), (9, 32)])
+    def test_random_logs_frame_as_label_payload(self, n, w):
+        """The drawn logs equal the per-entry label_payload framing, drawn in
+        the same order: vertex, its in-neighbour labels, the value."""
+
+        def ref_random_db(rng, n, w, chi, entries):
+            db = {}
+            vertices = dag.all_vertices(n)
+            for _ in range(entries):
+                v = vertices[rng.randrange(len(vertices))]
+                labels = tuple(rng.getrandbits(w) for _ in range(len(dag.in_neighbors(v, n))))
+                db[label_payload(chi, v, labels, w)] = rng.getrandbits(w)
+            return db
+
+        for seed in range(3):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            entries = 3 * (1 << n) - 1
+            db = cli_mod._random_db(rng, n, w, 0x5A, entries)
+            assert list(db.items()) == list(ref_random_db(ref_rng, n, w, 0x5A, entries).items())
+            assert rng.getrandbits(64) == ref_rng.getrandbits(64)
 
     @pytest.mark.parametrize("suite", ["leaves", "newpath", "extract"])
     def test_lemma_counts_on_stderr(self, tmp_path, capsys, monkeypatch, suite):

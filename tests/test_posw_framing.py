@@ -11,7 +11,8 @@ must be equal; depths 9 and 10 are run because their indices take two bytes.
 The crypto backend's counter-mode `while` loop is kept as the reference for
 its one-pass evaluation, the per-field label-frame parser for the one-pass
 `parse_label_payload`, and the recorder that appended one `TraceEntry` per
-query for the backends' columnar trace.
+query, its fresh flag decided at query time, for the backends' columnar
+trace, which derives freshness when it is read.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ from qromlab.posw import (
     CryptoBackend,
     PoswParams,
     PoswProof,
+    RoBackend,
     TableBackend,
     VerifyResult,
     compute_labeling,
@@ -330,15 +332,28 @@ def test_authentication_path_holds_every_in_neighbour(n):
 # --- reference: one TraceEntry appended per query ---------------------------
 
 class RefRecorder:
-    """The trace as a list grown by one TraceEntry per logical query; it
-    evaluates through its own backend's `_evaluate`, which records nothing."""
+    """The trace as a list grown by one TraceEntry per logical query, each
+    fresh flag decided at query time by the rules the backends once applied:
+    the crypto oracle's payload is fresh when its own set of the payloads it
+    evaluated lacks it, the table oracle's when its database lacks it before
+    the call.  It evaluates through its own backend's `_evaluate`, which
+    records nothing."""
 
     def __init__(self, backend):
         self.backend = backend
+        self.seen = set()
         self.trace = []
 
+    def _evaluate(self, payload):
+        if isinstance(self.backend, TableBackend):
+            fresh = payload not in self.backend._db
+        else:
+            fresh = payload not in self.seen
+            self.seen.add(payload)
+        return self.backend._evaluate(payload), fresh
+
     def label_query(self, v, payload):
-        value, fresh = self.backend._evaluate(payload)
+        value, fresh = self._evaluate(payload)
         self.trace.append(TraceEntry("label", v, payload, fresh))
         return value
 
@@ -352,7 +367,7 @@ class RefRecorder:
             payload = challenge_payload(chi, phi, counter, w)
             if first_payload is None:
                 first_payload = payload
-            value, fresh = self.backend._evaluate(payload)
+            value, fresh = self._evaluate(payload)
             any_fresh = any_fresh or fresh
             blocks.append(format(value, f"0{w}b"))
             counter += 1
@@ -414,6 +429,47 @@ def test_trace_read_is_refreshed_by_the_next_query(kind):
     assert [e.fresh for e in be.trace] == [True, True, False]
     be.reset_trace()
     assert be.trace == [] and be.oracle_work() == (0, 0, 0)
+
+
+@pytest.mark.parametrize("read_first", [True, False])
+@pytest.mark.parametrize("kind", ["table", "crypto"])
+def test_freshness_carries_across_a_reset(kind, read_first):
+    """A reset answers the slots no read covered, so an honest verify on the
+    prover's backend repeats every payload the prover evaluated."""
+    params, t = PoswParams(n=3, w=16), 4
+    be = make_backend(kind, params.w, 5)
+    proof = prove(7, params, t, be)
+    if read_first:
+        assert all(e.fresh for e in be.trace)
+    be.reset_trace()
+    assert verify(7, params, t, proof, be).accepted
+    assert be.trace[0].kind == "challenge"
+    assert len(be.trace) == 1 + t * (params.n + 1)
+    assert not any(e.fresh for e in be.trace)
+
+
+def test_label_query_is_defined_once():
+    """The traced run wraps `RoBackend.label_query`; an override in a backend
+    would bypass that wrapper."""
+    assert "label_query" in vars(RoBackend)
+    assert "label_query" not in vars(CryptoBackend)
+    assert "label_query" not in vars(TableBackend)
+
+
+def test_prover_walks_the_dag_helpers(monkeypatch):
+    """The prover takes its order and its openings from the DAG module: one
+    prover_order walk and one authentication_path per challenge leaf."""
+    calls = {"prover_order": 0, "authentication_path": 0}
+    for name in calls:
+        original = getattr(dag, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dag, name, counting)
+    prove(7, PoswParams(n=3, w=16), 5, TableBackend(16, seed=1))
+    assert calls == {"prover_order": 1, "authentication_path": 5}
 
 
 # --- reference: the per-field label-frame parser ----------------------------
